@@ -2,7 +2,10 @@
 
 Matrices are tuples of row-tuples of Fractions (or ints where noted).  The
 sizes involved here are tiny (n <= 4 in practice), so clarity beats
-asymptotics: plain Gaussian elimination with exact arithmetic throughout.
+asymptotics.  Over the rationals there is one Gauss-Jordan routine,
+``_rref``; solve, inverse, rank, rational_kernel and span_coordinates are
+thin wrappers around it.  det keeps its own forward elimination with a
+running sign, and the integer routines go through hnf_with_transform.
 """
 
 from __future__ import annotations
@@ -80,83 +83,84 @@ def det(a: Matrix) -> Fraction:
     return result
 
 
-def solve(a: Matrix, b) -> Vector:
-    """Solve a*x = b for square invertible a."""
-    n = len(a)
-    b = vec(b)
-    aug = [list(vec(a[i])) + [b[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place, the one elimination loop here.
 
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = [solve(a, [Fraction(1 if i == j else 0) for i in range(n)])
-            for j in range(n)]
-    return from_columns(cols)
-
-
-def rank(a: Matrix) -> int:
-    rows = [list(vec(r)) for r in a]
-    n, m = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
+    Pivots are taken in the first ncols columns only; any further columns
+    are an augmented block that rides along.  On return row i holds pivot
+    i (normalized to 1, cleared above and below) and the remaining rows
+    are zero in the first ncols columns.  Returns the pivot columns.
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        pivot = next((i for i in range(r, n) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r] = [x * inv for x in rows[r]]
         for i in range(n):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            break
-    return r
+            factor = rows[i][col]
+            if i != r and factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
+def solve(a: Matrix, b) -> Vector:
+    """Solve a*x = b for square invertible a."""
+    n = len(a)
+    aug = [list(vec(row)) + [x] for row, x in zip(a, vec(b))]
+    if len(_rref(aug, n)) < n:
+        raise SingularMatrix("singular system")
+    return tuple(row[n] for row in aug)
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Inverse of a square matrix by one reduction of [a | I]."""
+    n = len(a)
+    aug = [list(vec(row)) + list(e) for row, e in zip(a, identity(n))]
+    if len(_rref(aug, n)) < n:
+        raise SingularMatrix("singular system")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def rank(a: Matrix) -> int:
+    rows = [list(vec(r)) for r in a]
+    return len(_rref(rows, len(rows[0]) if rows else 0))
 
 
 def rational_kernel(a: Matrix) -> list[Vector]:
     """Basis of the right kernel of a (rows may be dependent)."""
     rows = [list(vec(r)) for r in a]
-    n, m = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    m = len(rows[0]) if rows else 0
+    pivots = _rref(rows, m)
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fcol] = Fraction(1)
         for i, pcol in enumerate(pivots):
             v[pcol] = -rows[i][fcol]
         basis.append(tuple(v))
     return basis
+
+
+def span_coordinates(gens, v) -> Vector | None:
+    """Coordinates c with sum(c_j * gens_j) = v, or None when v lies off
+    the span.  One reduction of [G | v] with G the generator columns;
+    dependent generators raise SingularMatrix."""
+    r = len(gens)
+    v = vec(v)
+    aug = [[Fraction(g[i]) for g in gens] + [v[i]] for i in range(len(v))]
+    if len(_rref(aug, r)) < r:
+        raise SingularMatrix("generators are linearly dependent")
+    if any(row[r] for row in aug[r:]):
+        return None
+    return tuple(row[r] for row in aug[:r])
 
 
 # --- integer-lattice routines -------------------------------------------

@@ -1,5 +1,6 @@
 """p-adic bookkeeping for exact rationals: valuations, unit parts, and
-residues modulo prime powers."""
+residues modulo prime powers; plus the trial-division primality and
+squarefreeness predicates the field and CLI layers share."""
 
 from __future__ import annotations
 
@@ -47,3 +48,23 @@ def residue(q, p: int, M: int) -> int:
     if q.denominator % p == 0:
         raise ValueError("not p-integral")
     return q.numerator * pow(q.denominator, -1, mod) % mod
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 1
+    return True
+
+
+def is_squarefree(d: int) -> bool:
+    q = 2
+    while q * q <= d:
+        if d % (q * q) == 0:
+            return False
+        q += 1
+    return True

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import selftest as selftest_mod
 from ._linalg import from_columns
-from ._rational_padics import is_p_integral
+from ._rational_padics import is_p_integral, is_prime
 from .cones import ConeFunction, GLTuple, OpenCone, hill_cone_function, hill_eval
 from .errors import ShintaniKitError
 from .exact_core import bernoulli_polynomial
@@ -175,9 +175,12 @@ def _parse_cones(cfg: dict, n: int) -> ConeFunction:
         if not isinstance(c, dict):
             raise ConfigError("each cone must be an object")
         gens = _need(c, "generators", list, "a list of generators")
-        if any(len(g) != n for g in gens):
+        if any(not isinstance(g, list) or len(g) != n for g in gens):
             raise ConfigError("cone generator dimensions must match the ambient dimension")
-        terms.append((Fraction(c.get("weight", 1)), OpenCone(tuple(tuple(g) for g in gens))))
+        try:
+            terms.append((Fraction(c.get("weight", 1)), OpenCone(tuple(tuple(g) for g in gens))))
+        except (TypeError, ValueError, ShintaniKitError) as exc:
+            raise ConfigError(f"bad cone: {exc}") from None
     return ConeFunction(terms)
 
 
@@ -411,6 +414,8 @@ def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
 def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
     t0 = time.monotonic()
     p = _need(cfg, "p", int, "an odd prime")
+    if p < 3 or not is_prime(p):
+        raise ConfigError(f"p must be an odd prime, got p={p}")
     ell = _need(cfg, "ell", int, "the smoothing modulus")
     if ell == p:
         raise ConfigError("smoothing prime must differ from p")

@@ -2,9 +2,10 @@
 cone-combination extraction.
 
 The perturbation scalars eps_1 >> eps_2 >> ... are formal: an element of
-the ordered coefficient field is a polynomial in them, and its sign is
-the sign of the coefficient on the most significant monomial (monomials
-compared coordinate-reversed lexicographically, smallest key dominates).
+the ordered coefficient field is a polynomial in them, held as a
+TruncSeries in the eps variables, and its sign is the sign of the
+coefficient on the most significant monomial (monomials compared
+coordinate-reversed lexicographically, smallest key dominates).
 This pins 1 - eps_1 > 0 and eps_1 - eps_2 > 0.
 """
 
@@ -16,17 +17,23 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
 
-from ._linalg import Matrix, Vector, columns, det, from_columns, mat, mat_vec, rank, solve, vec
-from .errors import (
-    DegenerateTuple,
-    GuardTripped,
-    ShintaniKitError,
-    SingularMatrix,
-    ZeroVector,
+from ._linalg import (
+    Matrix,
+    Vector,
+    columns,
+    det,
+    from_columns,
+    mat,
+    mat_vec,
+    rank,
+    span_coordinates,
+    vec,
 )
+from .errors import DegenerateTuple, GuardTripped, ShintaniKitError, ZeroVector
+from .exact_core import TruncSeries
 
 # ---------------------------------------------------------------------------
-# formal perturbation polynomials
+# formal perturbation polynomials (TruncSeries in eps_1..eps_n)
 
 
 def _sig_key(exp: tuple[int, ...]) -> tuple[int, ...]:
@@ -34,65 +41,12 @@ def _sig_key(exp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(exp))
 
 
-class EpsPoly:
-    """Polynomial in the perturbation scalars with Fraction coefficients."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        self.coeffs: dict[tuple[int, ...], Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[tuple(e)] = c
-
-    @classmethod
-    def const(cls, n: int, value) -> "EpsPoly":
-        return cls(n, {tuple(0 for _ in range(n)): Fraction(value)})
-
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return EpsPoly(self.n, out)
-
-    def __neg__(self) -> "EpsPoly":
-        return EpsPoly(self.n, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return EpsPoly(self.n, out)
-
-    def scale(self, factor) -> "EpsPoly":
-        factor = Fraction(factor)
-        return EpsPoly(self.n, {e: factor * c for e, c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_sign(self) -> int:
-        """Sign of the value: coefficient sign at the dominating monomial."""
-        if not self.coeffs:
-            return 0
-        e = min(self.coeffs, key=_sig_key)
-        return 1 if self.coeffs[e] > 0 else -1
+def leading_sign(p: TruncSeries) -> int:
+    """Sign of a perturbation polynomial: the coefficient sign at the
+    dominating monomial."""
+    if not p.coeffs:
+        return 0
+    return 1 if p.coeffs[min(p.coeffs, key=_sig_key)] > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +93,10 @@ class OpenCone:
 
     def contains(self, v) -> bool:
         v = vec(v)
-        coords = _span_coordinates(self.generators, v)
+        coords = span_coordinates(self.generators, v)
         if coords is None:
             return False
         return all(c > 0 for c in coords)
-
-
-def _span_coordinates(gens: tuple[Vector, ...], v: Vector):
-    """Coordinates of v in the (independent) generators, else None."""
-    n = len(v)
-    r = len(gens)
-    g_mat = from_columns(gens)
-    # pick r independent rows to invert
-    rows_idx: list[int] = []
-    probe: list = []
-    for i in range(n):
-        cand = probe + [g_mat[i]]
-        if rank(mat(cand)) == len(cand):
-            probe = cand
-            rows_idx.append(i)
-            if len(rows_idx) == r:
-                break
-    sub = mat([g_mat[i] for i in rows_idx])
-    try:
-        coords = solve(sub, [v[i] for i in rows_idx])
-    except SingularMatrix:
-        return None
-    if mat_vec(g_mat, coords) != tuple(v):
-        return None
-    return coords
 
 
 @dataclass
@@ -234,22 +163,26 @@ class GLTuple:
         return len(self.matrices[0])
 
 
-def _perturbed_columns(t: GLTuple) -> list[list[EpsPoly]]:
-    """Columns alpha_j * b_j with b_j = w_1 + eps_j w_2 + ... (EpsPoly)."""
+def _perturbed_columns(t: GLTuple) -> list[list[TruncSeries]]:
+    """Columns alpha_j * b_j with b_j = w_1 + eps_j w_2 + ... + eps_j^(n-1) w_n."""
     n = t.ambient
+    # Caps (n-1,)*n never truncate: every entry of column j is a polynomial
+    # in eps_j alone of degree below n, and a determinant or minor takes one
+    # entry per column, so no product raises any eps_j past n-1.
+    caps = (n - 1,) * n
     w_cols = columns(t.basis)
     cols = []
     for j, alpha in enumerate(t.matrices):
-        # b_j as EpsPoly vector
-        b = [EpsPoly(n) for _ in range(n)]
-        for i, w in enumerate(w_cols):
-            exp = tuple(i if k == j else 0 for k in range(n))
-            for coord in range(n):
-                if w[coord]:
-                    b[coord] = b[coord] + EpsPoly(n, {exp: w[coord]})
+        b = [
+            TruncSeries(caps, {
+                tuple(i if k == j else 0 for k in range(n)): w[coord]
+                for i, w in enumerate(w_cols)
+            })
+            for coord in range(n)
+        ]
         moved = []
         for row in range(n):
-            acc = EpsPoly(n)
+            acc = TruncSeries(caps)
             for k in range(n):
                 if alpha[row][k]:
                     acc = acc + b[k].scale(alpha[row][k])
@@ -258,27 +191,19 @@ def _perturbed_columns(t: GLTuple) -> list[list[EpsPoly]]:
     return cols
 
 
-def _eps_det(cols: list[list[EpsPoly]]) -> EpsPoly:
+def _eps_det(cols: list[list[TruncSeries]]) -> TruncSeries:
     n = len(cols)
-    nvars = cols[0][0].n  # minors keep the full set of perturbation vars
-    acc = EpsPoly(nvars)
+    caps = cols[0][0].caps  # minors keep the full set of perturbation vars
+    acc = TruncSeries(caps)
     for perm in permutations(range(n)):
         inv = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        term = EpsPoly.const(nvars, -1 if inv % 2 else 1)
+        term = TruncSeries.constant(caps, Fraction(-1 if inv % 2 else 1))
         for j in range(n):
             term = term * cols[j][perm[j]]
         acc = acc + term
     return acc
-
-
-def _sign_of_tuple(t: GLTuple) -> int:
-    d = _eps_det(_perturbed_columns(t))
-    s = d.leading_sign()
-    if s == 0:
-        raise GuardTripped("perturbed determinant vanished")
-    return s
 
 
 def hill_eval(t: GLTuple, v) -> int:
@@ -292,16 +217,17 @@ def hill_eval(t: GLTuple, v) -> int:
     if len(t.matrices) != t.ambient:
         raise ShintaniKitError("tuple length must equal the ambient dimension")
     cols = _perturbed_columns(t)
-    sigma = _eps_det(cols).leading_sign()
+    sigma = leading_sign(_eps_det(cols))
     if sigma == 0:
         raise GuardTripped("perturbed determinant vanished")
     n = t.ambient
+    caps = cols[0][0].caps
     for i in range(n):
         replaced = [
-            [EpsPoly.const(n, v[row]) for row in range(n)] if j == i else cols[j]
+            [TruncSeries.constant(caps, v[row]) for row in range(n)] if j == i else cols[j]
             for j in range(n)
         ]
-        s = _eps_det(replaced).leading_sign()
+        s = leading_sign(_eps_det(replaced))
         if s != sigma:
             return 0
     return sigma
@@ -310,7 +236,7 @@ def hill_eval(t: GLTuple, v) -> int:
 # --- explicit extraction ----------------------------------------------------
 
 
-def _functionals(cols: list[list[EpsPoly]], i: int) -> list[Vector]:
+def _functionals(cols: list[list[TruncSeries]], i: int) -> list[Vector]:
     """Significance-ordered linear functionals carrying det(M with column i
     replaced by a v-column) = sum over monomials of eps^r * phi_r(v)."""
     n = len(cols)
@@ -325,7 +251,7 @@ def _functionals(cols: list[list[EpsPoly]], i: int) -> list[Vector]:
         if minor_cols:
             minor = _eps_det(minor_cols)
         else:
-            minor = EpsPoly.const(n, 1)
+            minor = TruncSeries.constant(cols[0][0].caps, Fraction(1))
         sign = -1 if (row + i) % 2 else 1
         cofactors.append(minor.scale(sign))
     monomials = sorted({e for c in cofactors for e in c.coeffs}, key=_sig_key)
@@ -408,7 +334,7 @@ def hill_cone_function(t: GLTuple, verify_samples: int = 40) -> ConeFunction:
     if rank(from_columns(u)) != n:
         raise DegenerateTuple("alpha_i * w_1 must be independent")
     cols = _perturbed_columns(t)
-    sigma = _eps_det(cols).leading_sign()
+    sigma = leading_sign(_eps_det(cols))
     if sigma == 0:
         raise GuardTripped("perturbed determinant vanished")
     func_lists = [_functionals(cols, i) for i in range(n)]

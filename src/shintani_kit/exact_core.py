@@ -1,9 +1,12 @@
 """Exact scalar and truncated power series arithmetic.
 
 Everything here is rational or quadratic-irrational and exact; no floats.
-The truncated series type is the workhorse behind the cone generating
-functions, so its multiplication clamps against per-variable caps rather
-than growing without bound.
+TruncSeries is the package's single sparse multivariate polynomial type:
+it carries the cone generating functions and Amice transforms, the formal
+eps-perturbation polynomials of the cocycle, and powers of the norm form.
+Its multiplication clamps against per-variable caps rather than growing
+without bound; callers that need an exact polynomial choose caps that the
+product can never exceed.
 """
 
 from __future__ import annotations
@@ -183,13 +186,6 @@ def quad_sign(x) -> int:
     if aa > bb:
         return sa
     return sb
-
-
-def scalar_conjugate(x):
-    """Galois conjugate; rationals are fixed."""
-    if isinstance(x, QuadScalar):
-        return x.conjugate()
-    return x
 
 
 def scalar_rational(x) -> Fraction:

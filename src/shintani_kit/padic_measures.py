@@ -275,10 +275,6 @@ def is_measure(f: TestFunction, cone: OpenCone, U: PLevelSet) -> bool:
 # Amice expansion
 
 
-def _binomial_power_series(mu: Fraction, cap: int) -> list[Fraction]:
-    return [binom_frac(mu, k) for k in range(cap + 1)]
-
-
 def _piece_numerator(
     terms: list[tuple[Fraction, Vector]],
     build_caps: tuple[int, ...],
@@ -289,7 +285,10 @@ def _piece_numerator(
     n = len(build_caps)
     out: dict = {}
     for c, mu in terms:
-        rows = [_binomial_power_series(mu[j], build_caps[j]) for j in range(n)]
+        rows = [
+            [binom_frac(mu[j], k) for k in range(build_caps[j] + 1)]
+            for j in range(n)
+        ]
 
         def emit(j: int, exp: list[int], val: Fraction, left: int):
             if j == n:
@@ -356,7 +355,7 @@ class _Substitution:
         self.tables: list[list[TruncSeries]] = []
         for i in range(n):
             base_exps = [int(D[j][i]) for j in range(n)]
-            base = _integer_binomial_product(base_exps, caps) - TruncSeries.constant(
+            base = _binomial_product(base_exps, caps) - TruncSeries.constant(
                 caps, Fraction(1)
             )
             row = [TruncSeries.constant(caps, Fraction(1))]
@@ -382,29 +381,15 @@ class _Substitution:
         return out
 
 
-def _integer_binomial_product(exps: list[int], caps: tuple[int, ...]) -> TruncSeries:
-    """prod_j (1+S_j)^(e_j) for integer exponents of either sign."""
+def _binomial_product(exponents: Sequence, caps: tuple[int, ...]) -> TruncSeries:
+    """prod_j (1+S_j)^(e_j) for rational exponents (integers of either sign
+    included), truncated to caps."""
     out = TruncSeries.constant(caps, Fraction(1))
-    for j, e in enumerate(exps):
+    for j, e in enumerate(exponents):
         coeffs = {}
         for k in range(caps[j] + 1):
-            c = comb_int(e, k)
-            if c:
-                key = tuple(k if jj == j else 0 for jj in range(len(caps)))
-                coeffs[key] = Fraction(c)
-        out = out * TruncSeries(caps, coeffs)
-    return out
-
-
-def _fractional_binomial_product(mus: Sequence[Fraction], caps: tuple[int, ...]) -> TruncSeries:
-    out = TruncSeries.constant(caps, Fraction(1))
-    for j, mu in enumerate(mus):
-        coeffs = {}
-        for k in range(caps[j] + 1):
-            c = binom_frac(mu, k)
-            if c:
-                key = tuple(k if jj == j else 0 for jj in range(len(caps)))
-                coeffs[key] = c
+            key = tuple(k if jj == j else 0 for jj in range(len(caps)))
+            coeffs[key] = binom_frac(e, k)
         out = out * TruncSeries(caps, coeffs)
     return out
 
@@ -453,7 +438,7 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
         if any(not is_p_integral(x, p) for x in dw):
             raise ArithmeticError("piece offset is not p-integral")
         if any(dw):
-            piece_series = piece_series * _fractional_binomial_product(dw, caps)
+            piece_series = piece_series * _binomial_product(dw, caps)
         total = total + piece_series
     return total
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from random import Random
 
 from ._linalg import columns, from_columns, hnf_with_transform, identity, mat_vec, vec
-from ._rational_padics import residue
+from ._rational_padics import is_prime, is_squarefree, residue
 from .cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from .errors import (
     BadSmoothingData,
@@ -44,26 +44,6 @@ GENERATOR_BOX_GUARD = 400_000
 RAY_SEARCH_GUARD = 100_000
 
 
-def _squarefree(d: int) -> bool:
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            return False
-        q += 1
-    return True
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 1
-    return True
-
-
 @dataclass(frozen=True)
 class RealQuadraticField:
     """Q(sqrt(D)) for squarefree D > 1, with ring of integers Z[omega]."""
@@ -71,7 +51,7 @@ class RealQuadraticField:
     D: int
 
     def __post_init__(self):
-        if self.D <= 1 or not _squarefree(self.D):
+        if self.D <= 1 or not is_squarefree(self.D):
             raise ValueError("D must be a squarefree integer > 1")
 
     @property
@@ -326,7 +306,7 @@ def principal_ideal(field: RealQuadraticField, u) -> IdealHNF:
 def prime_above(field: RealQuadraticField, ell: int) -> list[IdealHNF]:
     """Degree-one primes over ell: (ell, omega - s) for each root s of the
     minimal polynomial of omega mod ell.  Empty when ell is inert."""
-    if not _is_prime(ell):
+    if not is_prime(ell):
         raise ValueError("ell must be prime")
     roots = [
         s
@@ -575,7 +555,7 @@ def _crt_offset(ell: int, Q: int) -> int:
 
 def _check_smoothing(field, aideal: IdealHNF, cprime: IdealHNF, coprime_to: int):
     ell = cprime.norm
-    if cprime.d != 1 or not _is_prime(ell):
+    if cprime.d != 1 or not is_prime(ell):
         raise BadSmoothingData("smoothing ideal must be a degree-one prime")
     if math.gcd(ell, coprime_to * aideal.norm) > 1:
         raise BadSmoothingData("smoothing prime collides with the rest of the data")
@@ -690,24 +670,8 @@ def x_level_set(field: RealQuadraticField, eps, p: int, m: int) -> PLevelSet:
     return PLevelSet(p, m, 2, tuple(offs))
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = (e1[0] + e2[0], e1[1] + e2[1])
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_pow(a: dict, k: int) -> dict:
-    out = {(0, 0): Fraction(1)}
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
 def _check_prime_setup(field, aideal, cprime, p, conductor):
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if math.gcd(p, field.disc * conductor) > 1:
         raise ValueError("p must be unramified and prime to the conductor")
@@ -788,9 +752,12 @@ def padic_partial_zeta(
         )
     else:
         _check_prime_setup(field, aideal, cprime, p, conductor)
-    val = Fraction(aideal.norm) ** k * polynomial_moment(
-        series, _poly_pow(field.norm_form(), k)
-    )
+    # norm^k is homogeneous of degree 2k, so caps (2k, 2k) never truncate
+    norm = TruncSeries((2 * k, 2 * k), field.norm_form())
+    norm_k = TruncSeries.constant(norm.caps, Fraction(1))
+    for _ in range(k):
+        norm_k = norm_k * norm
+    val = Fraction(aideal.norm) ** k * polynomial_moment(series, norm_k.coeffs)
     return PartialZetaValue(val, PadicScalar(p, M, 0, residue(val, p, M)), p, m, k)
 
 

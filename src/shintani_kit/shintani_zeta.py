@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._linalg import Vector, minimal_multiplier, vec
+from ._rational_padics import is_squarefree
 from .cones import ConeFunction, OpenCone
 from .errors import (
     IrrationalResidue,
@@ -57,19 +58,10 @@ def std_norm(n: int) -> NormStructure:
     return NormStructure("coordinate", forms)
 
 
-def _is_squarefree(d: int) -> bool:
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            return False
-        q += 1
-    return True
-
-
 def quadratic_norm(D: int) -> NormStructure:
     """Forms x + y*omega and its conjugate, omega = (1+sqrt(D))/2 for
     D = 1 mod 4 and sqrt(D) otherwise."""
-    if D <= 1 or not _is_squarefree(D):
+    if D <= 1 or not is_squarefree(D):
         raise ValueError("D must be a squarefree integer > 1")
     if D % 4 == 1:
         omega = QuadScalar(Fraction(1, 2), Fraction(1, 2), D)

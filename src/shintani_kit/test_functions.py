@@ -29,6 +29,7 @@ from ._linalg import (
     rational_kernel,
     solve,
     solve_integer,
+    span_coordinates,
     transpose,
     vec,
 )
@@ -467,12 +468,10 @@ def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tu
         raise ValueError("no generators")
     W = from_columns(gens)
     ann = rational_kernel(transpose(W))
-
-    pivot_rows = _independent_rows(W, r)
-    Wsub = tuple(W[i] for i in pivot_rows)
-
-    def span_coords(x: Vector) -> Vector:
-        return solve(Wsub, tuple(x[i] for i in pivot_rows))
+    # the left kernel has dimension n - rank(W): refuse dependent
+    # generators up front, before any term is looked at
+    if len(ann) != f.n - r:
+        raise SingularMatrix("generators are linearly dependent")
 
     points: set[Vector] = set()
     for t in f.terms:
@@ -480,8 +479,8 @@ def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tu
         if sols is None:
             continue
         x0, dirs = sols
-        tau0 = span_coords(x0)
-        A = from_columns([span_coords(d) for d in dirs])
+        tau0 = span_coordinates(gens, x0)
+        A = from_columns([span_coordinates(gens, d) for d in dirs])
         Ainv = inverse(A)
         Aint = []
         for row in Ainv:
@@ -508,20 +507,6 @@ def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tu
         if val != 0:
             out.append((x, val))
     return out
-
-
-def _independent_rows(W: Matrix, r: int) -> list[int]:
-    from ._linalg import rank
-
-    rows: list[tuple] = []
-    idx: list[int] = []
-    for i, row in enumerate(W):
-        if rank(tuple(rows + [row])) == len(rows) + 1:
-            rows.append(row)
-            idx.append(i)
-            if len(idx) == r:
-                return idx
-    raise SingularMatrix("generators are linearly dependent")
 
 
 def _term_line_solutions(t: LatticeTerm, W: Matrix, ann: list[Vector], n: int):

@@ -82,6 +82,24 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["zeta", "--preset", "rq-field", "--D", "12", "-k", "1"]) == 2
     assert cli.main(["zeta", "--preset", "riemann", "-k", "1,x"]) == 2
 
+    base = {
+        "n": 2,
+        "terms": [{"weight": 1, "offset": [0, 0], "basis": [[1, 0], [0, 1]]}],
+        "k": [0],
+    }
+    bad_cones = [
+        [{"weight": "abc", "generators": [[1, 0], [0, 1]]}],
+        [{"weight": 1, "generators": [[1, 1], [2, 2]]}],
+    ]
+    for cones in bad_cones:
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(dict(base, cones=cones)))
+        capsys.readouterr()
+        assert cli.main(["zeta", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bad cone" in captured.err
+        assert captured.out == ""
+
 
 def test_hill_terms_and_points(tmp_path, capsys):
     cfg = {
@@ -169,6 +187,11 @@ def test_kubota_leopoldt_command(capsys):
     assert rec["certificates"]["oracle_ok"] is True
     for row in rec["values"]["table"]:
         assert set(row["value"]) == {"residue", "p", "M", "guard"}
+
+
+def test_kubota_leopoldt_rejects_composite_p(capsys):
+    assert cli.main(["kubota-leopoldt", "--p", "4", "--ell", "3"]) == 2
+    assert "p=4" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

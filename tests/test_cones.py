@@ -6,16 +6,20 @@ import pytest
 from shintani_kit._linalg import det, inverse, mat, mat_vec, vec
 from shintani_kit.cones import (
     ConeFunction,
-    EpsPoly,
     GLTuple,
     OpenCone,
+    _eps_det,
+    _functionals,
+    _perturbed_columns,
     cocycle_defect,
     gl_act_cone,
     hill_cone_function,
     hill_eval,
+    leading_sign,
     primitive_direction,
 )
 from shintani_kit.errors import DegenerateTuple, ZeroVector
+from shintani_kit.exact_core import TruncSeries
 
 I2 = ((1, 0), (0, 1))
 ROT = ((0, -1), (1, 0))
@@ -23,11 +27,11 @@ ROT = ((0, -1), (1, 0))
 
 def test_eps_ordering_pins():
     # eps_1 - eps_2 > 0 and 1 - eps_1 > 0
-    p = EpsPoly(2, {(1, 0): 1, (0, 1): -1})
-    assert p.leading_sign() == 1
-    q = EpsPoly(2, {(0, 0): 1, (1, 0): -1})
-    assert q.leading_sign() == 1
-    assert EpsPoly(2).leading_sign() == 0
+    p = TruncSeries((1, 1), {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+    assert leading_sign(p) == 1
+    q = TruncSeries((1, 1), {(0, 0): Fraction(1), (1, 0): Fraction(-1)})
+    assert leading_sign(q) == 1
+    assert leading_sign(TruncSeries((1, 1))) == 0
 
 
 def test_open_cone_membership():
@@ -100,6 +104,21 @@ def _rand_nondegenerate_tuple(rng, n):
         u = [mat_vec(m, [1] + [0] * (n - 1)) for m in mats]
         if rank(from_columns(u)) == n:
             return GLTuple(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_perturbation_caps_never_truncate(n):
+    # the caps (n-1,)*n chosen for the perturbed columns must be exact:
+    # recomputing with one more degree per eps changes nothing
+    rng = random.Random(300 + n)
+    for _ in range(5):
+        t = _rand_nondegenerate_tuple(rng, n)
+        cols = _perturbed_columns(t)
+        assert cols[0][0].caps == (n - 1,) * n
+        wide = [[TruncSeries((n,) * n, e.coeffs) for e in col] for col in cols]
+        assert _eps_det(cols).coeffs == _eps_det(wide).coeffs
+        for i in range(n):
+            assert _functionals(cols, i) == _functionals(wide, i)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani_kit._linalg import (
     coset_representatives,
@@ -20,6 +22,8 @@ from shintani_kit._linalg import (
     rational_kernel,
     solve,
     solve_integer,
+    span_coordinates,
+    transpose,
     vec,
 )
 from shintani_kit.errors import SingularMatrix, ZeroVector
@@ -148,3 +152,85 @@ def test_rational_kernel():
     assert len(kern) == 2
     for v in kern:
         assert sum(ai * vi for ai, vi in zip(a[0], v)) == 0
+
+
+# --- properties of the shared elimination kernel ------------------------------
+
+small_rational = st.builds(
+    Fraction, st.integers(-5, 5), st.integers(1, 3)
+)
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    n = draw(st.integers(1, 4)) if rows is None else rows
+    m = draw(st.integers(1, 4)) if cols is None else cols
+    return mat(draw(st.lists(
+        st.lists(small_rational, min_size=m, max_size=m), min_size=n, max_size=n
+    )))
+
+
+@st.composite
+def square_with_vector(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(rational_matrices(n, n))
+    b = vec(draw(st.lists(small_rational, min_size=n, max_size=n)))
+    return a, b
+
+
+@given(square_with_vector())
+@settings(max_examples=80, deadline=None)
+def test_solve_and_inverse_identities(ab):
+    a, b = ab
+    n = len(a)
+    if det(a) == 0:
+        with pytest.raises(SingularMatrix):
+            solve(a, b)
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+        return
+    assert mat_vec(a, solve(a, b)) == b
+    assert mat_mul(a, inverse(a)) == identity(n)
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_nullity_and_kernel(a):
+    m = len(a[0])
+    kern = rational_kernel(a)
+    assert rank(a) + len(kern) == m
+    assert rank(transpose(a)) == rank(a)
+    for k in kern:
+        assert all(x == 0 for x in mat_vec(a, k))
+    if kern:
+        assert rank(mat(kern)) == len(kern)
+
+
+@st.composite
+def generators_and_coords(draw):
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n))
+    gens = [vec(draw(st.lists(small_rational, min_size=n, max_size=n)))
+            for _ in range(r)]
+    c = vec(draw(st.lists(small_rational, min_size=r, max_size=r)))
+    w = vec(draw(st.lists(small_rational, min_size=n, max_size=n)))
+    return gens, c, w
+
+
+@given(generators_and_coords())
+@settings(max_examples=80, deadline=None)
+def test_span_coordinates(data):
+    gens, c, w = data
+    g = from_columns(gens)
+    if rank(g) < len(gens):
+        with pytest.raises(SingularMatrix):
+            span_coordinates(gens, w)
+        return
+    assert span_coordinates(gens, mat_vec(g, c)) == c
+    # w is in the span exactly when appending it keeps the rank
+    on_span = rank(from_columns(gens + [w])) == len(gens)
+    got = span_coordinates(gens, w)
+    if on_span:
+        assert mat_vec(g, got) == w
+    else:
+        assert got is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shintani_kit._linalg import det, mat, mat_vec
-from shintani_kit.errors import NotAwayFromP, ZeroDirection
+from shintani_kit.errors import NotAwayFromP, SingularMatrix, ZeroDirection
 from shintani_kit.test_functions import (
     PLevelSet,
     TestFunction,
@@ -296,6 +296,13 @@ def test_parallelepiped_support_lower_rank():
     fine = lattice_indicator(((F(1, 2), 0), (0, F(1, 2))))
     pts = parallelepiped_support(fine, [(1, 1)])
     assert pts == [((F(1, 2), F(1, 2)), F(1)), ((F(1), F(1)), F(1))]
+
+
+def test_parallelepiped_support_refuses_dependent_generators():
+    # refused before any term is looked at, even when no term meets the span
+    for f in (TestFunction(2), zn_indicator(2).translate((F(1, 2), 0))):
+        with pytest.raises(SingularMatrix):
+            parallelepiped_support(f, [(1, 1), (2, 2)])
 
 
 def test_parallelepiped_support_counts():
