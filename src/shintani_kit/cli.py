@@ -137,6 +137,31 @@ def _need(cfg: dict, key: str, kind, what: str):
     return val
 
 
+def _int_key(cfg: dict, key: str, default, minimum: int) -> int | None:
+    val = cfg.get(key, default)
+    if val is None and default is None:
+        return None
+    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, got {val!r}")
+    return val
+
+
+def _caps(cfg: dict, nvars: int, default: tuple[int, ...]) -> tuple[int, ...]:
+    caps = cfg.get("caps")
+    if caps is None:
+        return default
+    if (
+        not isinstance(caps, list)
+        or len(caps) != nvars
+        or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in caps)
+    ):
+        raise ConfigError(
+            f"config key 'caps' must be a list of {nvars} integers >= 0, "
+            f"one per variable, got {caps!r}"
+        )
+    return tuple(caps)
+
+
 def _k_list(cfg: dict) -> list[int]:
     ks = cfg.get("k", [0, 1, 2])
     if not isinstance(ks, list) or not ks or not all(
@@ -321,6 +346,7 @@ def cmd_measure(cfg: dict) -> tuple[dict, int]:
     if len(cones.terms) != 1:
         raise ConfigError("measure checks take exactly one cone")
     cone = cones.terms[0][1]
+    caps = _caps(cfg, n, (4,) * n)
     level_cfg = cfg.get("level", {"m": 0, "offsets": [[0] * n]})
     try:
         U = PLevelSet(
@@ -338,9 +364,6 @@ def cmd_measure(cfg: dict) -> tuple[dict, int]:
     values: dict = {"is_measure": verdict}
     certificates: dict = {"routes_agree": True}
     if verdict:
-        caps = tuple(cfg.get("caps", [4] * n))
-        if len(caps) != n:
-            raise ConfigError("caps dimension mismatch")
         series = amice_expand(pseudo_from_cone(fun, cone, U), caps)
         integral = all(is_p_integral(c, p) for c in series.coeffs.values())
         certificates["integral_coefficients"] = integral
@@ -355,24 +378,23 @@ def cmd_measure(cfg: dict) -> tuple[dict, int]:
 
 def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
     t0 = time.monotonic()
-    field = _field(cfg)
-    p = _need(cfg, "p", int, "an odd prime, unramified and prime to the conductor")
-    cprime = _smoothing_prime(cfg, field, p)
-    aideal = _class_ideal(cfg, field)
-    conductor = cfg.get("conductor", 1)
+    conductor = _int_key(cfg, "conductor", 1, 1)
     ks = _k_list(cfg)
-    M = cfg.get("M", 6)
+    M = _int_key(cfg, "M", 6, 1)
     levels = cfg.get("m", [0, 1])
     if isinstance(levels, int):
         levels = [levels]
     if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in levels):
         raise ConfigError("config key 'm' must be a level >= 0 or a list of them")
-    caps_cfg = cfg.get("caps")
+    caps = _caps(cfg, 2, (2 * max(ks),) * 2)
+    field = _field(cfg)
+    p = _need(cfg, "p", int, "an odd prime, unramified and prime to the conductor")
+    cprime = _smoothing_prime(cfg, field, p)
+    aideal = _class_ideal(cfg, field)
     rows = []
     all_ok = True
     integral = True
     for m in levels:
-        caps = tuple(caps_cfg) if caps_cfg else (2 * max(ks),) * 2
         try:
             series = smoothed_class_series(
                 field, aideal, cprime, p, m, conductor, caps
@@ -413,15 +435,16 @@ def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
 
 def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
     t0 = time.monotonic()
+    ks = _k_list(cfg)
+    M = _int_key(cfg, "M", 8, 1)
+    caps = _caps(cfg, 1, (max(2 * max(ks), 8),))
+    cutoff = _int_key(cfg, "cutoff", None, 0)
     p = _need(cfg, "p", int, "an odd prime")
     if p < 3 or not is_prime(p):
         raise ConfigError(f"p must be an odd prime, got p={p}")
     ell = _need(cfg, "ell", int, "the smoothing modulus")
     if ell == p:
         raise ConfigError("smoothing prime must differ from p")
-    ks = _k_list(cfg)
-    M = cfg.get("M", 8)
-    caps = tuple(cfg.get("caps", [max(2 * max(ks), 8)]))
     try:
         kl = kubota_leopoldt(p, ell, caps=caps, M=M)
     except ValueError as exc:
@@ -442,7 +465,7 @@ def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
                 "k": k,
                 "moment": _frac(exact),
                 "value": _scalar(
-                    kl.value_at(-k, twist=k, M=M, count=cfg.get("cutoff"))
+                    kl.value_at(-k, twist=k, M=M, count=cutoff)
                 ),
                 "oracle_ok": ok,
             }

@@ -177,7 +177,7 @@ def pseudo_from_cone(f: TestFunction, cone: OpenCone, U: PLevelSet) -> PseudoMea
         p=U.p,
         m=U.m,
         n=f.n,
-        numerator=tuple((x, val) for x, val in pts),
+        numerator=tuple((x, val) for x, _, val in pts),
         denoms=tuple(denoms),
     )
 

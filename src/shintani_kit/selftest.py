@@ -30,7 +30,7 @@ from .real_quadratic_fields import (
     shintani_fan,
     smoothed_class_series,
 )
-from .shintani_zeta import special_value
+from .shintani_zeta import _special_value_series, quadratic_norm, special_value
 from .test_functions import PLevelSet, TestFunction, lattice_indicator, zn_indicator
 
 
@@ -82,6 +82,28 @@ def check_hurwitz_sweep():
                 if special_value(_ray_function(a, f), _RAY, k) != _hurwitz(a, f, k):
                     bad += 1
     return bad == 0, f"{bad} mismatches over a <= f <= 4, k <= 3"
+
+
+def check_zeta_two_route():
+    # the series route reads no Bernoulli numbers, so a corrupted cache
+    # shows up here; the 1-D case at k = 11 reaches B_12
+    F = Fraction
+    plane = lattice_indicator(((2, 1), (0, 3)), offset=(F(1, 2), F(1, 3)))
+    cases = [(_ray_function(1, 3), _RAY, None, True, 11)]
+    cases += [
+        (plane, OpenCone(((2, 1), (1, 3))), None, True, k) for k in range(3)
+    ]
+    cases += [
+        (zn_indicator(2), OpenCone(((1, 0), (2, 1))), quadratic_norm(5), shortcut, k)
+        for shortcut in (True, False)
+        for k in range(2)
+    ]
+    for f, cone, ns, shortcut, k in cases:
+        fast = special_value(f, cone, k, ns, shortcut)
+        slow = _special_value_series(f, cone, k, ns, shortcut)
+        if fast != slow:
+            return False, f"k={k}: closed form {fast} vs series {slow}"
+    return True, f"{len(cases)} cone values, closed form = series route"
 
 
 def _rand_gl(rng, n):
@@ -299,6 +321,7 @@ QUICK = [
     ("bernoulli-constants", check_bernoulli_constants),
     ("riemann-values", check_riemann_values),
     ("hurwitz-sweep", check_hurwitz_sweep),
+    ("zeta-two-route", check_zeta_two_route),
     ("hill-pointwise", check_hill_pointwise),
     ("cocycle-condition", check_cocycle_condition),
     ("unit-cone-domain", check_unit_cone_domain),

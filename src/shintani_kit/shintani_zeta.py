@@ -1,13 +1,35 @@
 """Special values of cone zeta functions at nonpositive integers.
 
 For a test function f and an open simplicial cone C the series
-sum over v in C of f(v) * N(v)^(-s), with N a product of n linear forms,
-continues to s = -k; the value is read off from a truncated generating
-function.  All arithmetic is exact.
+sum over v in C of f(v) * N(v)^(-s), with N = L_1 ... L_n a product of n
+linear forms, continues to s = -k.  Scale the generators of C into the
+periodicity lattice of f (w_1..w_r) and write the support points of the
+half-open parallelepiped as x = sum t_j w_j with t in (0,1]^r.  With the
+slice forms lambda_j(y) = L_i(w_j) + sum_{m != i} L_m(w_j) y_m,
+
+    zeta(C, f, -k) = (-1)^r (k!)^n / n * sum_i C_i(k),
+
+    C_i(k) = sum_{|mu| = nk + r} (prod_j 1/mu_j!)
+             * (sum_x f(x) prod_j B_{mu_j}(t_j))
+             * [y^(k,...,k)] prod_j lambda_j(y)^(mu_j - 1),
+
+Shintani's closed form (Shintani 1976, J. Fac. Sci. Univ. Tokyo 23,
+Prop. 1), from e^(tz)/(e^z - 1) = sum_m B_m(t) z^(m-1)/m!.
+`special_value` evaluates it: the points enter only through integer power
+sums of d*t over one common denominator d, so the field arithmetic scales
+with k and not with the number of points, and the y-coefficients come from
+the binomial theorem (also for the exponent -1).
+
+`_special_value_series` is the independent check.  It expands the same
+generating function as a truncated multivariate series, inverts the
+denominator with `TruncSeries.invert` and reads off the coefficient; it
+reads no Bernoulli numbers and shares only the enumeration (`build_G`) and
+the final normalization with the closed form.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +42,13 @@ from .errors import (
     IrrationalResidue,
     NotInPositiveOrthant,
 )
-from .exact_core import QuadScalar, TruncSeries, quad_sign, scalar_rational
+from .exact_core import (
+    QuadScalar,
+    TruncSeries,
+    bernoulli_number,
+    quad_sign,
+    scalar_rational,
+)
 from .test_functions import TestFunction, parallelepiped_support, periodicity_lattice
 
 
@@ -82,12 +110,15 @@ def norm_value(ns: NormStructure, v: Sequence) -> Fraction:
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Numerator points and scaled generator forms for one cone."""
+    """Parallelepiped points and scaled generator forms for one cone.
+
+    points holds (x, t, f(x)) with x = sum t_j * scaled_gens[j] and
+    t in (0,1]^r; gen_forms[j] are the n form values of scaled_gens[j]."""
 
     ns: NormStructure
     r: int
     gen_forms: tuple[tuple, ...]
-    points: tuple[tuple[tuple, Fraction], ...]
+    points: tuple[tuple[Vector, Vector, Fraction], ...]
     scaled_gens: tuple[Vector, ...]
 
 
@@ -111,14 +142,143 @@ def build_G(f: TestFunction, cone: OpenCone, ns: NormStructure) -> GeneratingFun
     for g in cone.generators:
         a = minimal_multiplier(vec(g), Lf)
         scaled.append(tuple(a * c for c in vec(g)))
-    pts = parallelepiped_support(f, scaled)
     return GeneratingFunction(
         ns=ns,
         r=len(scaled),
         gen_forms=tuple(ns.form_values(w) for w in scaled),
-        points=tuple((ns.form_values(v), val) for v, val in pts),
+        points=tuple(parallelepiped_support(f, scaled)),
         scaled_gens=tuple(scaled),
     )
+
+
+# ---------------------------------------------------------------------------
+# closed form
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _bernoulli_sums(points, r: int, N: int) -> dict[tuple, Fraction]:
+    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| = N.
+
+    Expanding B_m(t) = sum_a C(m, a) B_{m-a} t^a reduces the point loop
+    to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N, in integers
+    over the common denominators d of the t_j and dv of the values."""
+    d = math.lcm(*(c.denominator for _, t, _ in points for c in t))
+    dv = math.lcm(*(val.denominator for _, _, val in points))
+    # every alpha with |alpha| <= N, each one multiplication away from its
+    # parent: alpha = parent + e_j with j at or after parent's last nonzero
+    exps = [(0,) * r]
+    steps = []
+    pos = 0
+    while pos < len(exps):
+        alpha = exps[pos]
+        if sum(alpha) < N:
+            last = max((j for j in range(r) if alpha[j]), default=0)
+            for j in range(last, r):
+                exps.append(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
+                steps.append((pos, j))
+        pos += 1
+    sums = [0] * len(exps)
+    for _, t, val in points:
+        T = [c.numerator * (d // c.denominator) for c in t]
+        mono = [val.numerator * (dv // val.denominator)]
+        for parent, j in steps:
+            mono.append(mono[parent] * T[j])
+        sums = [a + b for a, b in zip(sums, mono)]
+    moment = {
+        alpha: Fraction(s, dv * d ** sum(alpha)) for alpha, s in zip(exps, sums)
+    }
+    # row[m][a] = C(m, a) * B_{m-a}, the coefficients of B_m(t)
+    B = [bernoulli_number(m) for m in range(N + 1)]
+    row = [[math.comb(m, a) * B[m - a] for a in range(m + 1)] for m in range(N + 1)]
+    out = {}
+    for mu in _compositions(N, r):
+        acc = Fraction(0)
+        for alpha in itertools.product(*(range(m + 1) for m in mu)):
+            c = moment[alpha]
+            for m, a in zip(mu, alpha):
+                if not c:
+                    break
+                c *= row[m][a]
+            acc += c
+        out[mu] = acc
+    return out
+
+
+def _power_table(x, lo: int, hi: int) -> dict:
+    """x^e for lo <= e <= hi, with lo <= 0 <= hi; x may be a QuadScalar."""
+    table = {0: Fraction(1)}
+    for e in range(1, hi + 1):
+        table[e] = table[e - 1] * x
+    inv = 1 / x
+    for e in range(-1, lo - 1, -1):
+        table[e] = table[e + 1] * inv
+    return table
+
+
+def _closed_form_coefficient(G: GeneratingFunction, i: int, k: int, S: dict):
+    """C_i(k) = sum_mu S[mu] / prod mu_j! * [y^(k..k)] prod lambda_j^(mu_j - 1).
+
+    lambda_j = a_j + sum_m b_jm y_m with a_j = L_i(w_j) > 0, and the
+    y^beta coefficient of lambda^e is, for every integer e (e = -1 too),
+    e(e-1)...(e-|beta|+1) / prod beta_m! * a^(e-|beta|) * prod b_m^beta_m."""
+    n, r = G.ns.n, G.r
+    N = n * k + r
+    others = [m for m in range(n) if m != i]
+    shares = list(itertools.product(range(k + 1), repeat=n - 1))
+    target = (k,) * (n - 1)
+    # lam[j][e] maps beta to the y^beta coefficient of lambda_j^e
+    lam = []
+    for forms in G.gen_forms:
+        a_pow = _power_table(forms[i], -1 - k * (n - 1), N - 1)
+        b_pows = [_power_table(forms[m], 0, k) for m in others]
+        by_e = {}
+        for e in range(-1, N):
+            coeffs = {}
+            for beta in shares:
+                s = sum(beta)
+                falling = math.prod(e - q for q in range(s))
+                if not falling:
+                    continue
+                c = a_pow[e - s] * Fraction(
+                    falling, math.prod(math.factorial(b) for b in beta)
+                )
+                for bp, b in zip(b_pows, beta):
+                    c = c * bp[b]
+                coeffs[beta] = c
+            by_e[e] = coeffs
+        lam.append(by_e)
+
+    def product(p, q):
+        out = {}
+        for b1, c1 in p.items():
+            for b2, c2 in q.items():
+                b = tuple(x + y for x, y in zip(b1, b2))
+                if all(x <= k for x in b):
+                    out[b] = out.get(b, 0) + c1 * c2
+        return out
+
+    total = Fraction(0)
+    for mu in _compositions(N, r):
+        poly = {(0,) * (n - 1): Fraction(1)}
+        for by_e, m in zip(lam, mu):
+            poly = product(poly, by_e[m - 1])
+        coeff = poly.get(target)
+        if coeff:
+            total = total + coeff * S[mu] / math.prod(math.factorial(m) for m in mu)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# generating-function series (the independent second route)
 
 
 def _coefficient_at(G: GeneratingFunction, i: int, k: int):
@@ -133,7 +293,8 @@ def _coefficient_at(G: GeneratingFunction, i: int, k: int):
 
     # numerator: sum over points of exp(u * (c0 + sum c_m x_m))
     num: dict = {}
-    for forms, val in G.points:
+    for x, _, val in G.points:
+        forms = G.ns.form_values(x)
         c0 = forms[i]
         cs = [forms[m] for m in others]
         c0_pow = [None] * (ucap + 1)
@@ -196,18 +357,19 @@ def _coefficient_at(G: GeneratingFunction, i: int, k: int):
     return S.coeff(target)
 
 
-def special_value(
-    f: TestFunction,
-    cone,
-    k: int,
-    ns: NormStructure | None = None,
-    conjugate_shortcut: bool = True,
-) -> Fraction:
-    """Value at s = -k of the cone zeta sum of f(v) N(v)^(-s).
+def _closed_form_slices(G: GeneratingFunction, k: int, indices) -> list:
+    S = _bernoulli_sums(G.points, G.r, G.ns.n * k + G.r)
+    return [_closed_form_coefficient(G, i, k, S) for i in indices]
 
-    Accepts a single OpenCone or a ConeFunction (weighted sum of cones
-    with zero constant part).
-    """
+
+def _series_slices(G: GeneratingFunction, k: int, indices) -> list:
+    return [_coefficient_at(G, i, k) for i in indices]
+
+
+def _cone_value(route, slices, f, cone, k, ns, conjugate_shortcut) -> Fraction:
+    """(-1)^r (k!)^n times the mean over i of the slice coefficients
+    C_i(k), with `slices(G, k, indices)` computing them; a ConeFunction is
+    summed term by term through `route`."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if ns is None:
@@ -217,7 +379,7 @@ def special_value(
             raise ValueError("cone function has a nonzero constant part")
         total = Fraction(0)
         for weight, c in cone.terms:
-            total += weight * special_value(f, c, k, ns, conjugate_shortcut)
+            total += weight * route(f, c, k, ns, conjugate_shortcut)
         return total
     if not isinstance(cone, OpenCone):
         raise TypeError("cone must be an OpenCone or ConeFunction")
@@ -228,15 +390,48 @@ def special_value(
     n, r = ns.n, G.r
     sign = Fraction(-1) ** r
     if ns.kind == "quadratic" and conjugate_shortcut:
-        c = _coefficient_at(G, 0, k)
+        # C_1(k) is the Galois conjugate of C_0(k)
+        (c,) = slices(G, k, (0,))
         rat = c.rational_part() if isinstance(c, QuadScalar) else Fraction(c)
         return Fraction(math.factorial(k)) ** n * sign * rat
     total = None
-    for i in range(n):
-        c = _coefficient_at(G, i, k)
+    for c in slices(G, k, range(n)):
         total = c if total is None else total + c
     try:
         rat = scalar_rational(total)
     except ArithmeticError as exc:
         raise IrrationalResidue(str(exc)) from None
     return Fraction(math.factorial(k)) ** n * sign * rat / n
+
+
+def special_value(
+    f: TestFunction,
+    cone,
+    k: int,
+    ns: NormStructure | None = None,
+    conjugate_shortcut: bool = True,
+) -> Fraction:
+    """Value at s = -k of the cone zeta sum of f(v) N(v)^(-s).
+
+    Accepts a single OpenCone or a ConeFunction (weighted sum of cones
+    with zero constant part).  Evaluated by Shintani's closed form (see
+    the module docstring); `_special_value_series` computes the same value
+    from the generating-function series and is its check.
+    """
+    return _cone_value(
+        special_value, _closed_form_slices, f, cone, k, ns, conjugate_shortcut
+    )
+
+
+def _special_value_series(
+    f: TestFunction,
+    cone,
+    k: int,
+    ns: NormStructure | None = None,
+    conjugate_shortcut: bool = True,
+) -> Fraction:
+    """`special_value` by series expansion and inversion of the generating
+    function, reading no Bernoulli numbers."""
+    return _cone_value(
+        _special_value_series, _series_slices, f, cone, k, ns, conjugate_shortcut
+    )

@@ -457,11 +457,17 @@ def gl_act_test(f: TestFunction, gamma) -> TestFunction:
 # half-open parallelepiped supports
 
 
-def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tuple[Vector, Fraction]]:
-    """Points of supp(f) inside {sum t_j g_j : 0 < t_j <= 1} with their
-    values, for generators g_j lying in the periodicity lattice of f.
+def parallelepiped_support(
+    f: TestFunction, gens: Sequence[Sequence]
+) -> list[tuple[Vector, Vector, Fraction]]:
+    """Points of supp(f) inside {sum t_j g_j : 0 < t_j <= 1}, for
+    generators g_j lying in the periodicity lattice of f, as triples
+    (x, t, f(x)) with x = sum t_j g_j.
 
-    Returned sorted, zero values dropped."""
+    Each term's coset meets the parallelepiped in exactly one point per
+    coset of its direction lattice modulo the generators, so the value at
+    x is the sum of the coefficients of the terms whose enumeration
+    reaches x.  Returned sorted by x, zero values dropped."""
     gens = [vec(g) for g in gens]
     r = len(gens)
     if r == 0:
@@ -473,7 +479,9 @@ def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tu
     if len(ann) != f.n - r:
         raise SingularMatrix("generators are linearly dependent")
 
-    points: set[Vector] = set()
+    dw = math.lcm(*(w.denominator for row in W for w in row))
+    Wd = [[w.numerator * (dw // w.denominator) for w in row] for row in W]
+    points: dict[Vector, list] = {}
     for t in f.terms:
         sols = _term_line_solutions(t, W, ann, f.n)
         if sols is None:
@@ -496,17 +504,31 @@ def parallelepiped_support(f: TestFunction, gens: Sequence[Sequence]) -> list[tu
             count *= abs(h[i][i])
         if len(points) + count > ENUMERATION_GUARD:
             raise UnboundedEnumeration("too many parallelepiped points")
+        # integer arithmetic over common denominators: q * (tau0 + A z) is
+        # an integer vector, reduced into (0, q]^r it is q * t, and
+        # dw * q * x = (dw * W) (q * t)
+        q = math.lcm(*(c.denominator for c in tau0), *(a.denominator for row in A for a in row))
+        Q0 = [c.numerator * (q // c.denominator) for c in tau0]
+        Aq = [[a.numerator * (q // a.denominator) for a in row] for row in A]
+        wq = dw * q
         for z in coset_representatives(h):
-            mu = tuple(a + b for a, b in zip(tau0, mat_vec(A, vec(z))))
-            tt = tuple(c - math.ceil(c) + 1 for c in mu)
-            x = mat_vec(W, tt)
-            points.add(tuple(x))
-    out = []
-    for x in sorted(points):
-        val = f.evaluate(x)
-        if val != 0:
-            out.append((x, val))
-    return out
+            T = [
+                (c + sum(a * zi for a, zi in zip(row, z)) - 1) % q + 1
+                for c, row in zip(Q0, Aq)
+            ]
+            x = tuple(
+                Fraction(sum(w * tj for w, tj in zip(row, T)), wq) for row in Wd
+            )
+            entry = points.get(x)
+            if entry is None:
+                points[x] = [tuple(Fraction(tj, q) for tj in T), t.coeff]
+            else:
+                entry[1] += t.coeff
+    # sort on integer numerators over one denominator: same order as the
+    # Fraction tuples, without Fraction comparisons
+    den = math.lcm(1, *(c.denominator for x in points for c in x))
+    order = sorted(points, key=lambda x: [c.numerator * (den // c.denominator) for c in x])
+    return [(x, *points[x]) for x in order if points[x][1] != 0]
 
 
 def _term_line_solutions(t: LatticeTerm, W: Matrix, ann: list[Vector], n: int):

@@ -100,6 +100,43 @@ def test_config_errors(tmp_path, capsys):
         assert "bad cone" in captured.err
         assert captured.out == ""
 
+    # numeric keys are checked before any arithmetic
+    padic = {"D": 5, "p": 3, "ell": 11, "k": [0], "m": 0, "caps": [2, 2]}
+    kl = {"p": 5, "ell": 2, "k": [1]}
+    measure = {
+        "n": 1,
+        "p": 3,
+        "terms": [
+            {"weight": 1, "offset": [0], "basis": [[1]]},
+            {"weight": -2, "offset": [0], "basis": [[2]]},
+        ],
+        "cones": [{"weight": 1, "generators": [[1]]}],
+        "k": [0],
+    }
+    bad_numeric = [
+        ("padic-zeta", dict(padic, caps=[2.5, 2]), "'caps'"),
+        ("padic-zeta", dict(padic, caps="ab"), "'caps'"),
+        ("padic-zeta", dict(padic, caps=[2]), "'caps'"),
+        ("padic-zeta", dict(padic, M="6"), "'M'"),
+        ("padic-zeta", dict(padic, M=0), "'M'"),
+        ("padic-zeta", dict(padic, conductor="x"), "'conductor'"),
+        ("padic-zeta", dict(padic, conductor=0), "'conductor'"),
+        ("kubota-leopoldt", dict(kl, caps=[True]), "'caps'"),
+        ("measure", dict(measure, caps=[2.5]), "'caps'"),
+        ("kubota-leopoldt", dict(kl, M="6"), "'M'"),
+        ("kubota-leopoldt", dict(kl, M=0), "'M'"),
+        ("kubota-leopoldt", dict(kl, cutoff="x"), "'cutoff'"),
+        ("kubota-leopoldt", dict(kl, cutoff=-1), "'cutoff'"),
+    ]
+    for command, cfg, key in bad_numeric:
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path)]) == 2, (command, cfg)
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
 
 def test_hill_terms_and_points(tmp_path, capsys):
     cfg = {

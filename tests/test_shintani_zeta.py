@@ -9,11 +9,14 @@ from oracles import (
     siegel_zeta_minus_one,
     siegel_zeta_minus_three,
 )
+from shintani_kit import exact_core, selftest
+from shintani_kit._linalg import rank
 from shintani_kit.cones import ConeFunction, OpenCone
 from shintani_kit.errors import IrrationalResidue, NotInPositiveOrthant
-from shintani_kit.exact_core import QuadScalar, bernoulli_number
+from shintani_kit.exact_core import QuadScalar, bernoulli_number, quad_sign
 from shintani_kit.shintani_zeta import (
     NormStructure,
+    _special_value_series,
     build_G,
     norm_value,
     quadratic_norm,
@@ -230,12 +233,72 @@ def test_irrational_residue_guard():
     ns = NormStructure("custom", ((one, omega), (one, one)))
     f = zn_indicator(2)
     cone = OpenCone(((F(1), F(1)), (F(2), F(1))))
-    with pytest.raises(IrrationalResidue):
-        special_value(f, cone, 1, ns=ns, conjugate_shortcut=False)
+    for route in (special_value, _special_value_series):
+        with pytest.raises(IrrationalResidue):
+            route(f, cone, 1, ns=ns, conjugate_shortcut=False)
 
 
 def test_build_g_point_collection():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     G = build_G(f, OpenCone(((F(1),),)), std_norm(1))
     assert G.scaled_gens == ((F(2),),)
-    assert G.points == (((F(1),), F(1)), ((F(2),), F(-1)))
+    assert G.points == (((F(1),), (F(1, 2),), F(1)), ((F(2),), (F(1),), F(-1)))
+
+
+def _random_cone(rng, ns, r):
+    """r independent integer generators on which every form is positive."""
+    n = ns.n
+    while True:
+        gens = [tuple(F(rng.randint(0, 4)) for _ in range(n)) for _ in range(r)]
+        if rank(gens) < r:
+            continue
+        if all(quad_sign(ns.apply(i, g)) > 0 for g in gens for i in range(n)):
+            return OpenCone(tuple(gens))
+
+
+def _random_function(rng, n):
+    f = TestFunction(n)
+    for _ in range(rng.randint(1, 2)):
+        L = tuple(
+            tuple(F(rng.randint(1, 3)) if i == j else F(0) for j in range(n))
+            for i in range(n)
+        )
+        o = tuple(F(rng.randint(0, 2), rng.choice([1, 2])) for _ in range(n))
+        f = f + lattice_indicator(L, offset=o).scale(rng.choice([-1, 1, 2]))
+    return f
+
+
+def test_closed_form_matches_series_route():
+    # norms: std in dims 1-3 and quadratic; cones: rays and full cones
+    rng = random.Random(3301)
+    setups = [(std_norm(n), kmax) for n, kmax in ((1, 3), (2, 3), (3, 1))]
+    setups += [(quadratic_norm(D), 3) for D in (2, 5, 13)]
+    checked = 0
+    for ns, kmax in setups:
+        n = ns.n
+        for r in sorted({1, n}):
+            f = _random_function(rng, n)
+            cone = _random_cone(rng, ns, r)
+            shortcuts = (True, False) if ns.kind == "quadratic" else (True,)
+            for shortcut in shortcuts:
+                for k in range(kmax + 1):
+                    if not shortcut and k > 2:
+                        continue  # the unshortened series route is slow there
+                    fast = special_value(f, cone, k, ns, shortcut)
+                    slow = _special_value_series(f, cone, k, ns, shortcut)
+                    assert fast == slow, (ns.kind, n, cone, k, shortcut)
+                    checked += 1
+    assert checked == 58
+
+
+def test_two_route_selftest_reads_live_bernoulli_numbers():
+    saved = list(exact_core._BERNOULLI_CACHE)
+    try:
+        assert selftest.check_zeta_two_route()[0]
+        selftest.tamper_bernoulli()
+        ok, detail = selftest.check_zeta_two_route()
+        assert not ok
+        assert "k=11" in detail
+    finally:
+        exact_core._BERNOULLI_CACHE[:] = saved
+    assert bernoulli_number(12) == F(-691, 2730)

@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shintani_kit._linalg import det, mat, mat_vec
+from shintani_kit._linalg import det, from_columns, mat, mat_vec, rank, span_coordinates
 from shintani_kit.errors import NotAwayFromP, SingularMatrix, ZeroDirection
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -274,28 +277,36 @@ def test_vanishing_invariant_under_unimodular_action():
 
 def test_parallelepiped_support_basic():
     f = zn_indicator(1)
-    assert parallelepiped_support(f, [(1,)]) == [((F(1),), F(1))]
+    assert parallelepiped_support(f, [(1,)]) == [((F(1),), (F(1),), F(1))]
     f2 = zn_indicator(2)
-    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [((F(1), F(1)), F(1))]
+    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [
+        ((F(1), F(1)), (F(1), F(1)), F(1))
+    ]
     pts = parallelepiped_support(f2, [(1, 0), (1, 2)])
-    assert pts == [((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))]
+    assert pts == [
+        ((F(1), F(1)), (F(1, 2), F(1, 2)), F(1)),
+        ((F(2), F(2)), (F(1), F(1)), F(1)),
+    ]
 
 
 def test_parallelepiped_support_weighted():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     pts = parallelepiped_support(f, [(2,)])
-    assert pts == [((F(1),), F(1)), ((F(2),), F(-1))]
+    assert pts == [((F(1),), (F(1, 2),), F(1)), ((F(2),), (F(1),), F(-1))]
 
 
 def test_parallelepiped_support_lower_rank():
     f = zn_indicator(2)
-    assert parallelepiped_support(f, [(1, 1)]) == [((F(1), F(1)), F(1))]
+    assert parallelepiped_support(f, [(1, 1)]) == [((F(1), F(1)), (F(1),), F(1))]
     shifted = f.translate((F(1, 2), 0))
     assert parallelepiped_support(shifted, [(1, 1)]) == []
     # a diagonal line through a finer lattice picks up interior points
     fine = lattice_indicator(((F(1, 2), 0), (0, F(1, 2))))
     pts = parallelepiped_support(fine, [(1, 1)])
-    assert pts == [((F(1, 2), F(1, 2)), F(1)), ((F(1), F(1)), F(1))]
+    assert pts == [
+        ((F(1, 2), F(1, 2)), (F(1, 2),), F(1)),
+        ((F(1), F(1)), (F(1),), F(1)),
+    ]
 
 
 def test_parallelepiped_support_refuses_dependent_generators():
@@ -315,5 +326,78 @@ def test_parallelepiped_support_counts():
         gens = [mat_vec(mat(L), col) for col in zip(*M)]
         pts = parallelepiped_support(f, gens)
         assert len(pts) == abs(det(mat(M)))
-        for v, val in pts:
+        for v, _, val in pts:
             assert val == 1 and f.evaluate(v) == 1
+
+
+@st.composite
+def functions_and_generators(draw):
+    """A test function in dims 1-3 and r <= n independent generators in
+    its periodicity lattice."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(0, 2)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from([1, 2]))
+        L = tuple(
+            tuple(
+                F(draw(st.integers(1, 3)), den) if i == j else
+                F(draw(small), den) if j < i else F(0)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        o = tuple(F(draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 3]))) for _ in range(n))
+        c = draw(st.sampled_from([-2, -1, 1, 3]))
+        terms.append((c, o, L))
+    f = TestFunction(n, tuple(terms))
+    Lf = periodicity_lattice(f)
+    r = draw(st.integers(1, n))
+    gens = [
+        mat_vec(Lf, tuple(draw(st.integers(-2, 2)) for _ in range(n))) for _ in range(r)
+    ]
+    if rank(from_columns(gens)) < r:
+        gens = [tuple(Lf[i][j] for i in range(n)) for j in range(r)]
+    return f, gens
+
+
+def _brute_force_support(f, gens):
+    """Scan the grid of the common denominator over the bounding box of the
+    parallelepiped; None when the grid is too large to scan."""
+    n = f.n
+    den = math.lcm(
+        *(x.denominator for t in f.terms for row in t.lattice for x in row),
+        *(x.denominator for t in f.terms for x in t.offset),
+    )
+    lo = [sum(min(0, g[i]) for g in gens) for i in range(n)]
+    hi = [sum(max(0, g[i]) for g in gens) for i in range(n)]
+    axes = [
+        [F(a, den) for a in range(math.floor(l * den), math.ceil(h * den) + 1)]
+        for l, h in zip(lo, hi)
+    ]
+    if math.prod(len(a) for a in axes) > 1500:
+        return None
+    found = {}
+    for x in itertools.product(*axes):
+        t = span_coordinates(gens, x)
+        if t is None or not all(0 < c <= 1 for c in t):
+            continue
+        val = f.evaluate(x)
+        if val:
+            found[x] = val
+    return found
+
+
+@given(functions_and_generators())
+@settings(max_examples=60, deadline=None)
+def test_parallelepiped_support_matches_evaluate(case):
+    f, gens = case
+    W = from_columns([tuple(F(c) for c in g) for g in gens])
+    triples = parallelepiped_support(f, gens)
+    for x, t, val in triples:
+        assert val != 0 and val == f.evaluate(x)
+        assert mat_vec(W, t) == x
+        assert all(0 < c <= 1 for c in t)
+    brute = _brute_force_support(f, gens)
+    if brute is not None:
+        assert {x: val for x, _, val in triples} == brute
