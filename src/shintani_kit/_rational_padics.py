@@ -36,11 +36,6 @@ def is_p_integral(q, p: int) -> bool:
     return Fraction(q).denominator % p != 0
 
 
-def is_p_unit(q, p: int) -> bool:
-    q = Fraction(q)
-    return q != 0 and q.numerator % p != 0 and q.denominator % p != 0
-
-
 def residue(q, p: int, M: int) -> int:
     """q mod p^M for a p-integral rational q."""
     q = Fraction(q)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -23,8 +24,8 @@ from . import selftest as selftest_mod
 from ._linalg import from_columns
 from ._rational_padics import is_p_integral, is_prime
 from .cones import ConeFunction, GLTuple, OpenCone, hill_cone_function, hill_eval
-from .errors import ShintaniKitError
-from .exact_core import bernoulli_polynomial
+from .errors import DegenerateTuple, ShintaniKitError
+from .exact_core import hurwitz_value
 from .padic_measures import (
     PadicScalar,
     amice_expand,
@@ -47,6 +48,7 @@ from .shintani_zeta import quadratic_norm, special_value, std_norm
 from .test_functions import PLevelSet, TestFunction
 
 SCHEMA = "shintani-kit/1"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MATH = 3
@@ -105,34 +107,48 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+# flag -> config key for the flags that set one value
+_SCALAR_FLAGS = {
+    "p": "p", "prec": "M", "cutoff": "cutoff", "preset": "preset",
+    "D": "D", "a": "a", "f": "f", "ell": "ell", "m": "m",
+}
+
+
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     out = dict(cfg)
-    if getattr(args, "k", None) is not None:
-        try:
-            out["k"] = [int(x) for x in args.k.split(",") if x != ""]
-        except ValueError:
-            raise ConfigError(f"-k expects a comma-separated integer list, got {args.k!r}")
-    if getattr(args, "p", None) is not None:
-        out["p"] = args.p
-    if getattr(args, "prec", None) is not None:
-        out["M"] = args.prec
-    if getattr(args, "caps", None) is not None:
-        try:
-            out["caps"] = [int(x) for x in args.caps.split(",") if x != ""]
-        except ValueError:
-            raise ConfigError(f"--caps expects a comma-separated integer list, got {args.caps!r}")
-    if getattr(args, "cutoff", None) is not None:
-        out["cutoff"] = args.cutoff
+    for attr, key in _SCALAR_FLAGS.items():
+        if getattr(args, attr, None) is not None:
+            out[key] = getattr(args, attr)
+    for attr, flag in (("k", "-k"), ("caps", "--caps")):
+        text = getattr(args, attr, None)
+        if text is not None:
+            try:
+                out[attr] = [int(x) for x in text.split(",") if x != ""]
+            except ValueError:
+                raise ConfigError(
+                    f"{flag} expects a comma-separated integer list, got {text!r}"
+                ) from None
     return out
+
+
+def _is_int(x, minimum: int | None = None) -> bool:
+    """An integer (JSON booleans excluded), at least minimum when given."""
+    return isinstance(x, int) and not isinstance(x, bool) and (minimum is None or x >= minimum)
+
+
+def _int_list(val, length: int | None = None, minimum: int | None = None) -> bool:
+    """A non-empty list of integers, of the given length and each at least
+    minimum when those are given."""
+    if not isinstance(val, list) or not val or len(val) != (length or len(val)):
+        return False
+    return all(_is_int(x, minimum) for x in val)
 
 
 def _need(cfg: dict, key: str, kind, what: str):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r} ({what})")
     val = cfg[key]
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(f"config key {key!r} must be {what}")
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"config key {key!r} must be {what}")
     return val
 
@@ -141,7 +157,7 @@ def _int_key(cfg: dict, key: str, default, minimum: int) -> int | None:
     val = cfg.get(key, default)
     if val is None and default is None:
         return None
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+    if not _is_int(val, minimum):
         raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, got {val!r}")
     return val
 
@@ -150,11 +166,7 @@ def _caps(cfg: dict, nvars: int, default: tuple[int, ...]) -> tuple[int, ...]:
     caps = cfg.get("caps")
     if caps is None:
         return default
-    if (
-        not isinstance(caps, list)
-        or len(caps) != nvars
-        or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in caps)
-    ):
+    if not _int_list(caps, nvars, 0):
         raise ConfigError(
             f"config key 'caps' must be a list of {nvars} integers >= 0, "
             f"one per variable, got {caps!r}"
@@ -164,11 +176,38 @@ def _caps(cfg: dict, nvars: int, default: tuple[int, ...]) -> tuple[int, ...]:
 
 def _k_list(cfg: dict) -> list[int]:
     ks = cfg.get("k", [0, 1, 2])
-    if not isinstance(ks, list) or not ks or not all(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in ks
-    ):
+    if not _int_list(ks, minimum=0):
         raise ConfigError("config key 'k' must be a non-empty list of integers >= 0")
     return ks
+
+
+def _dimension(cfg: dict) -> int:
+    n = _need(cfg, "n", int, "the ambient dimension, an integer >= 1")
+    if n < 1:
+        raise ConfigError(f"config key 'n' must be an integer >= 1, got {n}")
+    return n
+
+
+def _rational(key: str, x) -> Fraction:
+    """An exact rational from a JSON integer or a "num/den" string; the
+    ValueError otherwise names the key, for the caller's ConfigError."""
+    if _is_int(x) or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        return Fraction(x)
+    raise ValueError(f'{key!r} must hold integers or "num/den" strings, got {x!r}')
+
+
+def _rational_vector(key: str, v, n: int) -> tuple[Fraction, ...]:
+    if not isinstance(v, list) or len(v) != n:
+        raise ValueError(f"{key!r} must be a list of {n} rationals, got {v!r}")
+    return tuple(_rational(key, x) for x in v)
+
+
+def _rational_vectors(key: str, vs, n: int, count: int | None = None) -> tuple:
+    """A list of `count` vectors (any number when None) of n rationals."""
+    if not isinstance(vs, list) or (count is not None and len(vs) != count):
+        what = "vectors" if count is None else f"{count} vectors"
+        raise ValueError(f"{key!r} must be a list of {what}, got {vs!r}")
+    return tuple(_rational_vector(key, v, n) for v in vs)
 
 
 def _parse_test_function(cfg: dict, n: int, away: int | None = None) -> TestFunction:
@@ -177,15 +216,11 @@ def _parse_test_function(cfg: dict, n: int, away: int | None = None) -> TestFunc
     for t in terms_cfg:
         if not isinstance(t, dict):
             raise ConfigError("each term must be an object")
-        w = t.get("weight", 1)
-        off = t.get("offset", [0] * n)
-        basis = _need(t, "basis", list, "a list of lattice basis vectors")
-        if len(off) != n or len(basis) != n or any(len(b) != n for b in basis):
-            raise ConfigError("term offset/basis dimensions must match the ambient dimension")
         try:
-            lat = from_columns([tuple(Fraction(x) for x in col) for col in basis])
-            terms.append((Fraction(w), tuple(Fraction(x) for x in off), lat))
-        except (TypeError, ValueError) as exc:
+            lat = from_columns(_rational_vectors("basis", t.get("basis"), n, n))
+            off = _rational_vector("offset", t.get("offset", [0] * n), n)
+            terms.append((_rational("weight", t.get("weight", 1)), off, lat))
+        except ValueError as exc:
             raise ConfigError(f"bad lattice term: {exc}") from None
     try:
         return TestFunction(n, tuple(terms), away)
@@ -199,12 +234,10 @@ def _parse_cones(cfg: dict, n: int) -> ConeFunction:
     for c in cones_cfg:
         if not isinstance(c, dict):
             raise ConfigError("each cone must be an object")
-        gens = _need(c, "generators", list, "a list of generators")
-        if any(not isinstance(g, list) or len(g) != n for g in gens):
-            raise ConfigError("cone generator dimensions must match the ambient dimension")
         try:
-            terms.append((Fraction(c.get("weight", 1)), OpenCone(tuple(tuple(g) for g in gens))))
-        except (TypeError, ValueError, ShintaniKitError) as exc:
+            gens = _rational_vectors("generators", c.get("generators"), n)
+            terms.append((_rational("weight", c.get("weight", 1)), OpenCone(gens)))
+        except (ValueError, ShintaniKitError) as exc:
             raise ConfigError(f"bad cone: {exc}") from None
     return ConeFunction(terms)
 
@@ -221,8 +254,10 @@ def _class_ideal(cfg: dict, field: RealQuadraticField) -> IdealHNF:
     spec = cfg.get("class")
     if spec is None:
         return o_ideal(field)
-    if not (isinstance(spec, list) and len(spec) == 3):
-        raise ConfigError("config key 'class' must be [a, b, d]")
+    if not _int_list(spec, 3):
+        raise ConfigError(
+            f"config key 'class' must be three integers [a, b, d], got {spec!r}"
+        )
     try:
         return IdealHNF(field, *spec)
     except ShintaniKitError as exc:
@@ -231,13 +266,14 @@ def _class_ideal(cfg: dict, field: RealQuadraticField) -> IdealHNF:
 
 def _smoothing_prime(cfg: dict, field: RealQuadraticField, p: int) -> IdealHNF:
     ell = _need(cfg, "ell", int, "a prime with a degree-one prime above it")
+    if not is_prime(ell):
+        raise ConfigError(f"config key 'ell' must be a prime, got ell={ell}")
     if ell == p:
         raise ConfigError("smoothing prime must differ from p")
-    primes = prime_above(field, ell)
-    degree_one = [q for q in primes if q.d == 1 and q.norm == ell]
-    if not degree_one:
+    primes = prime_above(field, ell)  # the degree-one primes over ell
+    if not primes:
         raise ConfigError(f"no degree-one prime above {ell} in Q(sqrt({field.D}))")
-    return degree_one[0]
+    return primes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +298,14 @@ def cmd_zeta(cfg: dict) -> tuple[dict, int]:
         fun = TestFunction(1, ((Fraction(1), (Fraction(a),), ((Fraction(f),),)),))
         cone = OpenCone(((1,),))
         vals = [special_value(fun, cone, k, std_norm(1)) for k in ks]
-        oracle = [
-            -(Fraction(f) ** k) * bernoulli_polynomial(k + 1, Fraction(a, f)) / (k + 1)
-            for k in ks
-        ]
+        oracle = [hurwitz_value(a, f, k) for k in ks]
         certificates["hurwitz_oracle"] = [_frac(v) for v in oracle]
         certificates["oracle_ok"] = vals == oracle
     elif preset == "rq-field":
         field = _field(cfg)
         vals = [field_zeta_value(field, k) for k in ks]
     elif preset == "custom":
-        n = _need(cfg, "n", int, "the ambient dimension")
+        n = _dimension(cfg)
         fun = _parse_test_function(cfg, n)
         kappa = _parse_cones(cfg, n)
         norm_cfg = cfg.get("norm", "std")
@@ -302,13 +335,30 @@ def cmd_zeta(cfg: dict) -> tuple[dict, int]:
     return record, code
 
 
+def _hill_input(cfg: dict) -> tuple:
+    """The matrices (n of them, n x n) and the optional nonzero points."""
+    what = "a non-empty list of n square n x n matrices"
+    mats = _need(cfg, "matrices", list, what)
+    if not mats:
+        raise ConfigError(f"config key 'matrices' must be {what}")
+    n = len(mats)
+    points = cfg.get("points")
+    try:
+        mats = tuple(_rational_vectors("matrices", m, n, n) for m in mats)
+        if points is not None:
+            points = _rational_vectors("points", points, n)
+    except ValueError as exc:
+        raise ConfigError(f"config key {exc}") from None
+    if points is not None and any(not any(v) for v in points):
+        raise ConfigError("config key 'points' must hold nonzero vectors")
+    return mats, points
+
+
 def cmd_hill(cfg: dict) -> tuple[dict, int]:
     t0 = time.monotonic()
-    mats = _need(cfg, "matrices", list, "a list of square integer matrices")
-    from .errors import DegenerateTuple
-
+    mats, points = _hill_input(cfg)
     try:
-        t = GLTuple(tuple(tuple(tuple(row) for row in m) for m in mats))
+        t = GLTuple(mats)
         kappa = hill_cone_function(t)
     except DegenerateTuple as exc:
         raise ConfigError(f"degenerate matrix tuple: {exc}") from None
@@ -321,13 +371,12 @@ def cmd_hill(cfg: dict) -> tuple[dict, int]:
     values = {"terms": terms, "constant": _frac(kappa.constant)}
     certificates: dict = {}
     code = EXIT_OK
-    points = cfg.get("points")
     if points is not None:
         evals = []
         agree = True
         for v in points:
-            direct = hill_eval(t, [Fraction(x) for x in v])
-            extracted = kappa.evaluate([Fraction(x) for x in v])
+            direct = hill_eval(t, v)
+            extracted = kappa.evaluate(v)
             evals.append(direct)
             agree = agree and direct == extracted
         values["evaluations"] = evals
@@ -337,29 +386,38 @@ def cmd_hill(cfg: dict) -> tuple[dict, int]:
     return _record("hill", cfg, values, certificates, t0), code
 
 
+def _level_set(cfg: dict, p: int, n: int) -> PLevelSet:
+    """The level set {"m": m, "offsets": [[...], ...]}; Z_p^n when absent."""
+    level = cfg.get("level", {})
+    if isinstance(level, dict):
+        m = level.get("m", 0)
+        offsets = level.get("offsets", [[0] * n])
+        if (
+            _is_int(m, 0)
+            and isinstance(offsets, list)
+            and offsets
+            and all(_int_list(off, n) for off in offsets)
+        ):
+            return PLevelSet(p, m, n, tuple(tuple(off) for off in offsets))
+    raise ConfigError(
+        f"config key 'level' must be an object with \"m\" (an integer >= 0) and "
+        f"\"offsets\" (a non-empty list of lists of {n} integers), got {level!r}"
+    )
+
+
 def cmd_measure(cfg: dict) -> tuple[dict, int]:
     t0 = time.monotonic()
-    n = _need(cfg, "n", int, "the ambient dimension")
+    n = _dimension(cfg)
     p = _need(cfg, "p", int, "the residue prime")
+    if not is_prime(p):
+        raise ConfigError(f"config key 'p' must be a prime, got p={p}")
     fun = _parse_test_function(cfg, n, away=p)
     cones = _parse_cones(cfg, n)
     if len(cones.terms) != 1:
         raise ConfigError("measure checks take exactly one cone")
     cone = cones.terms[0][1]
     caps = _caps(cfg, n, (4,) * n)
-    level_cfg = cfg.get("level", {"m": 0, "offsets": [[0] * n]})
-    try:
-        U = PLevelSet(
-            p,
-            int(level_cfg.get("m", 0)),
-            n,
-            tuple(
-                tuple(int(x) for x in off)
-                for off in level_cfg.get("offsets", [[0] * n])
-            ),
-        )
-    except (ShintaniKitError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad level set: {exc}") from None
+    U = _level_set(cfg, p, n)
     verdict = is_measure(fun, cone, U)  # RouteDisagreement propagates
     values: dict = {"is_measure": verdict}
     certificates: dict = {"routes_agree": True}
@@ -384,8 +442,8 @@ def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
     levels = cfg.get("m", [0, 1])
     if isinstance(levels, int):
         levels = [levels]
-    if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in levels):
-        raise ConfigError("config key 'm' must be a level >= 0 or a list of them")
+    if not _int_list(levels, minimum=0):
+        raise ConfigError("config key 'm' must be a level >= 0 or a non-empty list of them")
     caps = _caps(cfg, 2, (2 * max(ks),) * 2)
     field = _field(cfg)
     p = _need(cfg, "p", int, "an odd prime, unramified and prime to the conductor")
@@ -453,11 +511,7 @@ def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
     oracle_ok = True
     for k in ks:
         exact = kl.moment(k)
-        want = (
-            -(1 - Fraction(ell) ** (k + 1))
-            * bernoulli_polynomial(k + 1, Fraction(1))
-            / (k + 1)
-        )
+        want = (1 - Fraction(ell) ** (k + 1)) * hurwitz_value(1, 1, k)
         ok = exact == want
         oracle_ok = oracle_ok and ok
         rows.append(
@@ -565,10 +619,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         cfg = _merge_flags(cfg, args)
-        for key in ("preset", "D", "a", "f", "ell", "m"):
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg[key] = val
         if args.command == "zeta":
             record, code = cmd_zeta(cfg)
         elif args.command == "hill":

@@ -32,6 +32,10 @@ from ._linalg import (
 from .errors import DegenerateTuple, GuardTripped, ShintaniKitError, ZeroVector
 from .exact_core import TruncSeries
 
+# sample points on which hill_cone_function checks its extraction against
+# hill_eval before returning it
+HILL_VERIFY_SAMPLES = 40
+
 # ---------------------------------------------------------------------------
 # formal perturbation polynomials (TruncSeries in eps_1..eps_n)
 
@@ -87,9 +91,6 @@ class OpenCone:
     @property
     def ambient(self) -> int:
         return len(self.generators[0])
-
-    def canonical(self) -> "OpenCone":
-        return OpenCone(tuple(vec(primitive_direction(g)) for g in self.generators))
 
     def contains(self, v) -> bool:
         v = vec(v)
@@ -319,7 +320,7 @@ def _split_pieces(gens: list[Vector], vals: list[Fraction]):
     )
 
 
-def hill_cone_function(t: GLTuple, verify_samples: int = 40) -> ConeFunction:
+def hill_cone_function(t: GLTuple) -> ConeFunction:
     """Explicit open-cone combination equal to the perturbed cocycle value.
 
     Requires the vectors alpha_i * w_1 to be linearly independent
@@ -356,14 +357,11 @@ def hill_cone_function(t: GLTuple, verify_samples: int = 40) -> ConeFunction:
                 continue
             if has_pos and has_neg:
                 plus, kernel, minus = _split_pieces(gens, vals)
-                decided = plus if sigma > 0 else minus
-                rejected = minus if sigma > 0 else plus
-                for piece in decided:
+                # pieces on the wrong side never satisfy membership
+                for piece in plus if sigma > 0 else minus:
                     walk(piece, i + 1, 0)
                 for piece in kernel:
                     walk(piece, i, pos + 1)
-                # pieces on the wrong side never satisfy membership
-                _ = rejected
                 return
             s = 1 if has_pos else -1
             if s == sigma:
@@ -384,9 +382,9 @@ def hill_cone_function(t: GLTuple, verify_samples: int = 40) -> ConeFunction:
     # verification pass: the extraction must agree with direct evaluation
     rng = random.Random(20240801)
     samples: list[Vector] = []
-    for gens in accepted[: verify_samples]:
+    for gens in accepted[:HILL_VERIFY_SAMPLES]:
         samples.append(vec([sum(col) for col in zip(*gens)]))
-    while len(samples) < verify_samples:
+    while len(samples) < HILL_VERIFY_SAMPLES:
         pt = [Fraction(rng.randrange(-12, 13), rng.randrange(1, 4)) for _ in range(n)]
         if any(pt):
             samples.append(vec(pt))

@@ -25,7 +25,7 @@ class ZeroVector(ShintaniKitError):
 
 
 class ZeroDirection(ShintaniKitError):
-    """A projection direction must be nonzero."""
+    """A line direction must be nonzero."""
 
 
 class UnboundedEnumeration(ShintaniKitError):
@@ -56,10 +56,6 @@ class PrecisionExhausted(ShintaniKitError):
 
 class SignCalibrationFailure(ShintaniKitError):
     """Neither sign choice matches the exact-side calibration value."""
-
-
-class BadAuxiliary(ShintaniKitError):
-    """An auxiliary matrix for a degenerate-pair resolution is unusable."""
 
 
 class GuardTripped(ShintaniKitError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ZeroConstantTerm
 
@@ -47,6 +47,12 @@ def bernoulli_polynomial(k: int, x: Rational) -> Fraction:
     for j in range(k + 1):
         acc += comb(k, j) * bernoulli_number(j) * xf ** (k - j)
     return acc
+
+
+def hurwitz_value(a: int, f: int, k: int) -> Fraction:
+    """Value at s = -k of the sum of x^(-s) over x > 0, x = a mod f:
+    -f^k * B_(k+1)(a/f) / (k+1)."""
+    return -(Fraction(f) ** k) * bernoulli_polynomial(k + 1, Fraction(a, f)) / (k + 1)
 
 
 def _sign(x: Fraction) -> int:
@@ -156,9 +162,6 @@ class QuadScalar:
 
     def rational_part(self) -> Fraction:
         return self.a
-
-    def surd_part(self) -> Fraction:
-        return self.b
 
 
 def quad_sign(x) -> int:
@@ -279,34 +282,6 @@ class TruncSeries:
         for _ in range(sum(self.caps)):
             acc = TruncSeries.constant(self.caps, Fraction(1)) + x * acc
         return acc.scale(r)
-
-    @classmethod
-    def exp_linear_form(
-        cls, caps: tuple[int, ...], coeffs: Iterable
-    ) -> "TruncSeries":
-        """exp(sum of coeffs[i] * t_i), truncated to caps.
-
-        Coefficient of t^alpha is prod(coeffs[i]^alpha_i / alpha_i!).
-        """
-        cs = list(coeffs)
-        assert len(cs) == len(caps)
-        out: dict = {}
-
-        def rec(i: int, exp: list[int], val):
-            if not val:
-                return
-            if i == len(cs):
-                out[tuple(exp)] = val
-                return
-            power = val
-            for a in range(caps[i] + 1):
-                rec(i + 1, exp + [a], power)
-                if a == caps[i]:
-                    break
-                power = power * cs[i] / (a + 1)
-
-        rec(0, [], Fraction(1))
-        return cls(caps, out)
 
     def __repr__(self):
         terms = sorted(self.coeffs.items())[:6]

@@ -41,10 +41,12 @@ from .exact_core import TruncSeries
 from .test_functions import (
     PLevelSet,
     TestFunction,
+    lattice_indicator,
     parallelepiped_support,
     periodicity_lattice,
     tensor_at_p,
     vanishing_check,
+    zn_indicator,
 )
 
 COMPLETION_VALUATION_GUARD = 6
@@ -447,13 +449,6 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
 # moments
 
 
-def mahler_coefficient(series: TruncSeries, beta: tuple[int, ...]):
-    """Integral of the product of binomials C(x_i, beta_i)."""
-    if any(b > cap for b, cap in zip(beta, series.caps)):
-        raise OutOfCaps(f"Mahler index {beta} beyond caps {series.caps}")
-    return series.coeff(beta)
-
-
 def _theta(series: TruncSeries, j: int) -> TruncSeries:
     """(1+S_j) d/dS_j: coefficient beta picks up beta_j * old[beta] plus
     (beta_j + 1) * old[beta + e_j]."""
@@ -593,7 +588,7 @@ def evaluate_at_s(
 
 
 # ---------------------------------------------------------------------------
-# cone functions and degenerate pairs
+# cone functions
 
 
 def amice_of_cone_function(
@@ -608,37 +603,6 @@ def amice_of_cone_function(
         pmeas = pseudo_from_cone(f, cone, U)
         total = total + amice_expand(pmeas, caps).scale(weight)
     return total
-
-
-def degenerate_resolve_dim2(
-    f: TestFunction,
-    U: PLevelSet,
-    alpha1,
-    alpha2,
-    gamma_aux,
-    caps: tuple[int, ...],
-):
-    """Transform of the measure of a degenerate pair (alpha1, alpha2) via
-    an auxiliary third matrix: the difference of the two non-degenerate
-    pair measures agrees with it up to a multiple of the point mass at the
-    origin, so the constant coefficient of the answer is ambiguous.
-
-    Returns (series, True); the flag records the constant ambiguity."""
-    from .cones import GLTuple, hill_cone_function
-    from .errors import BadAuxiliary, DegenerateTuple
-
-    try:
-        k1 = hill_cone_function(GLTuple((alpha1, gamma_aux)))
-        k2 = hill_cone_function(GLTuple((alpha2, gamma_aux)))
-    except DegenerateTuple as exc:
-        raise BadAuxiliary(f"auxiliary matrix is itself degenerate: {exc}") from None
-    s1 = amice_of_cone_function(f, _drop_constant(k1), U, caps)
-    s2 = amice_of_cone_function(f, _drop_constant(k2), U, caps)
-    return s1 - s2, True
-
-
-def _drop_constant(kappa: ConeFunction) -> ConeFunction:
-    return ConeFunction(list(kappa.terms), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +636,6 @@ class KubotaLeopoldt:
 
 
 def smoothing_function_1d(ell: int, away_from: int) -> TestFunction:
-    from .test_functions import lattice_indicator, zn_indicator
-
     f = zn_indicator(1) - lattice_indicator(((ell,),)).scale(ell)
     return TestFunction(1, f.terms, away_from=away_from)
 

@@ -42,6 +42,8 @@ from .test_functions import PLevelSet, TestFunction, tensor_at_p
 UNIT_SEARCH_GUARD = 1_000_000
 GENERATOR_BOX_GUARD = 400_000
 RAY_SEARCH_GUARD = 100_000
+# interior points on which domain_from_cocycle checks the cocycle fan
+DOMAIN_CHECK_SAMPLES = 24
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,6 @@ class IdealHNF:
 
     def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, 0), (self.b, self.d))
-
-    def basis_matrix(self):
-        return from_columns([vec(v) for v in self.basis()])
 
     def inverse_basis_matrix(self):
         """Basis of the fractional inverse: the conjugate basis over the norm."""
@@ -468,19 +467,18 @@ def h_plus_count(field: RealQuadraticField, modulus: int = 1) -> int:
 
 
 def narrow_ray_class_reps(
-    field: RealQuadraticField, modulus: int = 1, coprime_to: int = 1
+    field: RealQuadraticField, modulus: int = 1
 ) -> list[IdealHNF]:
     """One integral ideal per narrow ray class mod (modulus), each coprime
-    to modulus * coprime_to; stops once the analytic count is reached."""
+    to modulus; stops once the analytic count is reached."""
     target = h_plus_count(field, modulus)
-    avoid = modulus * coprime_to
     reps: list[IdealHNF] = []
     n = 0
     while len(reps) < target:
         n += 1
         if n > RAY_SEARCH_GUARD:
             raise ClassSearchExhausted("ray class enumeration guard reached")
-        if math.gcd(n, avoid) > 1:
+        if math.gcd(n, modulus) > 1:
             continue
         for I in _ideals_of_norm(field, n):
             if not any(is_equivalent(field, I, R, modulus, True) for R in reps):
@@ -508,9 +506,7 @@ def shintani_fan(field: RealQuadraticField, eps) -> ConeFunction:
     )
 
 
-def domain_from_cocycle(
-    field: RealQuadraticField, eps, samples: int = 24
-) -> ConeFunction:
+def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
     """Shintani domain read off the perturbed cocycle at (1, mult-by-eps).
 
     The output is normalized to weight +1 and cross-checked pointwise
@@ -531,7 +527,7 @@ def domain_from_cocycle(
     fan = ConeFunction([(Fraction(1), two[0][1]), (Fraction(1), one[0][1])])
     meps = field.mult_matrix(eps)
     rng = Random(11213)
-    for _ in range(samples):
+    for _ in range(DOMAIN_CHECK_SAMPLES):
         t1 = Fraction(rng.randrange(1, 400), rng.randrange(1, 97))
         t2 = Fraction(rng.randrange(1, 400), rng.randrange(1, 97))
         v = (t1 + t2 * eps[0], t2 * eps[1])
@@ -553,11 +549,11 @@ def _crt_offset(ell: int, Q: int) -> int:
     return ell * pow(ell, -1, Q)
 
 
-def _check_smoothing(field, aideal: IdealHNF, cprime: IdealHNF, coprime_to: int):
+def _check_smoothing(field, aideal: IdealHNF, cprime: IdealHNF, modulus: int):
     ell = cprime.norm
     if cprime.d != 1 or not is_prime(ell):
         raise BadSmoothingData("smoothing ideal must be a degree-one prime")
-    if math.gcd(ell, coprime_to * aideal.norm) > 1:
+    if math.gcd(ell, modulus * aideal.norm) > 1:
         raise BadSmoothingData("smoothing prime collides with the rest of the data")
 
 
@@ -691,6 +687,22 @@ class PartialZetaValue:
     k: int
 
 
+def _smoothed_class_function(field, aideal, cprime, p, conductor, offset_modulus):
+    """Shared setup of the smoothed class measure: the ray unit mod the
+    conductor, the smoothed test function (certified away from p) whose
+    smoothed branch sits at 1 mod offset_modulus, and the fan read off the
+    cocycle; the prime data and the fan directions are checked first."""
+    _check_prime_setup(field, aideal, cprime, p, conductor)
+    eps_f, _ = ray_unit(field, conductor)
+    fan = domain_from_cocycle(field, eps_f)
+    _check_fan_directions(field, cprime, fan)
+    c = _crt_offset(cprime.norm, offset_modulus)
+    f = smoothed_ray_function(
+        field, aideal, cprime, conductor, c, [(1, 0)], away=p
+    )
+    return eps_f, f, fan
+
+
 def smoothed_class_series(
     field: RealQuadraticField,
     aideal: IdealHNF,
@@ -699,7 +711,6 @@ def smoothed_class_series(
     m: int,
     conductor: int = 1,
     caps: tuple[int, int] = (4, 4),
-    use_cocycle: bool = True,
 ) -> TruncSeries:
     """Amice transform of the smoothed class measure restricted to the
     level-m set.  One series serves every moment its caps can reach.
@@ -708,17 +719,8 @@ def smoothed_class_series(
     of the smoothed branch is sharpened to 1 mod conductor * p^m, and the
     level enters through the support restriction.
     """
-    _check_prime_setup(field, aideal, cprime, p, conductor)
-    eps_f, _ = ray_unit(field, conductor)
-    fan = (
-        domain_from_cocycle(field, eps_f)
-        if use_cocycle
-        else shintani_fan(field, eps_f)
-    )
-    _check_fan_directions(field, cprime, fan)
-    c = _crt_offset(cprime.norm, conductor * p**m)
-    f = smoothed_ray_function(
-        field, aideal, cprime, conductor, c, [(1, 0)], away=p
+    eps_f, f, fan = _smoothed_class_function(
+        field, aideal, cprime, p, conductor, conductor * p**m
     )
     level = x_level_set(field, eps_f, p, m)
     return amice_of_cone_function(f, fan, level, caps)
@@ -734,7 +736,6 @@ def padic_partial_zeta(
     conductor: int = 1,
     caps: tuple[int, int] | None = None,
     M: int = 6,
-    use_cocycle: bool = True,
     series: TruncSeries | None = None,
 ) -> PartialZetaValue:
     """Norm moment of the smoothed class measure over the level-m set,
@@ -748,7 +749,7 @@ def padic_partial_zeta(
         if caps is None:
             caps = (2 * k + 2, 2 * k + 2)
         series = smoothed_class_series(
-            field, aideal, cprime, p, m, conductor, caps, use_cocycle
+            field, aideal, cprime, p, m, conductor, caps
         )
     else:
         _check_prime_setup(field, aideal, cprime, p, conductor)
@@ -781,7 +782,6 @@ def field_padic_L(
     p: int,
     conductor: int = 1,
     count: int = 5,
-    use_cocycle: bool = True,
 ) -> FieldPadicL:
     """Push the smoothed class measure forward along norm(a) * Norm, split
     by the unit residue class of the pushed value.
@@ -789,19 +789,10 @@ def field_padic_L(
     Scaling by norm(a) (a p-adic unit) folds the class normalization into
     the measure, so value_at(-k, twist=k) matches the level-zero moment of
     padic_partial_zeta for k below `count`."""
-    _check_prime_setup(field, aideal, cprime, p, conductor)
+    _, f, fan = _smoothed_class_function(
+        field, aideal, cprime, p, conductor, conductor
+    )
     caps = (2 * (count - 1), 2 * (count - 1))
-    eps_f, _ = ray_unit(field, conductor)
-    fan = (
-        domain_from_cocycle(field, eps_f)
-        if use_cocycle
-        else shintani_fan(field, eps_f)
-    )
-    _check_fan_directions(field, cprime, fan)
-    c = _crt_offset(cprime.norm, conductor)
-    f = smoothed_ray_function(
-        field, aideal, cprime, conductor, c, [(1, 0)], away=p
-    )
     na = aideal.norm
     norm_int = {e: na * int(v) for e, v in field.norm_form().items()}
     comps: dict[int, TruncSeries] = {}

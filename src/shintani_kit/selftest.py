@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from . import exact_core
 from ._linalg import det, from_columns, mat, mat_vec, rank
-from ._rational_padics import is_p_integral, residue
+from ._rational_padics import is_p_integral
 from .cones import GLTuple, OpenCone, cocycle_defect, hill_cone_function, hill_eval
-from .exact_core import bernoulli_number, bernoulli_polynomial
-from .padic_measures import is_measure, kubota_leopoldt, pseudo_from_cone
+from .errors import DegenerateTuple
+from .exact_core import bernoulli_number, bernoulli_polynomial, hurwitz_value
+from .padic_measures import is_measure, kubota_leopoldt
 from .real_quadratic_fields import (
     RealQuadraticField,
     domain_from_cocycle,
     eps_plus,
     exact_ray_class_zeta,
+    field_zeta_value,
     h_plus_count,
     narrow_ray_class_reps,
     o_ideal,
@@ -39,10 +42,6 @@ def tamper_bernoulli() -> None:
     this call must fail, proving the checks read live values."""
     bernoulli_number(12)
     exact_core._BERNOULLI_CACHE[12] += 1
-
-
-def _hurwitz(a: int, f: int, k: int) -> Fraction:
-    return -(Fraction(f) ** k) * bernoulli_polynomial(k + 1, Fraction(a, f)) / (k + 1)
 
 
 def _ray_function(a: int, f: int) -> TestFunction:
@@ -79,7 +78,7 @@ def check_hurwitz_sweep():
     for f in range(1, 5):
         for a in range(1, f + 1):
             for k in range(4):
-                if special_value(_ray_function(a, f), _RAY, k) != _hurwitz(a, f, k):
+                if special_value(_ray_function(a, f), _RAY, k) != hurwitz_value(a, f, k):
                     bad += 1
     return bad == 0, f"{bad} mismatches over a <= f <= 4, k <= 3"
 
@@ -137,8 +136,6 @@ def check_hill_pointwise(tuples: int = 3, points: int = 25):
 
 def check_cocycle_condition(tuples: int = 2, dims=(2,)):
     rng = random.Random(6011)
-    from .errors import DegenerateTuple
-
     for n in dims:
         done = 0
         while done < tuples:
@@ -223,7 +220,7 @@ def check_kubota_leopoldt():
     if kl.mass() != Fraction(1, 2) or kl.moment(1) != Fraction(1, 4):
         return False, f"mass {kl.mass()}, first moment {kl.moment(1)}"
     for k in range(5):
-        want = (1 - Fraction(2) ** (k + 1)) * _hurwitz(1, 1, k)
+        want = (1 - Fraction(2) ** (k + 1)) * hurwitz_value(1, 1, k)
         if kl.moment(k) != want:
             return False, f"moment {k} off"
     d = kl.unit_moment(1) - kl.unit_moment(3)
@@ -297,10 +294,6 @@ def check_interpolation_full():
 def check_siegel_values():
     # Siegel sigma-sum over the discriminant, independent of the cone
     # pipeline: zeta_F(-1) = sum_(t^2 < disc) sigma_1((disc - t^2)/4) / 60
-    from math import isqrt
-
-    from .real_quadratic_fields import field_zeta_value
-
     def sigma(n, power):
         return sum(d**power for d in range(1, n + 1) if n % d == 0)
 

@@ -100,14 +100,6 @@ def quadratic_norm(D: int) -> NormStructure:
     return NormStructure("quadratic", forms)
 
 
-def norm_value(ns: NormStructure, v: Sequence) -> Fraction:
-    acc = None
-    for i in range(ns.n):
-        x = ns.apply(i, v)
-        acc = x if acc is None else acc * x
-    return scalar_rational(acc)
-
-
 @dataclass(frozen=True)
 class GeneratingFunction:
     """Parallelepiped points and scaled generator forms for one cone.

@@ -2,9 +2,9 @@
 
 A term (c, o, L) stands for c times the indicator of o + L*Z^n, where the
 columns of L are a basis of a full-rank lattice in Q^n.  Sums of such terms
-are closed under translation, GL_n(Q) pullback, multiplication by level-set
-indicators at a prime p, and line restriction, which is everything the rest
-of the package needs.
+are closed under translation, GL_n(Q) pullback and multiplication by
+level-set indicators at a prime p, which is everything the rest of the
+package needs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._linalg import (
     Matrix,
@@ -23,6 +23,7 @@ from ._linalg import (
     hnf_with_transform,
     integer_kernel,
     inverse,
+    lattice_intersection,
     mat,
     mat_mul,
     mat_vec,
@@ -166,8 +167,6 @@ def periodicity_lattice(f: TestFunction) -> Matrix:
     intersection of all term lattices).  Identity for the empty function."""
     if not f.terms:
         return tuple(tuple(Fraction(int(i == j)) for j in range(f.n)) for i in range(f.n))
-    from ._linalg import lattice_intersection
-
     cur = f.terms[0].lattice
     for t in f.terms[1:]:
         cur = lattice_intersection(cur, t.lattice)
@@ -221,60 +220,6 @@ def haar(f: TestFunction) -> Fraction:
     for v in support_class_representatives(f):
         total += f.evaluate(v)
     return total / abs(det(Lf))
-
-
-# ---------------------------------------------------------------------------
-# restriction to a line
-
-
-def _intersect_affine_1d(a1: Fraction, m1: Fraction, a2: Fraction, m2: Fraction):
-    """(a1 + m1*Z) ∩ (a2 + m2*Z) as (offset, step) over Q, or None."""
-    q = math.lcm(a1.denominator, m1.denominator, a2.denominator, m2.denominator)
-    A1, M1 = int(a1 * q), int(m1 * q)
-    A2, M2 = int(a2 * q), int(m2 * q)
-    g = math.gcd(M1, M2)
-    if (A2 - A1) % g:
-        return None
-    mg = M2 // g
-    t = ((A2 - A1) // g) * pow(M1 // g, -1, mg) % mg if mg > 1 else 0
-    y = A1 + M1 * t
-    step = Fraction(abs(M1 * M2) // g, q)
-    off = Fraction(y, q)
-    off -= step * math.floor(off / step)
-    return off, step
-
-
-def project(f: TestFunction, v: Sequence, w: Sequence) -> TestFunction:
-    """Restrict f to the line x -> v + x*w, as a one-variable combination of
-    arithmetic-progression indicators."""
-    v, w = vec(v), vec(w)
-    if len(v) != f.n or len(w) != f.n:
-        raise ValueError("dimension mismatch")
-    if all(c == 0 for c in w):
-        raise ZeroDirection("projection direction is zero")
-    out_terms = []
-    for t in f.terms:
-        b = solve(t.lattice, tuple(a - o for a, o in zip(v, t.offset)))
-        d = solve(t.lattice, w)
-        cur = None
-        dead = False
-        for bi, di in zip(b, d):
-            if di == 0:
-                if bi.denominator != 1:
-                    dead = True
-                    break
-                continue
-            nxt = (-bi / di, abs(1 / di))
-            nxt = (nxt[0] - nxt[1] * math.floor(nxt[0] / nxt[1]), nxt[1])
-            cur = nxt if cur is None else _intersect_affine_1d(*cur, *nxt)
-            if cur is None:
-                dead = True
-                break
-        if dead:
-            continue
-        a, m = cur
-        out_terms.append((t.coeff, (a,), ((m,),)))
-    return TestFunction(1, tuple(out_terms), None)
 
 
 # ---------------------------------------------------------------------------

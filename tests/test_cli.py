@@ -1,11 +1,16 @@
 """Command line front end: presets, config handling, exit codes, record
 shape, and the selftest canary."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani_kit import cli
 
@@ -137,17 +142,44 @@ def test_config_errors(tmp_path, capsys):
         assert key in captured.err
         assert captured.out == ""
 
+    # malformed values of every shape exit 2 and name the key, never a
+    # traceback or a math-error record
+    hill = {"matrices": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]], "points": [[3, 1]]}
+    term = {"weight": 1, "offset": [0, 0], "basis": [[1, 0], [0, 1]]}
+    custom = dict(base, cones=[{"generators": [[1, 1], [1, 2]]}])
+    malformed = [
+        ("measure", dict(measure, level=5), "'level'"),
+        ("measure", dict(measure, level={"m": 1.7, "offsets": [[1]]}), "'level'"),
+        ("measure", dict(measure, p=4), "'p'"),
+        ("hill", dict(hill, points=5), "'points'"),
+        ("hill", dict(hill, points=[["a", 1]]), "'points'"),
+        ("hill", dict(hill, matrices=[]), "'matrices'"),
+        ("hill", dict(hill, matrices=[[[1, "x"], [0, 1]], [[1, 1], [1, 2]]]), "'matrices'"),
+        ("hill", dict(hill, points=[[0, 0]]), "'points'"),
+        ("zeta", dict(custom, terms=[dict(term, offset=5)]), "'offset'"),
+        ("padic-zeta", dict(padic, **{"class": [1, "x", 1]}), "'class'"),
+        ("padic-zeta", dict(padic, ell=4), "'ell'"),
+    ]
+    for command, cfg, key in malformed:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path)]) == 2, (command, cfg)
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
 
 def test_hill_terms_and_points(tmp_path, capsys):
     cfg = {
         "matrices": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]],
-        "points": [[3, 1], [1, 1], [-2, 5]],
+        "points": [[3, 1], [1, 1], [-2, 5], ["1/2", "3/4"], ["-2", 5]],
     }
     path = tmp_path / "hill.json"
     path.write_text(json.dumps(cfg))
     code, rec = run_cli(capsys, ["hill", "--config", str(path)])
     assert code == 0
-    assert rec["values"]["evaluations"] == [1, 1, 0]
+    assert rec["values"]["evaluations"] == [1, 1, 0, 0, 0]
     assert rec["certificates"]["pointwise_match"] is True
     gens = [t["generators"] for t in rec["values"]["terms"]]
     assert [["1/1", "1/1"]] in gens  # the shared edge appears as a ray
@@ -276,3 +308,104 @@ def test_determinism_byte_identical():
         del rec["timing"]
         outs.append(json.dumps(rec, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one key of a small valid config replaced by an arbitrary value
+
+_MEASURE = {
+    "n": 1,
+    "p": 3,
+    "terms": [
+        {"weight": 1, "offset": [0], "basis": [[1]]},
+        {"weight": -2, "offset": [0], "basis": [[2]]},
+    ],
+    "cones": [{"weight": 1, "generators": [[1]]}],
+    "level": {"m": 1, "offsets": [[1]]},
+    "k": [0, 1],
+    "caps": [4],
+}
+_FUZZ_BASES = [
+    ("zeta", {"preset": "riemann", "k": [0, 1]}),
+    ("zeta", {"preset": "hurwitz", "a": 1, "f": 3, "k": [1]}),
+    ("zeta", {"preset": "rq-field", "D": 5, "k": [1]}),
+    (
+        "zeta",
+        {
+            "preset": "custom",
+            "n": 2,
+            "norm": "quadratic:5",
+            "terms": [{"weight": 1, "offset": [0, 0], "basis": [[1, 0], [0, 1]]}],
+            "cones": [{"weight": 1, "generators": [[1, 0], [2, 1]]}],
+            "k": [0, 1],
+        },
+    ),
+    ("hill", {"matrices": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]], "points": [[3, 1], ["1/2", 2]]}),
+    ("measure", _MEASURE),
+    (
+        "padic-zeta",
+        {
+            "D": 5, "p": 3, "ell": 11, "k": [0], "m": 1, "caps": [2, 2],
+            "M": 4, "conductor": 1, "class": [1, 0, 1],
+        },
+    ),
+    ("kubota-leopoldt", {"p": 3, "ell": 2, "k": [0, 1], "caps": [4], "M": 4, "cutoff": 3}),
+]
+# Valid large values of these padic-zeta keys are legitimate but slow (the
+# level m costs p^m residues, the conductor the order of the ray unit,
+# caps the square of the Amice expansion), so their integers stay small.
+_SLOW_PADIC_KEYS = {"m", "conductor", "caps"}
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path into nested objects and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _key_paths(val, prefix + (key,))
+
+
+_FUZZ_CASES = [
+    (command, base, path) for command, base in _FUZZ_BASES for path in _key_paths(base)
+]
+
+
+def _json_values(top: int):
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, top),
+        st.floats(-3, top),
+        st.sampled_from(["", "x", "1/2", "-3", "2/0", "1e9"]),
+        st.text(max_size=3),
+    )
+    keys = st.sampled_from(["m", "offsets", "weight", "basis", "generators", "x"])
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=2),
+        max_leaves=5,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_keep_the_exit_contract(tmp_path_factory, data):
+    command, base, path = data.draw(st.sampled_from(_FUZZ_CASES), label="case")
+    slow = command == "padic-zeta" and path[0] in _SLOW_PADIC_KEYS
+    value = data.draw(_json_values(2 if slow else 12), label="value")
+    cfg = copy.deepcopy(base)
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(config)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("config error:")
+    else:
+        assert json.loads(out.getvalue())["schema"] == cli.SCHEMA

@@ -115,24 +115,6 @@ def test_series_invert_requires_unit():
         s.invert()
 
 
-def test_exp_linear_form_additivity():
-    caps = (5, 4)
-    a = TruncSeries.exp_linear_form(caps, [Fraction(2), Fraction(-1)])
-    b = TruncSeries.exp_linear_form(caps, [Fraction(1, 2), Fraction(3)])
-    combined = TruncSeries.exp_linear_form(caps, [Fraction(5, 2), Fraction(2)])
-    assert (a * b).coeffs == combined.coeffs
-
-
-def test_exp_linear_form_quadratic_coeffs():
-    # conjugating the linear form conjugates every series coefficient
-    caps = (4,)
-    w = QuadScalar(1, 1, 5)
-    s = TruncSeries.exp_linear_form(caps, [w])
-    sc = TruncSeries.exp_linear_form(caps, [w.conjugate()])
-    for e, c in s.coeffs.items():
-        assert sc.coeff(e) == c.conjugate()
-
-
 def test_series_mul_respects_caps():
     s = TruncSeries((2,), {(2,): Fraction(1)})
     assert (s * s).coeffs == {}

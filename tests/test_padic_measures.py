@@ -5,7 +5,7 @@ import pytest
 
 from shintani_kit.cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from shintani_kit.errors import (
-    BadAuxiliary,
+    DegenerateTuple,
     GuardTripped,
     NonUnitScaling,
     OutOfCaps,
@@ -21,11 +21,9 @@ from shintani_kit.padic_measures import (
     amice_expand,
     amice_of_cone_function,
     comb_int,
-    degenerate_resolve_dim2,
     evaluate_at_s,
     is_measure,
     kubota_leopoldt,
-    mahler_coefficient,
     moment,
     polynomial_moment,
     pseudo_from_cone,
@@ -155,9 +153,8 @@ def test_dirac_second_moment():
 def test_mahler_coefficient_access():
     d3 = PseudoMeasure(p=5, m=0, n=1, numerator=(((F(3),), F(1)),), denoms=())
     A = amice_expand(d3, (6,))
-    assert mahler_coefficient(A, (2,)) == 3
-    with pytest.raises(OutOfCaps):
-        mahler_coefficient(A, (7,))
+    # the Mahler coefficient C(3, 2) of the point mass at 3
+    assert A.coeff((2,)) == 3
 
 
 def test_moment_out_of_caps():
@@ -411,25 +408,34 @@ def test_amice_of_cone_function_is_additive():
         amice_of_cone_function(f, ConeFunction([(F(1), c1)], F(1)), U, (4, 4))
 
 
+def pair_transform(f, U, alpha, beta, caps=(5, 5)):
+    """Transform of the measure of the non-degenerate pair (alpha, beta)."""
+    return amice_of_cone_function(f, hill_cone_function(GLTuple((alpha, beta))), U, caps)
+
+
 def test_degenerate_resolution_is_auxiliary_independent():
+    # the degenerate pair (a1, a2) resolved through an auxiliary matrix g:
+    # the pair measures (a1, g) - (a2, g) agree for two choices of g up to
+    # a multiple of the point mass at the origin
     f = smoothed_2d_mod3(5)
     U = full_level_set(5, 2)
     a1 = ((1, 0), (0, 1))
     a2 = ((2, 1), (0, 1))
-    s1, amb1 = degenerate_resolve_dim2(f, U, a1, a2, ((1, 0), (1, 1)), (5, 5))
-    s2, amb2 = degenerate_resolve_dim2(f, U, a1, a2, ((1, 1), (3, 0)), (5, 5))
-    assert amb1 and amb2
+    s1, s2 = (
+        pair_transform(f, U, a1, g) - pair_transform(f, U, a2, g)
+        for g in (((1, 0), (1, 1)), ((1, 1), (3, 0)))
+    )
     diff = s1 - s2
     assert all(not any(e) for e in diff.coeffs)
 
 
 def test_degenerate_resolution_rejects_parallel_auxiliary():
+    # an auxiliary matrix whose first column is parallel to alpha1's makes
+    # the auxiliary pair itself degenerate
     f = smoothed_2d_mod3(5)
     U = full_level_set(5, 2)
-    with pytest.raises(BadAuxiliary):
-        degenerate_resolve_dim2(
-            f, U, ((1, 0), (0, 1)), ((2, 1), (0, 1)), ((3, 0), (0, 1)), (4, 4)
-        )
+    with pytest.raises(DegenerateTuple):
+        pair_transform(f, U, ((1, 0), (0, 1)), ((3, 0), (0, 1)), (4, 4))
 
 
 def test_cocycle_relation_at_measure_level():
@@ -440,8 +446,7 @@ def test_cocycle_relation_at_measure_level():
     A = ((1, 0), (0, 1))
     B = ((1, 0), (1, 1))
     G = ((1, 1), (3, 0))
-    direct = hill_cone_function(GLTuple((A, B)))
-    lhs = amice_of_cone_function(f, ConeFunction(list(direct.terms), F(0)), U, (5, 5))
-    rhs, _ = degenerate_resolve_dim2(f, U, A, B, G, (5, 5))
+    lhs = pair_transform(f, U, A, B)
+    rhs = pair_transform(f, U, A, G) - pair_transform(f, U, B, G)
     diff = lhs - rhs
     assert all(not any(e) for e in diff.coeffs)

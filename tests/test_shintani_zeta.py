@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from shintani_kit._linalg import rank
 from shintani_kit.cones import ConeFunction, OpenCone
 from shintani_kit.errors import IrrationalResidue, NotInPositiveOrthant
 from shintani_kit.exact_core import QuadScalar, bernoulli_number, quad_sign
+from shintani_kit.real_quadratic_fields import RealQuadraticField
 from shintani_kit.shintani_zeta import (
     NormStructure,
     _special_value_series,
     build_G,
-    norm_value,
     quadratic_norm,
     special_value,
     std_norm,
@@ -217,11 +218,14 @@ def test_cone_function_rejects_constant():
 
 
 def test_norm_value():
+    # the two forms of quadratic_norm(5) multiply to the field norm
     ns5 = quadratic_norm(5)
-    assert norm_value(ns5, (1, 0)) == 1
-    assert norm_value(ns5, (0, 1)) == -1  # omega * conj(omega) = (1-5)/4
-    assert norm_value(ns5, (1, 1)) == 1  # 1 + omega is a unit
-    assert norm_value(std_norm(3), (2, 3, 4)) == 24
+    field = RealQuadraticField(5)
+    for v in ((1, 0), (0, 1), (1, 1), (3, -2), (F(1, 2), 7)):
+        a, b = ns5.form_values(v)
+        assert a * b == field.norm(v)
+    assert field.norm((0, 1)) == -1  # omega * conj(omega) = (1-5)/4
+    assert math.prod(std_norm(3).form_values((2, 3, 4))) == 24
 
 
 def test_irrational_residue_guard():

@@ -19,7 +19,6 @@ from shintani_kit.test_functions import (
     lattice_indicator,
     parallelepiped_support,
     periodicity_lattice,
-    project,
     support_class_representatives,
     tensor_at_p,
     vanishing_check,
@@ -104,47 +103,13 @@ def test_haar_product():
         assert haar(prod) == haar(f) * haar(g)
 
 
-def test_project_pointwise_agreement():
-    rng = random.Random(104)
-    for _ in range(12):
-        f = random_function(rng, 2)
-        v = tuple(F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(2))
-        w = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-        if all(c == 0 for c in w):
-            w = (F(1), F(0))
-        g = project(f, v, w)
-        for _ in range(20):
-            x = F(rng.randint(-12, 12), rng.choice([1, 2, 3, 4]))
-            pt = tuple(a + x * b for a, b in zip(v, w))
-            assert g.evaluate((x,)) == f.evaluate(pt)
-
-
-def test_project_examples():
-    f = zn_indicator(2)
-    g = project(f, (0, 0), (1, 2))
-    assert haar(g) == 1
-    assert g.evaluate((1,)) == 1 and g.evaluate((F(1, 2),)) == 0
-
-    assert not project(f, (F(1, 2), 0), (1, 1)).terms
-
-    d = lattice_indicator(((2, 0), (0, 3)))
-    assert haar(project(d, (0, 0), (1, 1))) == F(1, 6)
-
-    # a zero direction coordinate turns into a membership constraint
-    assert not project(f, (0, F(1, 2)), (1, 0)).terms
-    assert haar(project(f, (0, 1), (1, 0))) == 1
-
-    with pytest.raises(ZeroDirection):
-        project(f, (0, 0), (0, 0))
-
-
 def test_away_line_mass_sees_prime_denominators():
     # the support misses the rational line through (0, 1/3) + x*e1, but
     # away from p = 3 that line still carries full mass
     f = zn_indicator(2, away_from=3)
     v = (F(0), F(1, 3))
     w = (F(1), F(0))
-    assert not project(f, v, w).terms
+    assert all(f.evaluate((F(x, 6), v[1])) == 0 for x in range(-12, 13))
     assert _away_line_mass(f.terms[0], v, w, 3) == 1
     # at p = 2 the denominator 3 is not a unit, so the line is empty
     f2 = zn_indicator(2, away_from=2)
@@ -154,6 +119,8 @@ def test_away_line_mass_sees_prime_denominators():
 def test_vanishing_check_basic():
     one = zn_indicator(1, away_from=3)
     assert not vanishing_check(one, (1,))
+    with pytest.raises(ZeroDirection):
+        vanishing_check(one, (0,))
     kl = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     kl = TestFunction(1, kl.terms, away_from=3)
     assert vanishing_check(kl, (1,))
