@@ -3,9 +3,11 @@
 Matrices are tuples of row-tuples of Fractions (or ints where noted).  The
 sizes involved here are tiny (n <= 4 in practice), so clarity beats
 asymptotics.  Over the rationals there is one Gauss-Jordan routine,
-``_rref``; solve, inverse, rank, rational_kernel and span_coordinates are
-thin wrappers around it.  det keeps its own forward elimination with a
-running sign, and the integer routines go through hnf_with_transform.
+``_rref``; solve, inverse, rank, rational_kernel, span_coordinates and
+unit_completion are thin wrappers around it.  det keeps its own forward
+elimination with a running sign.  Over the integers, integer_det is
+fraction-free (Bareiss) elimination, and the lattice routines go through
+hnf_with_transform.
 """
 
 from __future__ import annotations
@@ -163,6 +165,19 @@ def span_coordinates(gens, v) -> Vector | None:
     return tuple(row[r] for row in aug[:r])
 
 
+def unit_completion(gens) -> list[Vector]:
+    """Unit vectors that extend independent gens to a basis: e_k for each
+    column k without a pivot in the row reduction of the gens (as rows).
+    Dependent generators raise SingularMatrix."""
+    rows = [list(vec(g)) for g in gens]
+    n = len(rows[0])
+    pivots = _rref(rows, n)
+    if len(pivots) < len(rows):
+        raise SingularMatrix("generators are linearly dependent")
+    units = identity(n)
+    return [units[k] for k in range(n) if k not in pivots]
+
+
 # --- integer-lattice routines -------------------------------------------
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -179,6 +194,29 @@ def _as_int_matrix(a) -> IntMatrix:
             new.append(f.numerator)
         out.append(tuple(new))
     return tuple(out)
+
+
+def integer_det(a) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
+    rows = [list(r) for r in a]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pk = rows[k]
+        pivot = pk[k]
+        for ri in rows[k + 1:]:
+            lead = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - lead * pk[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def hnf_with_transform(a) -> tuple[IntMatrix, IntMatrix]:

@@ -504,7 +504,7 @@ def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
     if ell == p:
         raise ConfigError("smoothing prime must differ from p")
     try:
-        kl = kubota_leopoldt(p, ell, caps=caps, M=M)
+        kl = kubota_leopoldt(p, ell, caps=caps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rows = []

@@ -1,12 +1,24 @@
 """Open simplicial cones, perturbed-sign cocycle values, and explicit
 cone-combination extraction.
 
-The perturbation scalars eps_1 >> eps_2 >> ... are formal: an element of
-the ordered coefficient field is a polynomial in them, held as a
-TruncSeries in the eps variables, and its sign is the sign of the
-coefficient on the most significant monomial (monomials compared
-coordinate-reversed lexicographically, smallest key dominates).
-This pins 1 - eps_1 > 0 and eps_1 - eps_2 > 0.
+The cocycle of a tuple (alpha_1..alpha_n) with basis (w_1..w_n) is read
+off determinants of the matrix whose column j is
+alpha_j (w_1 + eps_j w_2 + ... + eps_j^(n-1) w_n), where the perturbation
+scalars eps_1 >> eps_2 >> ... > 0 are formal.  A polynomial in them has
+the sign of its coefficient on the most significant monomial (monomials
+compared coordinate-reversed lexicographically, smallest key dominates),
+which pins 1 - eps_1 > 0 and eps_1 - eps_2 > 0.
+
+Two routes compute the cocycle and share no perturbation code:
+
+* hill_eval uses that the determinant is multilinear in its columns: the
+  coefficient of prod_j eps_j^(e_j) is det[alpha_1 w_(e_1+1), ...,
+  alpha_n w_(e_n+1)].  Scaling each alpha_j w_i, and v, by a positive
+  integer keeps every sign, so these are integer (Bareiss) determinants,
+  taken lazily in significance order until one is nonzero.
+* hill_cone_function holds the perturbed columns as TruncSeries in the
+  eps variables and splits the fan along the linear functionals their
+  cofactors carry; hill_eval checks the result pointwise.
 """
 
 from __future__ import annotations
@@ -14,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import cache, cached_property
+from itertools import permutations, product
 from math import gcd, lcm
 
 from ._linalg import (
@@ -23,10 +36,12 @@ from ._linalg import (
     columns,
     det,
     from_columns,
+    integer_det,
+    inverse,
     mat,
     mat_vec,
     rank,
-    span_coordinates,
+    unit_completion,
     vec,
 )
 from .errors import DegenerateTuple, GuardTripped, ShintaniKitError, ZeroVector
@@ -92,12 +107,29 @@ class OpenCone:
     def ambient(self) -> int:
         return len(self.generators[0])
 
+    @cached_property
+    def _duals(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Integer rows (coordinate rows, span rows).  Completing the
+        generators with unit vectors gives a basis; the rows of its inverse,
+        each scaled by a positive integer, are positive multiples of the
+        generator coordinates (the first dim rows) and functionals that
+        vanish exactly on the span (the rest)."""
+        gens = list(self.generators)
+        basis = from_columns(gens + unit_completion(gens))
+        rows = [primitive_direction(r) for r in inverse(basis)]
+        return rows[: self.dim], rows[self.dim:]
+
     def contains(self, v) -> bool:
         v = vec(v)
-        coords = span_coordinates(self.generators, v)
-        if coords is None:
+        if not any(v):
             return False
-        return all(c > 0 for c in coords)
+        v = primitive_direction(v)
+        coords, off_span = self._duals
+
+        def dot(row):
+            return sum(a * b for a, b in zip(row, v))
+
+        return all(dot(r) == 0 for r in off_span) and all(dot(r) > 0 for r in coords)
 
 
 @dataclass
@@ -163,6 +195,54 @@ class GLTuple:
     def ambient(self) -> int:
         return len(self.matrices[0])
 
+    @cached_property
+    def _columns(self) -> list[list[Vector]]:
+        """alpha_j w_i at [j][i]: the vectors the perturbation combines."""
+        w_cols = columns(self.basis)
+        return [[mat_vec(alpha, w) for w in w_cols] for alpha in self.matrices]
+
+    @cached_property
+    def _integer_columns(self) -> list[list[tuple[int, ...]]]:
+        """Each alpha_j w_i scaled to a primitive integer vector; the
+        positive factors leave every determinant sign as it was."""
+        return [[primitive_direction(u) for u in col] for col in self._columns]
+
+    @cached_property
+    def _sign(self) -> int:
+        """Sign of the perturbed determinant (0 if it vanishes identically)."""
+        return _leading_det_sign(self._integer_columns)
+
+
+@cache
+def _exponents(n: int, i: int | None) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples e in {0..n-1}^n, with e_i = 0 unless i is None, most
+    significant first."""
+    return tuple(sorted(
+        (e for e in product(range(n), repeat=n) if i is None or e[i] == 0),
+        key=_sig_key,
+    ))
+
+
+def _leading_det_sign(cols, i: int | None = None, v=None) -> int:
+    """Sign of the leading coefficient of the perturbed determinant, with
+    column i replaced by the integer vector v when i is given.  The
+    coefficient of eps^e is det[alpha_j w_(e_j+1)]; determinants are taken
+    in significance order and the first nonzero one decides."""
+    n = len(cols)
+    for e in _exponents(n, i):
+        d = integer_det([v if j == i else cols[j][e[j]] for j in range(n)])
+        if d:
+            return 1 if d > 0 else -1
+    return 0
+
+
+def _first_columns(t: GLTuple, message: str) -> list[Vector]:
+    """The vectors alpha_j w_1; DegenerateTuple(message) when they are
+    linearly dependent."""
+    if integer_det([col[0] for col in t._integer_columns]) == 0:
+        raise DegenerateTuple(message)
+    return [col[0] for col in t._columns]
+
 
 def _perturbed_columns(t: GLTuple) -> list[list[TruncSeries]]:
     """Columns alpha_j * b_j with b_j = w_1 + eps_j w_2 + ... + eps_j^(n-1) w_n."""
@@ -210,26 +290,26 @@ def _eps_det(cols: list[list[TruncSeries]]) -> TruncSeries:
 def hill_eval(t: GLTuple, v) -> int:
     """Value at v of the perturbed cocycle for the tuple t.
 
-    Returns sign(det M) if v lies in the perturbed open cone, else 0.
+    Returns sigma = sign(det M) if v lies in the perturbed open cone, else
+    0: v is inside when, for each i, the determinant with column i replaced
+    by v has sign sigma.  Each sign is the first nonzero coefficient of the
+    multilinear expansion (see the module docstring), an integer
+    determinant of scaled columns alpha_j w_(e_j+1); a point off every
+    face stops at the first one.  The columns and sigma are computed once
+    per tuple.
     """
     v = vec(v)
     if all(x == 0 for x in v):
         raise ZeroVector("evaluation point must be nonzero")
     if len(t.matrices) != t.ambient:
         raise ShintaniKitError("tuple length must equal the ambient dimension")
-    cols = _perturbed_columns(t)
-    sigma = leading_sign(_eps_det(cols))
+    sigma = t._sign
     if sigma == 0:
         raise GuardTripped("perturbed determinant vanished")
-    n = t.ambient
-    caps = cols[0][0].caps
-    for i in range(n):
-        replaced = [
-            [TruncSeries.constant(caps, v[row]) for row in range(n)] if j == i else cols[j]
-            for j in range(n)
-        ]
-        s = leading_sign(_eps_det(replaced))
-        if s != sigma:
+    cols = t._integer_columns
+    v = primitive_direction(v)
+    for i in range(t.ambient):
+        if _leading_det_sign(cols, i, v) != sigma:
             return 0
     return sigma
 
@@ -330,10 +410,7 @@ def hill_cone_function(t: GLTuple) -> ConeFunction:
     n = t.ambient
     if len(t.matrices) != n:
         raise ShintaniKitError("tuple length must equal the ambient dimension")
-    w1 = columns(t.basis)[0]
-    u = [mat_vec(alpha, w1) for alpha in t.matrices]
-    if rank(from_columns(u)) != n:
-        raise DegenerateTuple("alpha_i * w_1 must be independent")
+    u = _first_columns(t, "alpha_i * w_1 must be independent")
     cols = _perturbed_columns(t)
     sigma = leading_sign(_eps_det(cols))
     if sigma == 0:
@@ -409,10 +486,7 @@ def cocycle_defect(mats, samples) -> list[Fraction]:
     for i in range(len(mats)):
         rest = tuple(m for j, m in enumerate(mats) if j != i)
         t = GLTuple(rest)
-        w1 = columns(t.basis)[0]
-        u = [mat_vec(alpha, w1) for alpha in t.matrices]
-        if rank(from_columns(u)) != n:
-            raise DegenerateTuple("facet tuple is degenerate")
+        _first_columns(t, "facet tuple is degenerate")
         facets.append(t)
     out = []
     for v in samples:

@@ -640,7 +640,7 @@ def smoothing_function_1d(ell: int, away_from: int) -> TestFunction:
     return TestFunction(1, f.terms, away_from=away_from)
 
 
-def kubota_leopoldt(p: int, ell: int, caps: tuple[int, ...] = (8,), M: int = 8) -> KubotaLeopoldt:
+def kubota_leopoldt(p: int, ell: int, caps: tuple[int, ...] = (8,)) -> KubotaLeopoldt:
     """Measure interpolating (1 - ell^(1+k)) zeta(-k); built from the ray
     cone with the ell-smoothed test function."""
     if ell % p == 0 or ell < 2:

@@ -168,8 +168,8 @@ def _interpolation_table():
 @lru_cache(maxsize=1)
 def _kl_measures():
     return {
-        3: kubota_leopoldt(3, 2, caps=(32,), M=8),
-        5: kubota_leopoldt(5, 2, caps=(32,), M=8),
+        3: kubota_leopoldt(3, 2, caps=(32,)),
+        5: kubota_leopoldt(5, 2, caps=(32,)),
     }
 
 

@@ -1,9 +1,23 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shintani_kit._linalg import det, inverse, mat, mat_vec, vec
+from shintani_kit._linalg import (
+    columns,
+    det,
+    from_columns,
+    identity,
+    inverse,
+    mat,
+    mat_vec,
+    rank,
+    span_coordinates,
+    vec,
+)
 from shintani_kit.cones import (
     ConeFunction,
     GLTuple,
@@ -18,7 +32,12 @@ from shintani_kit.cones import (
     leading_sign,
     primitive_direction,
 )
-from shintani_kit.errors import DegenerateTuple, ZeroVector
+from shintani_kit.errors import (
+    DegenerateTuple,
+    GuardTripped,
+    ShintaniKitError,
+    ZeroVector,
+)
 from shintani_kit.exact_core import TruncSeries
 
 I2 = ((1, 0), (0, 1))
@@ -97,8 +116,6 @@ def _rand_gl(rng, n, unimodular=False):
 
 
 def _rand_nondegenerate_tuple(rng, n):
-    from shintani_kit._linalg import from_columns, rank
-
     while True:
         mats = tuple(_rand_gl(rng, n) for _ in range(n))
         u = [mat_vec(m, [1] + [0] * (n - 1)) for m in mats]
@@ -218,3 +235,117 @@ def test_cone_function_addition_and_scale():
     assert g.evaluate([0, 1]) == -3
     s = cf + g
     assert s.evaluate([1, 0]) == -6
+
+
+# --- hill_eval against the eps-polynomial route -------------------------------
+
+small_rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _reference_hill_eval(t, v):
+    """The cocycle from leading signs of determinants of TruncSeries in the
+    eps variables, built from the extraction's perturbed columns."""
+    v = vec(v)
+    n = t.ambient
+    cols = _perturbed_columns(t)
+    sigma = leading_sign(_eps_det(cols))
+    if sigma == 0:
+        raise GuardTripped("perturbed determinant vanished")
+    caps = cols[0][0].caps
+    for i in range(n):
+        v_col = [TruncSeries.constant(caps, x) for x in v]
+        replaced = [v_col if j == i else cols[j] for j in range(n)]
+        if leading_sign(_eps_det(replaced)) != sigma:
+            return 0
+    return sigma
+
+
+@st.composite
+def tuples_and_points(draw):
+    n = draw(st.integers(1, 4))
+    invertible = _square(n, st.integers(-3, 3)).filter(lambda m: det(mat(m)) != 0)
+    mats = tuple(mat(draw(invertible)) for _ in range(n))
+    basis = draw(st.one_of(
+        st.none(), _square(n, small_rational).filter(lambda m: det(mat(m)) != 0)
+    ))
+    if draw(st.booleans()):
+        v = [draw(small_rational) for _ in range(n)]
+    else:
+        # faces, boundaries and subspans of the unperturbed cone on the
+        # alpha_j w_1, where the leading monomials vanish
+        w1 = columns(mat(basis) if basis is not None else identity(n))[0]
+        u = [mat_vec(alpha, w1) for alpha in mats]
+        c = [draw(st.sampled_from([-1, 0, 1, 2])) for _ in range(n)]
+        v = [sum(cj * uj[k] for cj, uj in zip(c, u)) for k in range(n)]
+    assume(any(v))
+    return GLTuple(mats, basis), v
+
+
+@given(tuples_and_points())
+@settings(max_examples=120, deadline=None)
+def test_hill_eval_matches_eps_polynomial_route(data):
+    t, v = data
+    assert hill_eval(t, v) == _reference_hill_eval(t, v)
+
+
+def _unchecked_tuple(mats):
+    # GLTuple refuses singular entries, and with invertible ones the
+    # perturbed determinant never vanishes, so the guard is reached only
+    # past that validation
+    t = object.__new__(GLTuple)
+    object.__setattr__(t, "matrices", tuple(mat(m) for m in mats))
+    object.__setattr__(t, "basis", identity(len(mats)))
+    return t
+
+
+def test_hill_eval_refusals():
+    t = GLTuple((I2, ROT))
+    with pytest.raises(ZeroVector, match="evaluation point must be nonzero"):
+        hill_eval(t, [0, Fraction(0)])
+    with pytest.raises(ShintaniKitError, match="tuple length must equal the ambient dimension"):
+        hill_eval(GLTuple((I2,)), [1, 0])
+    flat = _unchecked_tuple([[[1, 1], [1, 1]], [[2, 1], [2, 1]]])
+    for route in (hill_eval, _reference_hill_eval):
+        with pytest.raises(GuardTripped, match="perturbed determinant vanished"):
+            route(flat, [1, 2])
+
+
+# --- OpenCone.contains against span coordinates -------------------------------
+
+
+@st.composite
+def cones_and_points(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, n))
+    gens = [vec(draw(st.lists(small_rational, min_size=n, max_size=n))) for _ in range(d)]
+    assume(rank(from_columns(gens)) == d)
+    c = [draw(st.sampled_from([Fraction(-1), 0, Fraction(1, 2), 1, 2])) for _ in range(d)]
+    v = [sum(cj * g[k] for cj, g in zip(c, gens)) for k in range(n)]
+    if draw(st.booleans()):
+        v = [x + draw(small_rational) for x in v]  # mostly off the span
+    return gens, v
+
+
+@given(cones_and_points())
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_span_coordinates(data):
+    gens, v = data
+    coords = span_coordinates(gens, v)
+    expect = coords is not None and all(x > 0 for x in coords)
+    assert OpenCone(tuple(gens)).contains(v) == expect
+
+
+@given(st.lists(small_rational, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_primitive_direction_is_a_positive_multiple(v):
+    assume(any(v))
+    p = primitive_direction(v)
+    assert all(isinstance(x, int) for x in p) and gcd(*p) == 1
+    k = next(j for j, x in enumerate(v) if x)
+    scale = p[k] / v[k]
+    assert scale > 0
+    assert list(p) == [scale * x for x in v]

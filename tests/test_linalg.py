@@ -11,6 +11,7 @@ from shintani_kit._linalg import (
     from_columns,
     hnf_with_transform,
     identity,
+    integer_det,
     integer_kernel,
     inverse,
     lattice_intersection,
@@ -24,6 +25,7 @@ from shintani_kit._linalg import (
     solve_integer,
     span_coordinates,
     transpose,
+    unit_completion,
     vec,
 )
 from shintani_kit.errors import SingularMatrix, ZeroVector
@@ -234,3 +236,33 @@ def test_span_coordinates(data):
         assert mat_vec(g, got) == w
     else:
         assert got is None
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_integer_det_matches_rational_det(rows):
+    got = integer_det(rows)
+    assert isinstance(got, int)
+    assert got == (det(mat(rows)) if rows else 1)
+
+
+def test_integer_det_swaps_rows_for_zero_pivots():
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert integer_det([[0, 2], [0, 3]]) == 0
+
+
+@given(generators_and_coords())
+@settings(max_examples=80, deadline=None)
+def test_unit_completion_gives_a_basis(data):
+    gens, _, _ = data
+    n = len(gens[0])
+    if rank(from_columns(gens)) < len(gens):
+        with pytest.raises(SingularMatrix):
+            unit_completion(gens)
+        return
+    units = unit_completion(gens)
+    assert len(units) == n - len(gens)
+    assert all(sorted(u) == [0] * (n - 1) + [1] for u in units)
+    assert rank(from_columns(gens + units)) == n
