@@ -3,17 +3,19 @@
 Matrices are tuples of row-tuples of Fractions (or ints where noted).  The
 sizes involved here are tiny (n <= 4 in practice), so clarity beats
 asymptotics.  Over the rationals there is one Gauss-Jordan routine,
-``_rref``; solve, inverse, rank, rational_kernel, span_coordinates and
-unit_completion are thin wrappers around it.  det keeps its own forward
-elimination with a running sign.  Over the integers, integer_det is
-fraction-free (Bareiss) elimination, and the lattice routines go through
+``_rref``; solve, inverse, rank and rational_kernel are thin wrappers
+around it, and span_rows answers both cone questions (a point's
+coordinates in independent generators, and whether it lies in their span)
+with one rational_kernel and one inverse.  Over the integers, integer_det
+is fraction-free (Bareiss) elimination, and det scales its rows to
+integers and calls it; the lattice routines go through
 hnf_with_transform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import SingularMatrix, ZeroVector
 
@@ -64,25 +66,12 @@ def from_columns(cols) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(a)
-    rows = [list(vec(r)) for r in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            result = -result
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return result
+    """Determinant: each row scaled to integers, integer_det, divided back."""
+    rows = [vec(r) for r in a]
+    scales = [lcm(*(x.denominator for x in r), 1) for r in rows]
+    d = integer_det([[x.numerator * (s // x.denominator) for x in r]
+                     for r, s in zip(rows, scales)])
+    return Fraction(d, prod(scales))
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -151,31 +140,19 @@ def rational_kernel(a: Matrix) -> list[Vector]:
     return basis
 
 
-def span_coordinates(gens, v) -> Vector | None:
-    """Coordinates c with sum(c_j * gens_j) = v, or None when v lies off
-    the span.  One reduction of [G | v] with G the generator columns;
-    dependent generators raise SingularMatrix."""
-    r = len(gens)
-    v = vec(v)
-    aug = [[Fraction(g[i]) for g in gens] + [v[i]] for i in range(len(v))]
-    if len(_rref(aug, r)) < r:
-        raise SingularMatrix("generators are linearly dependent")
-    if any(row[r] for row in aug[r:]):
-        return None
-    return tuple(row[r] for row in aug[:r])
+def span_rows(gens) -> tuple[Matrix, list[Vector]]:
+    """Rows (C, K) for independent generators g_1..g_r: C*v = c for every
+    v = sum c_j g_j, and K*v = 0 exactly when v lies in their span.
 
-
-def unit_completion(gens) -> list[Vector]:
-    """Unit vectors that extend independent gens to a basis: e_k for each
-    column k without a pivot in the row reduction of the gens (as rows).
-    Dependent generators raise SingularMatrix."""
-    rows = [list(vec(g)) for g in gens]
-    n = len(rows[0])
-    pivots = _rref(rows, n)
-    if len(pivots) < len(rows):
+    K is a basis of the vectors orthogonal to every g_j, so the g_j with
+    the rows of K complete to a basis; C is the first r rows of that
+    basis's inverse.  Dependent generators raise SingularMatrix.
+    """
+    gens = [vec(g) for g in gens]
+    ann = rational_kernel(gens)
+    if len(ann) != len(gens[0]) - len(gens):
         raise SingularMatrix("generators are linearly dependent")
-    units = identity(n)
-    return [units[k] for k in range(n) if k not in pivots]
+    return inverse(from_columns(gens + ann))[: len(gens)], ann
 
 
 # --- integer-lattice routines -------------------------------------------

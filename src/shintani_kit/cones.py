@@ -35,16 +35,19 @@ from ._linalg import (
     Vector,
     columns,
     det,
-    from_columns,
     integer_det,
-    inverse,
     mat,
     mat_vec,
-    rank,
-    unit_completion,
+    span_rows,
     vec,
 )
-from .errors import DegenerateTuple, GuardTripped, ShintaniKitError, ZeroVector
+from .errors import (
+    DegenerateTuple,
+    GuardTripped,
+    ShintaniKitError,
+    SingularMatrix,
+    ZeroVector,
+)
 from .exact_core import TruncSeries
 
 # sample points on which hill_cone_function checks its extraction against
@@ -95,9 +98,16 @@ class OpenCone:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ShintaniKitError("cone needs at least one generator")
-        g_mat = from_columns(gens)
-        if rank(g_mat) != len(gens):
-            raise ShintaniKitError("cone generators must be independent")
+        try:
+            coords, off_span = span_rows(gens)
+        except SingularMatrix:
+            raise ShintaniKitError("cone generators must be independent") from None
+        # integer rows for contains, each a positive multiple of a span_rows
+        # row: generator coordinates, and functionals vanishing on the span
+        object.__setattr__(self, "_duals", (
+            [primitive_direction(r) for r in coords],
+            [primitive_direction(r) for r in off_span],
+        ))
 
     @property
     def dim(self) -> int:
@@ -107,20 +117,11 @@ class OpenCone:
     def ambient(self) -> int:
         return len(self.generators[0])
 
-    @cached_property
-    def _duals(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Integer rows (coordinate rows, span rows).  Completing the
-        generators with unit vectors gives a basis; the rows of its inverse,
-        each scaled by a positive integer, are positive multiples of the
-        generator coordinates (the first dim rows) and functionals that
-        vanish exactly on the span (the rest)."""
-        gens = list(self.generators)
-        basis = from_columns(gens + unit_completion(gens))
-        rows = [primitive_direction(r) for r in inverse(basis)]
-        return rows[: self.dim], rows[self.dim:]
-
     def contains(self, v) -> bool:
+        """Whether v is a strictly positive combination of the generators."""
         v = vec(v)
+        if len(v) != self.ambient:
+            raise ValueError("point dimension mismatch")
         if not any(v):
             return False
         v = primitive_direction(v)
@@ -303,6 +304,8 @@ def hill_eval(t: GLTuple, v) -> int:
         raise ZeroVector("evaluation point must be nonzero")
     if len(t.matrices) != t.ambient:
         raise ShintaniKitError("tuple length must equal the ambient dimension")
+    if len(v) != t.ambient:
+        raise ValueError("point dimension mismatch")
     sigma = t._sign
     if sigma == 0:
         raise GuardTripped("perturbed determinant vanished")

@@ -108,13 +108,6 @@ class PadicScalar:
     def modulus(self) -> int:
         return self.p ** self.precision
 
-    def congruent_to(self, x) -> bool:
-        """Whether x matches this value at the known precision."""
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            return False
-        return (x.numerator * pow(x.denominator, -1, self.modulus) - self.residue) % self.modulus == 0
-
 
 # ---------------------------------------------------------------------------
 # pseudo-measures

@@ -90,10 +90,6 @@ class RealQuadraticField:
         x, y = u
         return x * x + self.omega_trace * x * y + self.omega_norm * y * y
 
-    def trace(self, u):
-        x, y = u
-        return 2 * x + self.omega_trace * y
-
     def to_quad(self, u) -> QuadScalar:
         x, y = u
         if self.half_basis:
@@ -256,14 +252,6 @@ class IdealHNF:
         return _ideal_from_vectors(
             self.field, [self.field.conj(v) for v in self.basis()]
         )
-
-    def contains(self, v) -> bool:
-        y = Fraction(v[1])
-        t = y / self.d
-        if t.denominator != 1:
-            return False
-        x = Fraction(v[0]) - t * self.b
-        return (x / self.a).denominator == 1
 
     def __mul__(self, other: "IdealHNF") -> "IdealHNF":
         if not isinstance(other, IdealHNF):

@@ -27,10 +27,9 @@ from ._linalg import (
     mat,
     mat_mul,
     mat_vec,
-    rational_kernel,
     solve,
     solve_integer,
-    span_coordinates,
+    span_rows,
     transpose,
     vec,
 )
@@ -120,17 +119,6 @@ class TestFunction:
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         return self + (-other)
 
-    def translate(self, u: Sequence) -> "TestFunction":
-        u = vec(u)
-        terms = [
-            LatticeTerm(t.coeff, tuple(a + b for a, b in zip(t.offset, u)), t.lattice)
-            for t in self.terms
-        ]
-        try:
-            return TestFunction(self.n, tuple(terms), self.away_from)
-        except NotAwayFromP:
-            return TestFunction(self.n, tuple(terms), None)
-
 
 def lattice_indicator(lattice, offset=None, away_from: int | None = None) -> TestFunction:
     L = mat(lattice)
@@ -181,16 +169,7 @@ def support_class_representatives(f: TestFunction) -> list[Vector]:
     seen: dict[Vector, Vector] = {}
     total = 0
     for t in f.terms:
-        B = mat_mul(inverse(t.lattice), Lf)
-        Bint = []
-        for row in B:
-            int_row = []
-            for entry in row:
-                if entry.denominator != 1:
-                    raise ArithmeticError("periodicity lattice not contained in term lattice")
-                int_row.append(entry.numerator)
-            Bint.append(tuple(int_row))
-        h, _ = hnf_with_transform(tuple(Bint))
+        h, _ = hnf_with_transform(mat_mul(inverse(t.lattice), Lf))
         count = 1
         for i in range(f.n):
             count *= h[i][i]
@@ -338,17 +317,6 @@ class PLevelSet:
             raise ValueError("empty level set")
         object.__setattr__(self, "offsets", tuple(canon))
 
-    def contains(self, v: Sequence) -> bool:
-        v = vec(v)
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        if any(not is_p_integral(c, self.p) for c in v):
-            return False
-        if self.m == 0:
-            return True
-        res = tuple(residue(c, self.p, self.m) for c in v)
-        return res in set(self.offsets)
-
 
 def full_level_set(p: int, n: int) -> PLevelSet:
     return PLevelSet(p, 0, n, ((0,) * n,))
@@ -417,33 +385,27 @@ def parallelepiped_support(
     r = len(gens)
     if r == 0:
         raise ValueError("no generators")
-    W = from_columns(gens)
-    ann = rational_kernel(transpose(W))
-    # the left kernel has dimension n - rank(W): refuse dependent
-    # generators up front, before any term is looked at
-    if len(ann) != f.n - r:
-        raise SingularMatrix("generators are linearly dependent")
+    if any(len(g) != f.n for g in gens):
+        raise ValueError("generator dimension mismatch")
+    # one reduction of the generators for every term: coordinate rows C, and
+    # rows ann that vanish exactly on the span; dependent generators are
+    # refused here, before any term is looked at
+    C, ann = span_rows(gens)
 
+    W = from_columns(gens)
     dw = math.lcm(*(w.denominator for row in W for w in row))
     Wd = [[w.numerator * (dw // w.denominator) for w in row] for row in W]
     points: dict[Vector, list] = {}
     for t in f.terms:
-        sols = _term_line_solutions(t, W, ann, f.n)
+        sols = _term_line_solutions(t, ann, f.n)
         if sols is None:
             continue
         x0, dirs = sols
-        tau0 = span_coordinates(gens, x0)
-        A = from_columns([span_coordinates(gens, d) for d in dirs])
-        Ainv = inverse(A)
-        Aint = []
-        for row in Ainv:
-            int_row = []
-            for entry in row:
-                if entry.denominator != 1:
-                    raise ArithmeticError("generators not in term direction lattice")
-                int_row.append(entry.numerator)
-            Aint.append(tuple(int_row))
-        h, _ = hnf_with_transform(tuple(Aint))
+        # x0 and the directions lie in the span, where C reads off their
+        # generator coordinates
+        tau0 = mat_vec(C, x0)
+        A = from_columns([mat_vec(C, d) for d in dirs])
+        h, _ = hnf_with_transform(inverse(A))
         count = 1
         for i in range(r):
             count *= abs(h[i][i])
@@ -476,9 +438,10 @@ def parallelepiped_support(
     return [(x, *points[x]) for x in order if points[x][1] != 0]
 
 
-def _term_line_solutions(t: LatticeTerm, W: Matrix, ann: list[Vector], n: int):
-    """Solve for supp-term points in the column span of W: a particular
-    point and Z-basis directions, or None when the span misses the coset."""
+def _term_line_solutions(t: LatticeTerm, ann: list[Vector], n: int):
+    """Solve for supp-term points in the span cut out by the rows ann: a
+    particular point and Z-basis directions, or None when the span misses
+    the coset."""
     if not ann:
         m0 = vec((0,) * n)
         kern = [tuple(int(i == j) for j in range(n)) for i in range(n)]

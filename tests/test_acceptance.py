@@ -16,10 +16,9 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from shintani_kit._linalg import det, from_columns, mat, mat_vec, rank
+from shintani_kit._linalg import mat_vec
 from shintani_kit._rational_padics import is_p_integral, residue
 from shintani_kit.cones import (
-    GLTuple,
     OpenCone,
     cocycle_defect,
     hill_cone_function,
@@ -42,6 +41,7 @@ from shintani_kit.real_quadratic_fields import (
     prime_above,
     smoothed_class_series,
 )
+from shintani_kit.selftest import _rand_gl, _rand_tuple
 from shintani_kit.shintani_zeta import special_value
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -70,21 +70,6 @@ def _verdict(capsys, num, label, ok, t0, budget):
     with capsys.disabled():
         print("\n" + line)
     assert good, line
-
-
-def _rand_gl(rng, n):
-    while True:
-        m = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
-        if det(mat(m)) != 0:
-            return mat(m)
-
-
-def _rand_tuple(rng, n):
-    while True:
-        mats = tuple(_rand_gl(rng, n) for _ in range(n))
-        u = [mat_vec(m, [1] + [0] * (n - 1)) for m in mats]
-        if rank(from_columns(u)) == n:
-            return GLTuple(mats)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from shintani_kit._linalg import (
     mat,
     mat_vec,
     rank,
-    span_coordinates,
     vec,
 )
 from shintani_kit.cones import (
@@ -40,6 +39,8 @@ from shintani_kit.errors import (
 )
 from shintani_kit.exact_core import TruncSeries
 
+from helpers import span_coordinates
+
 I2 = ((1, 0), (0, 1))
 ROT = ((0, -1), (1, 0))
 
@@ -63,6 +64,19 @@ def test_open_cone_membership():
     assert not ray.contains([4, 5])
     assert not ray.contains([-2, -3])
 
+
+
+def test_points_of_the_wrong_dimension_are_refused():
+    cone = OpenCone(((1, 0), (0, 1)))
+    kappa = ConeFunction([(Fraction(1), cone)])
+    t = GLTuple((I2, ROT))
+    for v in ((1,), (1, 1, 5)):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            cone.contains(v)
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            kappa.evaluate(v)
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            hill_eval(t, v)
 
 def test_primitive_direction():
     assert primitive_direction([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, so code
-left behind by a deletion does not linger as an import."""
+"""Code left behind by a deletion does not linger in the package: every
+name a module imports is used in that module, and every public function
+or method is referenced somewhere else in src/ unless it is library API
+kept on purpose (KEPT_API)."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,73 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     src = "from typing import Iterable, Sequence\n\ndef f(x: Sequence):\n    return x\n"
     assert _unused_imports(src) == ["Iterable (line 1)"]
+
+
+# public functions no other code in src/ calls, kept as library API
+KEPT_API = {
+    "haar": "total mass of a test function, the measure the criterion is about",
+    "support_class_representatives": "one point per support coset, what haar sums over",
+    "gl_act_test": "GL_n(Q) pullback of test functions, half of the equivariance",
+    "gl_act_cone": "GL_n(Q) pushforward of cone functions, the other half",
+    "field_padic_L": "the p-adic L-function of a real quadratic field, the end product",
+    "rational_ideal": "the ideal nO, a constructor beside o_ideal",
+    "principal_ideal": "the ideal uO of a field element, a constructor beside o_ideal",
+    "full_level_set": "the level set Z_p^n, the m = 0 case of PLevelSet",
+}
+
+
+class _References(ast.NodeVisitor):
+    """Public function and method names defined, and names referenced
+    outside the function of the same name (recursion does not count)."""
+
+    def __init__(self):
+        self.defined: set[str] = set()
+        self.used: set[str] = set()
+        self.inside: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        if not node.name.startswith("_"):
+            self.defined.add(node.name)
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _use(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def _scan(sources) -> _References:
+    refs = _References()
+    for source in sources:
+        refs.visit(ast.parse(source))
+    return refs
+
+
+def _unreferenced(refs: _References) -> list[str]:
+    return sorted(name for name in refs.defined if name not in refs.used)
+
+
+def test_public_functions_are_referenced():
+    refs = _scan(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert sorted(set(_unreferenced(refs)) - set(KEPT_API)) == []
+    # every allowlisted name must still be defined, or the list goes stale
+    assert sorted(set(KEPT_API) - refs.defined) == []
+
+
+def test_guard_sees_an_unreferenced_function():
+    src = (
+        "class A:\n    def used(self):\n        return 1\n\n"
+        "    def stale(self):\n        return self.stale()\n\n"
+        "def f(a):\n    return a.used()\n\ndef g():\n    return f(A())\n"
+    )
+    assert _unreferenced(_scan([src])) == ["g", "stale"]

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,8 @@ from shintani_kit._linalg import (
     rational_kernel,
     solve,
     solve_integer,
-    span_coordinates,
+    span_rows,
     transpose,
-    unit_completion,
     vec,
 )
 from shintani_kit.errors import SingularMatrix, ZeroVector
@@ -209,33 +210,53 @@ def test_rank_nullity_and_kernel(a):
 
 
 @st.composite
-def generators_and_coords(draw):
+def generators_and_points(draw):
+    """r <= n generators in Q^n for n in 1..4, sometimes with the last one
+    a combination of the others; coordinates c; and a free point w, which
+    lies off the span for almost every draw with r < n."""
     n = draw(st.integers(1, 4))
     r = draw(st.integers(1, n))
     gens = [vec(draw(st.lists(small_rational, min_size=n, max_size=n)))
             for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        mix = draw(st.lists(small_rational, min_size=r - 1, max_size=r - 1))
+        gens[-1] = vec(sum(m * g[i] for m, g in zip(mix, gens)) for i in range(n))
     c = vec(draw(st.lists(small_rational, min_size=r, max_size=r)))
     w = vec(draw(st.lists(small_rational, min_size=n, max_size=n)))
     return gens, c, w
 
 
-@given(generators_and_coords())
-@settings(max_examples=80, deadline=None)
-def test_span_coordinates(data):
+@given(generators_and_points())
+@settings(max_examples=120, deadline=None)
+def test_span_rows(data):
     gens, c, w = data
+    n, r = len(gens[0]), len(gens)
     g = from_columns(gens)
-    if rank(g) < len(gens):
-        with pytest.raises(SingularMatrix):
-            span_coordinates(gens, w)
+    if rank(g) < r:
+        with pytest.raises(SingularMatrix, match="linearly dependent"):
+            span_rows(gens)
         return
-    assert span_coordinates(gens, mat_vec(g, c)) == c
-    # w is in the span exactly when appending it keeps the rank
-    on_span = rank(from_columns(gens + [w])) == len(gens)
-    got = span_coordinates(gens, w)
-    if on_span:
-        assert mat_vec(g, got) == w
-    else:
-        assert got is None
+    coords, ann = span_rows(gens)
+    assert len(coords) == r and len(ann) == n - r
+
+    def vanishes(x):
+        return all(sum(a * b for a, b in zip(k, x)) == 0 for k in ann)
+
+    # on the span the coordinate rows recover c and the rows of ann vanish
+    v = mat_vec(g, c)
+    assert mat_vec(coords, v) == c and vanishes(v)
+    # the rows of ann vanish exactly on the span
+    assert vanishes(w) == (rank(from_columns(gens + [w])) == r)
+
+
+def _leibniz_det(rows):
+    """Permutation-sum determinant, sharing no code with _linalg."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.lists(
@@ -244,25 +265,18 @@ def test_span_coordinates(data):
 def test_integer_det_matches_rational_det(rows):
     got = integer_det(rows)
     assert isinstance(got, int)
-    assert got == (det(mat(rows)) if rows else 1)
+    assert got == _leibniz_det(rows)
+    assert det(mat(rows)) == got
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_rational_det_matches_leibniz(rows):
+    assert det(mat(rows)) == _leibniz_det(mat(rows))
 
 
 def test_integer_det_swaps_rows_for_zero_pivots():
     assert integer_det([[0, 1], [1, 0]]) == -1
     assert integer_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert integer_det([[0, 2], [0, 3]]) == 0
-
-
-@given(generators_and_coords())
-@settings(max_examples=80, deadline=None)
-def test_unit_completion_gives_a_basis(data):
-    gens, _, _ = data
-    n = len(gens[0])
-    if rank(from_columns(gens)) < len(gens):
-        with pytest.raises(SingularMatrix):
-            unit_completion(gens)
-        return
-    units = unit_completion(gens)
-    assert len(units) == n - len(gens)
-    assert all(sorted(u) == [0] * (n - 1) + [1] for u in units)
-    assert rank(from_columns(gens + units)) == n

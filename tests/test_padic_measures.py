@@ -39,6 +39,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
+from helpers import congruent_to
 from oracles import hurwitz_special_value
 
 
@@ -364,14 +365,14 @@ def test_evaluate_at_s_interpolates_unit_moments():
     for k in range(1, 4):
         val = kl.value_at(-k, twist=k, M=8)
         assert val.guard == 0
-        assert val.congruent_to(kl.unit_moment(k))
+        assert congruent_to(val, kl.unit_moment(k))
 
 
 def test_evaluate_at_s_guard_accounting():
     kl = kubota_leopoldt(3, 2, caps=(8,))
     val = evaluate_at_s(kl.components, 3, 8, -1, twist=1, count=4)
     assert val.precision == 4 and val.guard == 4
-    assert val.congruent_to(kl.unit_moment(1))
+    assert congruent_to(val, kl.unit_moment(1))
 
 
 def test_evaluate_at_s_rejects_non_integral_argument():
@@ -383,9 +384,9 @@ def test_evaluate_at_s_rejects_non_integral_argument():
 def test_padic_scalar_congruences():
     x = PadicScalar(p=3, M=5, guard=1, residue=7)
     assert x.precision == 4 and x.modulus == 81
-    assert x.congruent_to(7) and x.congruent_to(7 + 81)
-    assert not x.congruent_to(7 + 27)
-    assert not x.congruent_to(F(1, 3))
+    assert congruent_to(x, 7) and congruent_to(x, 7 + 81)
+    assert not congruent_to(x, 7 + 27)
+    assert not congruent_to(x, F(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from shintani_kit.real_quadratic_fields import (
     x_level_set,
 )
 
+from helpers import field_trace, ideal_contains
 from oracles import siegel_zeta_minus_one, siegel_zeta_minus_three
 
 FIELDS = {D: RealQuadraticField(D) for D in (2, 3, 5, 13, 21)}
@@ -80,7 +81,7 @@ class TestFieldArithmetic:
         assert F2.norm((1, 1)) == -1
 
     def test_trace_and_conjugate(self):
-        assert F5.trace((2, 1)) == 5
+        assert field_trace(F5, (2, 1)) == 5
         assert F5.conj((2, 1)) == (3, -1)
         assert F2.conj((4, 3)) == (4, -3)
 
@@ -198,11 +199,11 @@ class TestIdeals:
     def test_norm_and_membership(self):
         p5 = IdealHNF(F5, 5, 2, 1)
         assert p5.norm == 5
-        assert p5.contains((5, 0))
-        assert p5.contains((2, 1))
-        assert p5.contains((-3, 1))
-        assert not p5.contains((1, 0))
-        assert not p5.contains((Fraction(5, 2), 0))
+        assert ideal_contains(p5, (5, 0))
+        assert ideal_contains(p5, (2, 1))
+        assert ideal_contains(p5, (-3, 1))
+        assert not ideal_contains(p5, (1, 0))
+        assert not ideal_contains(p5, (Fraction(5, 2), 0))
 
     def test_prime_above_pins(self):
         assert [(q.a, q.b, q.d) for q in prime_above(F5, 11)] == [
@@ -272,7 +273,7 @@ class TestIdeals:
         assert P.norm == I.norm * J.norm
         # the product sits inside both factors
         for v in P.basis():
-            assert I.contains(v) and J.contains(v)
+            assert ideal_contains(I, v) and ideal_contains(J, v)
 
     def test_product_commutes_and_associates(self):
         I = IdealHNF(F5, 5, 2, 1)

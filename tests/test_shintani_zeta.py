@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import translate
 from oracles import (
     bernoulli_oracle,
     hurwitz_special_value,
@@ -182,7 +183,7 @@ def test_quadratic_shortcut_matches_full_loop():
     ]
     fs = [
         zn_indicator(2),
-        zn_indicator(2).translate((F(1, 3), F(2, 3))),
+        translate(zn_indicator(2), (F(1, 3), F(2, 3))),
         lattice_indicator(((3, 0), (0, 3)), offset=(1, 2)),
     ]
     for f in fs:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shintani_kit._linalg import det, from_columns, mat, mat_vec, rank, span_coordinates
+from shintani_kit._linalg import det, from_columns, mat, mat_vec, rank
 from shintani_kit.errors import NotAwayFromP, SingularMatrix, ZeroDirection
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -24,6 +24,8 @@ from shintani_kit.test_functions import (
     vanishing_check,
     zn_indicator,
 )
+
+from helpers import level_set_contains, span_coordinates, translate
 
 F = Fraction
 
@@ -83,7 +85,7 @@ def test_haar_translation_invariance():
     for _ in range(10):
         f = random_function(rng, 2)
         u = tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(2))
-        assert haar(f.translate(u)) == haar(f)
+        assert haar(translate(f, u)) == haar(f)
 
 
 def test_haar_product():
@@ -169,14 +171,14 @@ def test_certification_rejects():
 def test_plevel_set_contains():
     U = PLevelSet(3, 1, 2, offsets=((1, 2), (4, -3)))
     assert U.offsets == ((1, 0), (1, 2))  # reduced mod 3 and sorted
-    assert U.contains((1, 2))
-    assert U.contains((4, -1))
-    assert U.contains((F(5, 2), 2))  # 5/2 = 1 mod 3
-    assert not U.contains((F(1, 2), 2))  # 1/2 = 2 mod 3
-    assert not U.contains((2, 2))
-    assert not U.contains((F(1, 3), 0))
+    assert level_set_contains(U, (1, 2))
+    assert level_set_contains(U, (4, -1))
+    assert level_set_contains(U, (F(5, 2), 2))  # 5/2 = 1 mod 3
+    assert not level_set_contains(U, (F(1, 2), 2))  # 1/2 = 2 mod 3
+    assert not level_set_contains(U, (2, 2))
+    assert not level_set_contains(U, (F(1, 3), 0))
     full = full_level_set(3, 2)
-    assert full.contains((7, -5)) and not full.contains((F(1, 3), 0))
+    assert level_set_contains(full, (7, -5)) and not level_set_contains(full, (F(1, 3), 0))
 
 
 def test_tensor_at_p():
@@ -188,7 +190,7 @@ def test_tensor_at_p():
     rng = random.Random(105)
     for _ in range(40):
         v = (F(rng.randint(-6, 6), rng.choice([1, 2])), F(rng.randint(-6, 6)))
-        expect = f.evaluate(v) if U.contains(v) else F(0)
+        expect = f.evaluate(v) if level_set_contains(U, v) else F(0)
         assert g.evaluate(v) == expect
 
 
@@ -200,7 +202,7 @@ def test_tensor_at_p_fractional_lattice():
     rng = random.Random(106)
     for _ in range(40):
         v = (F(rng.randint(-8, 8), 2), F(rng.randint(-8, 8)))
-        expect = f.evaluate(v) if U.contains(v) else F(0)
+        expect = f.evaluate(v) if level_set_contains(U, v) else F(0)
         assert g.evaluate(v) == expect
 
 
@@ -265,7 +267,7 @@ def test_parallelepiped_support_weighted():
 def test_parallelepiped_support_lower_rank():
     f = zn_indicator(2)
     assert parallelepiped_support(f, [(1, 1)]) == [((F(1), F(1)), (F(1),), F(1))]
-    shifted = f.translate((F(1, 2), 0))
+    shifted = translate(f, (F(1, 2), 0))
     assert parallelepiped_support(shifted, [(1, 1)]) == []
     # a diagonal line through a finer lattice picks up interior points
     fine = lattice_indicator(((F(1, 2), 0), (0, F(1, 2))))
@@ -278,9 +280,11 @@ def test_parallelepiped_support_lower_rank():
 
 def test_parallelepiped_support_refuses_dependent_generators():
     # refused before any term is looked at, even when no term meets the span
-    for f in (TestFunction(2), zn_indicator(2).translate((F(1, 2), 0))):
+    for f in (TestFunction(2), translate(zn_indicator(2), (F(1, 2), 0))):
         with pytest.raises(SingularMatrix):
             parallelepiped_support(f, [(1, 1), (2, 2)])
+    with pytest.raises(ValueError, match="generator dimension mismatch"):
+        parallelepiped_support(zn_indicator(2), [(1, 1, 0)])
 
 
 def test_parallelepiped_support_counts():
