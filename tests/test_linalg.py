@@ -226,27 +226,46 @@ def generators_and_points(draw):
     return gens, c, w
 
 
+def _vanishes(ann, x):
+    return all(sum(a * b for a, b in zip(k, x)) == 0 for k in ann)
+
+
 @given(generators_and_points())
 @settings(max_examples=120, deadline=None)
-def test_span_rows(data):
+def test_span_coordinates(data):
+    """The coordinate rows of span_rows recover c on the span, and its
+    annihilator rows vanish exactly on the span."""
     gens, c, w = data
-    n, r = len(gens[0]), len(gens)
+    r = len(gens)
     g = from_columns(gens)
     if rank(g) < r:
         with pytest.raises(SingularMatrix, match="linearly dependent"):
             span_rows(gens)
         return
     coords, ann = span_rows(gens)
-    assert len(coords) == r and len(ann) == n - r
-
-    def vanishes(x):
-        return all(sum(a * b for a, b in zip(k, x)) == 0 for k in ann)
-
-    # on the span the coordinate rows recover c and the rows of ann vanish
+    assert len(coords) == r
     v = mat_vec(g, c)
-    assert mat_vec(coords, v) == c and vanishes(v)
-    # the rows of ann vanish exactly on the span
-    assert vanishes(w) == (rank(from_columns(gens + [w])) == r)
+    assert mat_vec(coords, v) == c and _vanishes(ann, v)
+    assert _vanishes(ann, w) == (rank(from_columns(gens + [w])) == r)
+
+
+@given(generators_and_points())
+@settings(max_examples=80, deadline=None)
+def test_unit_completion_gives_a_basis(data):
+    """The annihilator rows of span_rows complete the generators to a
+    basis of Q^n, and the coordinate rows are the first rows of the
+    inverse of that basis."""
+    gens, _, _ = data
+    n, r = len(gens[0]), len(gens)
+    if rank(from_columns(gens)) < r:
+        with pytest.raises(SingularMatrix, match="linearly dependent"):
+            span_rows(gens)
+        return
+    coords, ann = span_rows(gens)
+    assert len(ann) == n - r
+    basis = from_columns(gens + list(ann))
+    assert rank(basis) == n
+    assert mat_mul(coords, basis) == identity(n)[:r]
 
 
 def _leibniz_det(rows):
