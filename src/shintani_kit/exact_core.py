@@ -12,6 +12,7 @@ product can never exceed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Union
 
@@ -266,22 +267,28 @@ class TruncSeries:
         return TruncSeries(caps, out)
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires invertible constant term."""
+        """Multiplicative inverse; requires invertible constant term.
+
+        Coefficient recursion: b_0 = 1/c_0 and, in order of total degree,
+        b_e = -b_0 * sum of c_f * b_(e-f) over the nonzero f <= e, so each
+        coefficient costs one pass over the terms of the series."""
         zero = tuple(0 for _ in self.caps)
         c0 = self.coeffs.get(zero)
         if not c0:
             raise ZeroConstantTerm("series has no invertible constant term")
-        if isinstance(c0, QuadScalar):
-            r = c0.inverse()
-        else:
-            r = 1 / Fraction(c0)
-        # x := 1 - s/c0 has zero constant term; geometric series in x
-        # terminates after total-degree-many rounds.
-        x = TruncSeries.constant(self.caps, Fraction(1)) - self.scale(r)
-        acc = TruncSeries.constant(self.caps, Fraction(1))
-        for _ in range(sum(self.caps)):
-            acc = TruncSeries.constant(self.caps, Fraction(1)) + x * acc
-        return acc.scale(r)
+        r = c0.inverse() if isinstance(c0, QuadScalar) else 1 / Fraction(c0)
+        rest = [(f, c) for f, c in self.coeffs.items() if any(f)]
+        out = {zero: r}
+        box = product(*(range(cap + 1) for cap in self.caps))
+        for e in sorted(box, key=sum)[1:]:
+            acc = 0
+            for f, c in rest:
+                b = out.get(tuple(x - y for x, y in zip(e, f)))
+                if b is not None:
+                    acc += c * b
+            if acc:
+                out[e] = -r * acc
+        return TruncSeries(self.caps, out)
 
     def __repr__(self):
         terms = sorted(self.coeffs.items())[:6]

@@ -3,8 +3,11 @@
 A pseudo-measure is stored as a finite exponential numerator over a
 product of factors (1 - q^(a_i * d_i)).  When a vanishing criterion holds
 the quotient is the transform of a genuine measure on Z_p^n and can be
-expanded as a power series with p-integral rational coefficients; moments
-of that series are then exact rationals.
+expanded as a power series whose p-integral rational coefficients are the
+Mahler coefficients of the measure.  Moments are then exact rationals:
+by Mahler's theorem each is a sum of Mahler coefficients weighted by
+Stirling numbers of the second kind (Mahler, J. reine angew. Math. 199,
+1958; Colmez, Asterisque 330, 2010, section 1).
 """
 
 from __future__ import annotations
@@ -61,12 +64,13 @@ def comb_int(z: int, j: int) -> int:
     return (-1) ** j * math.comb(j - z - 1, j)
 
 
-def binom_frac(mu: Fraction, j: int) -> Fraction:
-    """C(mu, j) for rational mu; p-integral whenever mu is."""
-    num = Fraction(1)
-    for l in range(j):
-        num *= mu - l
-    return num / math.factorial(j)
+def binomial_row(x, cap: int) -> list[Fraction]:
+    """C(x, 0), ..., C(x, cap) for rational x, each from the one before;
+    p-integral whenever x is."""
+    row = [Fraction(1)]
+    for k in range(1, cap + 1):
+        row.append(row[-1] * (x - k + 1) / k)
+    return row
 
 
 def teichmuller(b: int, p: int, M: int) -> int:
@@ -280,10 +284,7 @@ def _piece_numerator(
     n = len(build_caps)
     out: dict = {}
     for c, mu in terms:
-        rows = [
-            [binom_frac(mu[j], k) for k in range(build_caps[j] + 1)]
-            for j in range(n)
-        ]
+        rows = [binomial_row(mu[j], build_caps[j]) for j in range(n)]
 
         def emit(j: int, exp: list[int], val: Fraction, left: int):
             if j == n:
@@ -326,11 +327,7 @@ def _unit_factor_inverse(pm: PseudoMeasure, tcaps: tuple[int, ...]) -> TruncSeri
     acc = TruncSeries.constant(tcaps, Fraction(1))
     for i, (a, _) in enumerate(pm.denoms):
         cap = tcaps[i]
-        one = {}
-        for j in range(1, cap + 2):
-            c = -binom_frac(a, j)
-            if c:
-                one[(j - 1,)] = c
+        one = {(j,): -c for j, c in enumerate(binomial_row(a, cap + 1)[1:])}
         inv1 = TruncSeries((cap,), one).invert()
         emb = {
             tuple(e[0] if jj == i else 0 for jj in range(n)): c
@@ -381,10 +378,10 @@ def _binomial_product(exponents: Sequence, caps: tuple[int, ...]) -> TruncSeries
     included), truncated to caps."""
     out = TruncSeries.constant(caps, Fraction(1))
     for j, e in enumerate(exponents):
-        coeffs = {}
-        for k in range(caps[j] + 1):
-            key = tuple(k if jj == j else 0 for jj in range(len(caps)))
-            coeffs[key] = binom_frac(e, k)
+        coeffs = {
+            tuple(k if jj == j else 0 for jj in range(len(caps))): c
+            for k, c in enumerate(binomial_row(e, caps[j]))
+        }
         out = out * TruncSeries(caps, coeffs)
     return out
 
@@ -442,31 +439,27 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
 # moments
 
 
-def _theta(series: TruncSeries, j: int) -> TruncSeries:
-    """(1+S_j) d/dS_j: coefficient beta picks up beta_j * old[beta] plus
-    (beta_j + 1) * old[beta + e_j]."""
-    nxt: dict = {}
-    for e, c in series.coeffs.items():
-        if not e[j]:
-            continue
-        w = e[j] * c
-        nxt[e] = nxt.get(e, Fraction(0)) + w
-        down = tuple(x - (1 if jj == j else 0) for jj, x in enumerate(e))
-        nxt[down] = nxt.get(down, Fraction(0)) + w
-    return TruncSeries(series.caps, nxt)
+def _stirling_row(a: int) -> list[int]:
+    """b! * S(a, b) for b = 0..a, from S(a+1, b) = b S(a, b) + S(a, b-1)."""
+    row = [1]
+    for _ in range(a):
+        row.append(0)
+        row = [0] + [b * (row[b - 1] + row[b]) for b in range(1, len(row))]
+    return row
 
 
 def moment(series: TruncSeries, alpha: tuple[int, ...]) -> Fraction:
-    """Integral of x^alpha: constant term after applying the theta
-    operators alpha_j times each.  Exact when alpha fits under the caps."""
+    """Integral of x^alpha: the Mahler coefficients a_beta weighted by
+    prod_j beta_j! S(alpha_j, beta_j), by Mahler's theorem.  Exact when
+    alpha fits under the caps."""
     if any(a > cap for a, cap in zip(alpha, series.caps)):
         raise OutOfCaps(f"moment index {alpha} beyond caps {series.caps}")
-    cur = series
-    for j, aj in enumerate(alpha):
-        for _ in range(aj):
-            cur = _theta(cur, j)
-    zero = tuple(0 for _ in series.caps)
-    return Fraction(cur.coeff(zero))
+    rows = [_stirling_row(a) for a in alpha]
+    total = Fraction(0)
+    for e, c in series.coeffs.items():
+        if all(b <= a for b, a in zip(e, alpha)):
+            total += math.prod(row[b] for row, b in zip(rows, e)) * c
+    return total
 
 
 def polynomial_moment(series: TruncSeries, poly: dict) -> Fraction:
@@ -553,7 +546,7 @@ def evaluate_at_s(
             raise PrecisionExhausted("component caps too small for requested count")
     mod = p ** M
     total = 0
-    s_res = residue(s, p, M)
+    bin_s = [residue(c, p, M) for c in binomial_row(-s, J - 1)]
     for b in sorted(components):
         ser = components[b]
         wb = teichmuller(b, p, M)
@@ -573,8 +566,7 @@ def evaluate_at_s(
                 if (j - l) % 2:
                     term = -term
                 inner = (inner + term) % mod
-            bin_s = residue(binom_frac(-s, j), p, M)
-            part = (part + bin_s * inner) % mod
+            part = (part + bin_s[j] * inner) % mod
         total = (total + tw * part) % mod
     guard = max(0, M - J)
     return PadicScalar(p=p, M=M, guard=guard, residue=total % p ** (M - guard))

@@ -3,7 +3,9 @@
 Each one answers a question the package itself never asks on any path
 (membership, traces, translates, congruences), so it lives here rather
 than in ``src/``.  ``span_coordinates`` solves for span coordinates by its
-own reduction of [G | v], independently of ``_linalg.span_rows``.
+own reduction of [G | v], independently of ``_linalg.span_rows``, and
+``theta_moment`` takes moments by the theta operator, independently of the
+Stirling-number sum in ``padic_measures.moment``.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from fractions import Fraction
 from shintani_kit._linalg import Vector, _rref, vec
 from shintani_kit._rational_padics import is_p_integral, residue
 from shintani_kit.errors import NotAwayFromP, SingularMatrix
+from shintani_kit.exact_core import TruncSeries
 from shintani_kit.padic_measures import PadicScalar
 from shintani_kit.real_quadratic_fields import IdealHNF, RealQuadraticField
 from shintani_kit.test_functions import LatticeTerm, PLevelSet, TestFunction
@@ -79,3 +82,27 @@ def level_set_contains(level: PLevelSet, v) -> bool:
         return True
     res = tuple(residue(c, level.p, level.m) for c in v)
     return res in set(level.offsets)
+
+
+def _theta(series: TruncSeries, j: int) -> TruncSeries:
+    """(1+S_j) d/dS_j: coefficient beta picks up beta_j * old[beta] plus
+    (beta_j + 1) * old[beta + e_j]."""
+    nxt: dict = {}
+    for e, c in series.coeffs.items():
+        if not e[j]:
+            continue
+        w = e[j] * c
+        nxt[e] = nxt.get(e, Fraction(0)) + w
+        down = tuple(x - (1 if jj == j else 0) for jj, x in enumerate(e))
+        nxt[down] = nxt.get(down, Fraction(0)) + w
+    return TruncSeries(series.caps, nxt)
+
+
+def theta_moment(series: TruncSeries, alpha) -> Fraction:
+    """Integral of x^alpha: constant term after applying the theta
+    operators alpha_j times each."""
+    cur = series
+    for j, aj in enumerate(alpha):
+        for _ in range(aj):
+            cur = _theta(cur, j)
+    return Fraction(cur.coeff(tuple(0 for _ in series.caps)))

@@ -1,8 +1,11 @@
+import itertools
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani_kit.errors import ZeroConstantTerm
 from shintani_kit.exact_core import (
@@ -107,6 +110,37 @@ def test_series_invert_roundtrip():
         prod = s * s.invert()
         assert prod.coeff((0, 0)) == 1
         assert all(c == 0 for e, c in prod.coeffs.items() if e != (0, 0))
+
+
+small_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+unit_fraction = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def invertible_series(draw):
+    """1-3 variables, caps <= 4, Fraction or QuadScalar (D = 2, 5)
+    coefficients, nonzero constant term."""
+    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    D = draw(st.sampled_from([None, 2, 5]))
+
+    def scalar(a):
+        if D is None:
+            return draw(a)
+        return QuadScalar(draw(a), draw(small_fraction), D)
+
+    box = list(itertools.product(*(range(cap + 1) for cap in caps)))
+    keys = draw(st.lists(st.sampled_from(box[1:]), unique=True)) if len(box) > 1 else []
+    coeffs = {e: scalar(small_fraction) for e in keys}
+    coeffs[box[0]] = scalar(unit_fraction)
+    return TruncSeries(caps, coeffs)
+
+
+@given(invertible_series())
+@settings(max_examples=80, deadline=None)
+def test_series_invert_is_exact(s):
+    prod = s * s.invert()
+    assert prod.coeff(tuple(0 for _ in s.caps)) == 1
+    assert all(c == 0 for e, c in prod.coeffs.items() if any(e))
 
 
 def test_series_invert_requires_unit():

@@ -1,7 +1,8 @@
 """Code left behind by a deletion does not linger in the package: every
-name a module imports is used in that module, and every public function
-or method is referenced somewhere else in src/ unless it is library API
-kept on purpose (KEPT_API)."""
+name a module imports is used in that module, every local a function
+assigns is read in it, and every public function or method is referenced
+somewhere else in src/ unless it is library API kept on purpose
+(KEPT_API)."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,66 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     src = "from typing import Iterable, Sequence\n\ndef f(x: Sequence):\n    return x\n"
     assert _unused_imports(src) == ["Iterable (line 1)"]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(func):
+    """Nodes of a function's body, not descending into nested functions."""
+    todo = [func]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, _FUNCTIONS)
+        )
+
+
+def _unused_locals(source: str) -> list[str]:
+    """Names a function assigns and neither it nor its nested functions
+    read; ``_`` and names declared global or nonlocal are exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        stored = {}
+        exempt = {"_"}
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+        read = {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        found.extend(
+            f"{func.name}: {name} (line {line})" for name, line in stored.items()
+            if name not in read and name not in exempt
+        )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert _unused_locals(path.read_text()) == []
+
+
+def test_guard_sees_an_unused_local():
+    src = (
+        "def f(xs):\n"
+        "    dead = len(xs)\n"
+        "    total = 0\n"
+        "    for _, x in xs:\n"
+        "        total += x\n"
+        "    def g():\n"
+        "        inner = total\n"
+        "        return 1\n"
+        "    return g()\n"
+    )
+    assert _unused_locals(src) == ["f: dead (line 2)", "g: inner (line 7)"]
 
 
 # public functions no other code in src/ calls, kept as library API

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani_kit.cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from shintani_kit.errors import (
@@ -18,6 +22,7 @@ from shintani_kit.padic_measures import (
     KubotaLeopoldt,
     PadicScalar,
     PseudoMeasure,
+    _stirling_row,
     amice_expand,
     amice_of_cone_function,
     comb_int,
@@ -39,7 +44,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
-from helpers import congruent_to
+from helpers import congruent_to, theta_moment
 from oracles import hurwitz_special_value
 
 
@@ -163,6 +168,38 @@ def test_moment_out_of_caps():
     A = amice_expand(d3, (4,))
     with pytest.raises(OutOfCaps):
         moment(A, (5,))
+
+
+def test_stirling_rows_match_explicit_formula():
+    # b! S(a, b) = sum_i (-1)^(b-i) C(b, i) i^a counts surjections a -> b
+    for a in range(7):
+        want = [
+            sum((-1) ** (b - i) * math.comb(b, i) * i ** a for i in range(b + 1))
+            for b in range(a + 1)
+        ]
+        assert _stirling_row(a) == want
+    assert _stirling_row(4) == [0, 1, 14, 36, 24]
+
+
+small_fraction = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def series_under_caps(draw):
+    caps = draw(st.one_of(
+        st.tuples(st.integers(0, 32)),
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    ))
+    box = list(itertools.product(*(range(cap + 1) for cap in caps)))
+    keys = draw(st.lists(st.sampled_from(box), max_size=len(box), unique=True))
+    return TruncSeries(caps, {e: draw(small_fraction) for e in keys})
+
+
+@given(series_under_caps())
+@settings(max_examples=40, deadline=None)
+def test_moment_matches_theta_route(series):
+    for alpha in itertools.product(*(range(cap + 1) for cap in series.caps)):
+        assert moment(series, alpha) == theta_moment(series, alpha)
 
 
 def test_pushforward_of_point_mass_along_product():

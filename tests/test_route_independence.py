@@ -1,14 +1,27 @@
-"""hill_eval is the second route that checks hill_cone_function's
+"""Two checks that their routes stay apart.
+
+hill_eval is the second route that checks hill_cone_function's
 extraction, so it must not run the extraction's perturbation code.  The
-guard follows, inside cones.py, every reference to a module-level
-function, every attribute named like a method or property of a class there
-(so ``t._sign`` reaches ``GLTuple._sign``), and the constructor hooks of
-every class named, from hill_eval onward."""
+p-adic moments are checked against the exact special values of
+shintani_zeta and the Bernoulli closed forms, so the p-adic side must not
+compute anything from them.  The guard follows, inside one module, every
+reference to a module-level function, every attribute named like a method
+or property of a class there (so ``t._sign`` reaches ``GLTuple._sign``),
+and the constructor hooks of every class named, from the entry points
+onward."""
 
 import ast
 from pathlib import Path
 
-CONES = Path(__file__).resolve().parent.parent / "src" / "shintani_kit" / "cones.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shintani_kit"
+CONES = PACKAGE / "cones.py"
+PADIC = PACKAGE / "padic_measures.py"
+
+# entry points of the p-adic side, and the exact side it must not use
+PADIC_ENTRIES = (
+    "moment", "polynomial_moment", "amice_expand", "evaluate_at_s", "kubota_leopoldt",
+)
+EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
 
 EXTRACTION_ONLY = {
     "_functionals",
@@ -19,8 +32,7 @@ EXTRACTION_ONLY = {
 }
 
 
-def _reached(source: str, start: str) -> set[str]:
-    tree = ast.parse(source)
+def _definitions(tree: ast.Module) -> tuple[dict[str, ast.AST], dict[str, list[str]]]:
     defs: dict[str, ast.AST] = {}
     classes: dict[str, list[str]] = {}
     for node in tree.body:
@@ -31,6 +43,11 @@ def _reached(source: str, start: str) -> set[str]:
                 if isinstance(item, ast.FunctionDef):
                     defs[f"{node.name}.{item.name}"] = item
                     classes.setdefault(node.name, []).append(item.name)
+    return defs, classes
+
+
+def _reached(source: str, start: str) -> set[str]:
+    defs, classes = _definitions(ast.parse(source))
     by_attr: dict[str, list[str]] = {}
     for cls, names in classes.items():
         for name in names:
@@ -89,3 +106,62 @@ def test_guard_follows_properties_and_constructors():
     )
     assert _reached(src, "f") == {"f", "C.p", "g"}
     assert _reached(src, "k") == {"k", "C.__post_init__", "h"}
+
+
+def _exact_side_references(source: str, starts) -> set[str]:
+    """Names from shintani_zeta, or the Bernoulli closed forms, that code
+    reached from the entry points refers to."""
+    tree = ast.parse(source)
+    forbidden = set(EXACT_SIDE)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("shintani_zeta"):
+            forbidden.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            forbidden.update(
+                alias.asname or alias.name for alias in node.names
+                if alias.name.endswith("shintani_zeta")
+            )
+    defs, _ = _definitions(tree)
+    found = set()
+    for start in starts:
+        for name in _reached(source, start):
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+    return found & forbidden
+
+
+def test_padic_side_reaches_no_exact_side_code():
+    source = PADIC.read_text()
+    reached = set().union(*(_reached(source, start) for start in PADIC_ENTRIES))
+    assert {"_stirling_row", "binomial_row", "_unit_factor_inverse", "teichmuller"} <= reached
+    assert _exact_side_references(source, PADIC_ENTRIES) == set()
+
+
+def test_guard_sees_exact_side_references():
+    src = (
+        "from .exact_core import TruncSeries, bernoulli_number\n"
+        "from .shintani_zeta import special_value as sv\n"
+        "from . import shintani_zeta\n"
+        "\n"
+        "class K:\n"
+        "    def value(self):\n"
+        "        return sv(1)\n"
+        "\n"
+        "def moment(k):\n"
+        "    return k.value() + helper()\n"
+        "\n"
+        "def helper():\n"
+        "    return shintani_zeta.build_G\n"
+        "\n"
+        "def clean():\n"
+        "    return TruncSeries((1,))\n"
+        "\n"
+        "def bernoulli():\n"
+        "    return bernoulli_number(2)\n"
+    )
+    assert _exact_side_references(src, ["moment"]) == {"sv", "shintani_zeta"}
+    assert _exact_side_references(src, ["bernoulli"]) == {"bernoulli_number"}
+    assert _exact_side_references(src, ["clean"]) == set()
