@@ -4,12 +4,12 @@ Matrices are tuples of row-tuples of Fractions (or ints where noted).  The
 sizes involved here are tiny (n <= 4 in practice), so clarity beats
 asymptotics.  Over the rationals there is one Gauss-Jordan routine,
 ``_rref``; solve, inverse, rank and rational_kernel are thin wrappers
-around it, and span_rows answers both cone questions (a point's
-coordinates in independent generators, and whether it lies in their span)
-with one rational_kernel and one inverse.  Over the integers, integer_det
-is fraction-free (Bareiss) elimination, and det scales its rows to
-integers and calls it; the lattice routines go through
-hnf_with_transform.
+around it.  The two cone questions take one each: span_annihilator
+(whether a point lies in the span of independent generators) one
+rational_kernel, and span_coordinate_rows (its coordinates in them) one
+inverse.  Over the integers, integer_det is fraction-free (Bareiss)
+elimination, and det scales its rows to integers and calls it; the
+lattice routines go through hnf_with_transform.
 """
 
 from __future__ import annotations
@@ -140,19 +140,22 @@ def rational_kernel(a: Matrix) -> list[Vector]:
     return basis
 
 
-def span_rows(gens) -> tuple[Matrix, list[Vector]]:
-    """Rows (C, K) for independent generators g_1..g_r: C*v = c for every
-    v = sum c_j g_j, and K*v = 0 exactly when v lies in their span.
-
-    K is a basis of the vectors orthogonal to every g_j, so the g_j with
-    the rows of K complete to a basis; C is the first r rows of that
-    basis's inverse.  Dependent generators raise SingularMatrix.
-    """
+def span_annihilator(gens) -> list[Vector]:
+    """Rows K for independent generators g_1..g_r: K*v = 0 exactly when v
+    lies in their span.  K is a basis of the vectors orthogonal to every
+    g_j; dependent generators raise SingularMatrix."""
     gens = [vec(g) for g in gens]
     ann = rational_kernel(gens)
     if len(ann) != len(gens[0]) - len(gens):
         raise SingularMatrix("generators are linearly dependent")
-    return inverse(from_columns(gens + ann))[: len(gens)], ann
+    return ann
+
+
+def span_coordinate_rows(gens, ann: list[Vector]) -> Matrix:
+    """Rows C with C*v = c for every v = sum c_j g_j, given
+    ann = span_annihilator(gens): the g_j with the rows of ann complete to
+    a basis, and C is the first r rows of that basis's inverse."""
+    return inverse(from_columns(list(gens) + list(ann)))[: len(gens)]
 
 
 # --- integer-lattice routines -------------------------------------------

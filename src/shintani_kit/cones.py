@@ -38,7 +38,8 @@ from ._linalg import (
     integer_det,
     mat,
     mat_vec,
-    span_rows,
+    span_annihilator,
+    span_coordinate_rows,
     vec,
 )
 from .errors import (
@@ -99,15 +100,19 @@ class OpenCone:
         if not gens:
             raise ShintaniKitError("cone needs at least one generator")
         try:
-            coords, off_span = span_rows(gens)
+            off_span = span_annihilator(gens)
         except SingularMatrix:
             raise ShintaniKitError("cone generators must be independent") from None
-        # integer rows for contains, each a positive multiple of a span_rows
-        # row: generator coordinates, and functionals vanishing on the span
-        object.__setattr__(self, "_duals", (
-            [primitive_direction(r) for r in coords],
-            [primitive_direction(r) for r in off_span],
-        ))
+        object.__setattr__(self, "_off_span", [primitive_direction(r) for r in off_span])
+
+    @cached_property
+    def _coordinate_rows(self) -> list[Vector]:
+        """Integer generator-coordinate rows for contains, positive multiples
+        of span_coordinate_rows, built on the first contains since most cones
+        never ask.  The annihilator rows enter already scaled, which moves
+        only the rows of the inverse past the first r."""
+        rows = span_coordinate_rows(self.generators, self._off_span)
+        return [primitive_direction(r) for r in rows]
 
     @property
     def dim(self) -> int:
@@ -125,12 +130,13 @@ class OpenCone:
         if not any(v):
             return False
         v = primitive_direction(v)
-        coords, off_span = self._duals
 
         def dot(row):
             return sum(a * b for a, b in zip(row, v))
 
-        return all(dot(r) == 0 for r in off_span) and all(dot(r) > 0 for r in coords)
+        return all(dot(r) == 0 for r in self._off_span) and all(
+            dot(r) > 0 for r in self._coordinate_rows
+        )
 
 
 @dataclass

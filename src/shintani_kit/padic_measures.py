@@ -8,6 +8,11 @@ Mahler coefficients of the measure.  Moments are then exact rationals:
 by Mahler's theorem each is a sum of Mahler coefficients weighted by
 Stirling numbers of the second kind (Mahler, J. reine angew. Math. 199,
 1958; Colmez, Asterisque 330, 2010, section 1).
+
+The expansion multiplies no full boxes: each unit factor is inverted in
+its own variable and applied along that axis, every intermediate is cut
+at total degree tcap, and binomial sums are integer numerators over one
+denominator (the layout of FLINT's fmpq_poly).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Sequence
 
 from ._linalg import (
     Matrix,
-    Vector,
     det,
     from_columns,
     inverse,
@@ -274,178 +278,159 @@ def is_measure(f: TestFunction, cone: OpenCone, U: PLevelSet) -> bool:
 # Amice expansion
 
 
-def _piece_numerator(
-    terms: list[tuple[Fraction, Vector]],
-    build_caps: tuple[int, ...],
-    budget: int,
-) -> TruncSeries:
-    """Sum of c * prod_j (1+T_j)^(mu_j), truncated per-variable and by
-    total degree."""
-    n = len(build_caps)
-    out: dict = {}
-    for c, mu in terms:
-        rows = [binomial_row(mu[j], build_caps[j]) for j in range(n)]
+def _piece_numerator(terms: list, caps: tuple[int, ...], budget: int) -> dict:
+    """Sum of c * prod_j (1+T_j)^(mu_j) over rational terms (c, mu),
+    truncated per variable to caps and by total degree to budget.
 
-        def emit(j: int, exp: list[int], val: Fraction, left: int):
-            if j == n:
-                key = tuple(exp)
-                s = out.get(key, 0) + val
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-                return
-            for k in range(min(build_caps[j], left) + 1):
-                cv = rows[j][k]
-                if cv:
-                    emit(j + 1, exp + [k], val * cv, left - k)
-
-        emit(0, [], c, budget)
-    return TruncSeries(build_caps, out)
-
-
-def _divide_by_t(series: TruncSeries, r: int, caps: tuple[int, ...]) -> TruncSeries:
-    """Divide by T_1 * ... * T_r, verifying the visible obstruction first."""
-    for e, c in series.coeffs.items():
-        if any(e[i] == 0 for i in range(r)):
-            raise PoleDetected(
-                "transform numerator is not divisible by its denominator support"
-            )
-    shifted = {
-        tuple(ei - (1 if i < r else 0) for i, ei in enumerate(e)): c
-        for e, c in series.coeffs.items()
+    Held as integer numerators over one denominator: with cden the lcm of
+    the denominators of the c and den that of the mu_j,
+    C(mu, k) = prod_{i<k} (mu*den - i*den) / (den^k * k!), so every
+    exponent k collects one integer and is divided once, by
+    cden * prod_j den^(k_j) * k_j!."""
+    cden, cnums = _common_denominator([c for c, _ in terms])
+    den = math.lcm(*(x.denominator for _, mu in terms for x in mu))
+    scaled = [
+        (c, [x.numerator * (den // x.denominator) for x in mu])
+        for c, (_, mu) in zip(cnums, terms)
+    ]
+    scale = [den ** k * math.factorial(k) for k in range(max(caps) + 1)]
+    return {
+        e: Fraction(v, cden * math.prod(scale[k] for k in e))
+        for e, v in _falling_sums(scaled, caps, budget, den).items()
+        if v
     }
-    return TruncSeries(caps, shifted)
 
 
-def _unit_factor_inverse(pm: PseudoMeasure, tcaps: tuple[int, ...]) -> TruncSeries:
-    """Inverse of prod_i of -sum_{j>=1} C(a_i, j) T_i^(j-1).
-
-    Each factor only involves T_i, so it is inverted as a one-variable
-    series and the results are multiplied back together."""
-    n = len(tcaps)
-    acc = TruncSeries.constant(tcaps, Fraction(1))
-    for i, (a, _) in enumerate(pm.denoms):
-        cap = tcaps[i]
-        one = {(j,): -c for j, c in enumerate(binomial_row(a, cap + 1)[1:])}
-        inv1 = TruncSeries((cap,), one).invert()
-        emb = {
-            tuple(e[0] if jj == i else 0 for jj in range(n)): c
-            for e, c in inv1.coeffs.items()
-        }
-        acc = acc * TruncSeries(tcaps, emb)
-    return acc
-
-
-class _Substitution:
-    """Monomial tables for rewriting T_i = prod_j (1+S_j)^D_{ji} - 1."""
-
-    def __init__(self, D: Matrix, caps: tuple[int, ...], tcap: int):
-        self.caps = caps
-        self.tcap = tcap
-        n = len(caps)
-        self.tables: list[list[TruncSeries]] = []
-        for i in range(n):
-            base_exps = [int(D[j][i]) for j in range(n)]
-            base = _binomial_product(base_exps, caps) - TruncSeries.constant(
-                caps, Fraction(1)
-            )
-            row = [TruncSeries.constant(caps, Fraction(1))]
-            for _ in range(tcap):
-                row.append(row[-1] * base)
-            self.tables.append(row)
-        self._cache: dict = {}
-
-    def monomial(self, exp: tuple[int, ...]) -> TruncSeries:
-        got = self._cache.get(exp)
-        if got is not None:
-            return got
-        nz = [i for i, e in enumerate(exp) if e]
-        if not nz:
-            out = TruncSeries.constant(self.caps, Fraction(1))
-        elif len(nz) == 1:
-            out = self.tables[nz[0]][exp[nz[0]]]
-        else:
-            i = nz[-1]
-            rest = tuple(e if j != i else 0 for j, e in enumerate(exp))
-            out = self.monomial(rest) * self.tables[i][exp[i]]
-        self._cache[exp] = out
-        return out
-
-
-def _binomial_product(exponents: Sequence, caps: tuple[int, ...]) -> TruncSeries:
-    """prod_j (1+S_j)^(e_j) for rational exponents (integers of either sign
-    included), truncated to caps."""
-    out = TruncSeries.constant(caps, Fraction(1))
-    for j, e in enumerate(exponents):
-        coeffs = {
-            tuple(k if jj == j else 0 for jj in range(len(caps))): c
-            for k, c in enumerate(binomial_row(e, caps[j]))
-        }
-        out = out * TruncSeries(caps, coeffs)
+def _falling_sums(terms: list, caps: tuple[int, ...], budget: int, den: int) -> dict:
+    """Sum of c * prod_j prod_{i<k_j} (a_j - i*den) over integer terms
+    (c, a), for total degree <= budget.  Terms are grouped by their first
+    a, so each group shares one falling-factorial row."""
+    if not caps:
+        return {(): sum(c for c, _ in terms)}
+    groups: dict = {}
+    for c, a in terms:
+        groups.setdefault(a[0], []).append((c, a[1:]))
+    out: dict = {}
+    for a0, group in groups.items():
+        row = [1]
+        for i in range(caps[0]):
+            if not row[-1]:
+                break
+            row.append(row[-1] * (a0 - i * den))
+        for e, v in _falling_sums(group, caps[1:], budget, den).items():
+            for k, y in enumerate(row[: budget - sum(e) + 1]):
+                out[(k,) + e] = out.get((k,) + e, 0) + y * v
     return out
+
+
+def _common_denominator(values: list) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values as numerators over it."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _divide_by_t(coeffs: dict, r: int) -> dict:
+    """Divide by T_1 * ... * T_r, verifying the visible obstruction first."""
+    if any(e[i] == 0 for e in coeffs for i in range(r)):
+        raise PoleDetected("transform numerator is not divisible by its denominator support")
+    return {tuple(x - 1 if i < r else x for i, x in enumerate(e)): c for e, c in coeffs.items()}
+
+
+def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, list[int]]:
+    """Coefficients 0..tcap of the inverse of -sum_{j>=1} C(a, j) T^(j-1),
+    as integer numerators over one denominator."""
+    unit = {(j,): -c for j, c in enumerate(binomial_row(a, tcap + 1)[1:])}
+    inv = TruncSeries((tcap,), unit).invert()
+    return _common_denominator([inv.coeff((t,)) for t in range(tcap + 1)])
+
+
+def _convolve_axis(coeffs: dict, i: int, row: list[int], tcap: int) -> dict:
+    """Multiply by sum_t row[t] T_i^t, a series in T_i alone.  Every
+    exponent is nonnegative, so dropping total degree above tcap here loses
+    nothing of what survives the final truncation."""
+    out: dict = {}
+    for e, c in coeffs.items():
+        for t, b in enumerate(row[: tcap - sum(e) + 1]):
+            key = e[:i] + (e[i] + t,) + e[i + 1 :]
+            out[key] = out.get(key, 0) + c * b
+    return out
+
+
+def _in_powers_of_one_plus_t(coeffs: dict, n: int) -> dict:
+    """Rewrite sum c_e T^e in powers of 1 + T, one axis at a time:
+    T_i^t = sum_f C(t, f) (-1)^(t-f) (1+T_i)^f."""
+    for i in range(n):
+        out: dict = {}
+        for e, c in coeffs.items():
+            for f in range(e[i] + 1):
+                key = e[:i] + (f,) + e[i + 1 :]
+                out[key] = out.get(key, 0) + (-1) ** (e[i] - f) * math.comb(e[i], f) * c
+        coeffs = out
+    return {e: c for e, c in coeffs.items() if c}
 
 
 def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     """Power-series transform of a pseudo-measure satisfying the measure
     criterion, with exact rational (p-integral) coefficients.
 
-    caps are per-variable degree bounds in the standard coordinates; the
-    divisibility by the denominator support is re-verified on the visible
-    truncation and failure raises PoleDetected."""
+    caps are per-variable degree bounds in the standard coordinates S;
+    the divisibility by the denominator support is re-verified on the
+    visible truncation and failure raises PoleDetected.  Each p-fractional
+    piece w is expanded in T_i = prod_j (1+S_j)^(D_ji) - 1 and divided by
+    each unit factor along its own axis, all cut at total degree
+    tcap = sum(caps) since T^e has S-degree >= |e|; rewritten in powers of
+    1 + T, the piece times (1+S)^(D w) is a numerator sum with exponents
+    D (f + w)."""
     if len(caps) != pm.n:
         raise ValueError("caps dimension mismatch")
     if not pm.numerator:
         return TruncSeries(caps, {})
     D, monos = _numerator_coordinates(pm)
-    r = pm.r
-    p = pm.p
+    r, n = pm.r, pm.n
     tcap = sum(caps)
-    tcaps = (tcap,) * pm.n
-    build_caps = tuple(tcap + 1 if i < r else tcap for i in range(pm.n))
+    build_caps = tuple(tcap + 1 if i < r else tcap for i in range(n))
 
     # partition by p-fractional class of the coordinates
     pieces: dict = {}
     for c, mcoord in monos:
-        w = tuple(_pfrac(x, p) for x in mcoord)
+        w = tuple(_pfrac(x, pm.p) for x in mcoord)
         mu = tuple(x - wx for x, wx in zip(mcoord, w))
         pieces.setdefault(w, []).append((c, mu))
 
-    inv_units = _unit_factor_inverse(pm, tcaps) if r else TruncSeries.constant(
-        tcaps, Fraction(1)
-    )
-    subst = _Substitution(D, caps, tcap)
-    total = TruncSeries(caps, {})
+    inverse_rows = [_unit_inverse_row(a, tcap) for a, _ in pm.denoms]
+    Dint = [[int(x) for x in row] for row in D]
+    total: dict = {}
     for w in sorted(pieces):
-        terms = pieces[w]
-        F = _piece_numerator(terms, build_caps, tcap + r)
-        F = _divide_by_t(F, r, tcaps) if r else TruncSeries(tcaps, F.coeffs)
-        G = F * inv_units
-        piece_series = TruncSeries(caps, {})
-        for e, c in sorted(G.coeffs.items()):
-            if sum(e) > tcap:
-                continue
-            piece_series = piece_series + subst.monomial(e).scale(c)
+        G = _divide_by_t(_piece_numerator(pieces[w], build_caps, tcap + r), r)
+        den, nums = _common_denominator(list(G.values()))
+        G = dict(zip(G, nums))
+        for i, (h, row) in enumerate(inverse_rows):
+            G = _convolve_axis(G, i, row, tcap)
+            den *= h
         dw = mat_vec(D, vec(w))
-        if any(not is_p_integral(x, p) for x in dw):
+        if any(not is_p_integral(x, pm.p) for x in dw):
             raise ArithmeticError("piece offset is not p-integral")
-        if any(dw):
-            piece_series = piece_series * _binomial_product(dw, caps)
-        total = total + piece_series
-    return total
+        terms = [
+            (Fraction(c, den), [x + sum(d * k for d, k in zip(dr, f)) for x, dr in zip(dw, Dint)])
+            for f, c in _in_powers_of_one_plus_t(G, n).items()
+        ]
+        for e, c in _piece_numerator(terms, caps, tcap).items():
+            total[e] = total.get(e, 0) + c
+    return TruncSeries(caps, total)
 
 
 # ---------------------------------------------------------------------------
 # moments
 
 
-def _stirling_row(a: int) -> list[int]:
-    """b! * S(a, b) for b = 0..a, from S(a+1, b) = b S(a, b) + S(a, b-1)."""
+def _stirling_rows(count: int):
+    """Rows b! * S(a, b) for b = 0..a, a = 0..count-1, each from the one
+    before by S(a+1, b) = b S(a, b) + S(a, b-1)."""
     row = [1]
-    for _ in range(a):
-        row.append(0)
+    for _ in range(count):
+        yield row
+        row = row + [0]
         row = [0] + [b * (row[b - 1] + row[b]) for b in range(1, len(row))]
-    return row
 
 
 def moment(series: TruncSeries, alpha: tuple[int, ...]) -> Fraction:
@@ -454,7 +439,7 @@ def moment(series: TruncSeries, alpha: tuple[int, ...]) -> Fraction:
     alpha fits under the caps."""
     if any(a > cap for a, cap in zip(alpha, series.caps)):
         raise OutOfCaps(f"moment index {alpha} beyond caps {series.caps}")
-    rows = [_stirling_row(a) for a in alpha]
+    rows = [list(_stirling_rows(a + 1))[-1] for a in alpha]
     total = Fraction(0)
     for e, c in series.coeffs.items():
         if all(b <= a for b, a in zip(e, alpha)):
@@ -552,11 +537,13 @@ def evaluate_at_s(
         wb = teichmuller(b, p, M)
         wb_inv = pow(wb, -1, mod)
         tw = pow(wb, twist % (p - 1), mod)
-        # moments of t against the component, as residues
-        tmom = []
-        for l in range(J):
-            ml = moment(ser, (l,))
-            tmom.append(residue(ml, p, M))
+        # moments 0..J-1 of t against the component, as residues, from
+        # successive Stirling rows (the sum in moment, one row at a time)
+        coeffs = [ser.coeff((b,)) for b in range(J)]
+        tmom = [
+            residue(sum(w * c for w, c in zip(row, coeffs)), p, M)
+            for row in _stirling_rows(J)
+        ]
         part = 0
         for j in range(J):
             # integral of (t * w(b)^{-1} - 1)^j

@@ -29,7 +29,8 @@ from ._linalg import (
     mat_vec,
     solve,
     solve_integer,
-    span_rows,
+    span_annihilator,
+    span_coordinate_rows,
     transpose,
     vec,
 )
@@ -390,7 +391,8 @@ def parallelepiped_support(
     # one reduction of the generators for every term: coordinate rows C, and
     # rows ann that vanish exactly on the span; dependent generators are
     # refused here, before any term is looked at
-    C, ann = span_rows(gens)
+    ann = span_annihilator(gens)
+    C = span_coordinate_rows(gens, ann)
 
     W = from_columns(gens)
     dw = math.lcm(*(w.denominator for row in W for w in row))

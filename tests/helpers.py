@@ -3,18 +3,30 @@
 Each one answers a question the package itself never asks on any path
 (membership, traces, translates, congruences), so it lives here rather
 than in ``src/``.  ``span_coordinates`` solves for span coordinates by its
-own reduction of [G | v], independently of ``_linalg.span_rows``, and
-``theta_moment`` takes moments by the theta operator, independently of the
-Stirling-number sum in ``padic_measures.moment``.
+own reduction of [G | v], independently of
+``_linalg.span_coordinate_rows``, and ``theta_moment`` takes moments by
+the theta operator, independently of the Stirling-number sum in
+``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure
+by full-box series products: the numerator in ``Fraction`` binomial rows,
+one product by the inverse of all unit factors over the whole (tcap+1)^n
+box, and a table of substituted monomials; it checks the axis-wise,
+integer-numerator route of ``padic_measures.amice_expand``.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
-from shintani_kit._linalg import Vector, _rref, vec
+from shintani_kit._linalg import Matrix, Vector, _rref, mat_vec, vec
 from shintani_kit._rational_padics import is_p_integral, residue
-from shintani_kit.errors import NotAwayFromP, SingularMatrix
+from shintani_kit.errors import NotAwayFromP, PoleDetected, SingularMatrix
 from shintani_kit.exact_core import TruncSeries
-from shintani_kit.padic_measures import PadicScalar
+from shintani_kit.padic_measures import (
+    PadicScalar,
+    PseudoMeasure,
+    _numerator_coordinates,
+    _pfrac,
+    binomial_row,
+)
 from shintani_kit.real_quadratic_fields import IdealHNF, RealQuadraticField
 from shintani_kit.test_functions import LatticeTerm, PLevelSet, TestFunction
 
@@ -106,3 +118,164 @@ def theta_moment(series: TruncSeries, alpha) -> Fraction:
         for _ in range(aj):
             cur = _theta(cur, j)
     return Fraction(cur.coeff(tuple(0 for _ in series.caps)))
+
+
+def _piece_numerator(
+    terms: list[tuple[Fraction, Vector]],
+    build_caps: tuple[int, ...],
+    budget: int,
+) -> TruncSeries:
+    """Sum of c * prod_j (1+T_j)^(mu_j), truncated per-variable and by
+    total degree."""
+    n = len(build_caps)
+    out: dict = {}
+    for c, mu in terms:
+        rows = [binomial_row(mu[j], build_caps[j]) for j in range(n)]
+
+        def emit(j: int, exp: list[int], val: Fraction, left: int):
+            if j == n:
+                key = tuple(exp)
+                s = out.get(key, 0) + val
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+                return
+            for k in range(min(build_caps[j], left) + 1):
+                cv = rows[j][k]
+                if cv:
+                    emit(j + 1, exp + [k], val * cv, left - k)
+
+        emit(0, [], c, budget)
+    return TruncSeries(build_caps, out)
+
+
+def _divide_by_t(series: TruncSeries, r: int, caps: tuple[int, ...]) -> TruncSeries:
+    """Divide by T_1 * ... * T_r, verifying the visible obstruction first."""
+    for e, c in series.coeffs.items():
+        if any(e[i] == 0 for i in range(r)):
+            raise PoleDetected(
+                "transform numerator is not divisible by its denominator support"
+            )
+    shifted = {
+        tuple(ei - (1 if i < r else 0) for i, ei in enumerate(e)): c
+        for e, c in series.coeffs.items()
+    }
+    return TruncSeries(caps, shifted)
+
+
+def _unit_factor_inverse(pm: PseudoMeasure, tcaps: tuple[int, ...]) -> TruncSeries:
+    """Inverse of prod_i of -sum_{j>=1} C(a_i, j) T_i^(j-1).
+
+    Each factor only involves T_i, so it is inverted as a one-variable
+    series and the results are multiplied back together."""
+    n = len(tcaps)
+    acc = TruncSeries.constant(tcaps, Fraction(1))
+    for i, (a, _) in enumerate(pm.denoms):
+        cap = tcaps[i]
+        one = {(j,): -c for j, c in enumerate(binomial_row(a, cap + 1)[1:])}
+        inv1 = TruncSeries((cap,), one).invert()
+        emb = {
+            tuple(e[0] if jj == i else 0 for jj in range(n)): c
+            for e, c in inv1.coeffs.items()
+        }
+        acc = acc * TruncSeries(tcaps, emb)
+    return acc
+
+
+class _Substitution:
+    """Monomial tables for rewriting T_i = prod_j (1+S_j)^D_{ji} - 1."""
+
+    def __init__(self, D: Matrix, caps: tuple[int, ...], tcap: int):
+        self.caps = caps
+        self.tcap = tcap
+        n = len(caps)
+        self.tables: list[list[TruncSeries]] = []
+        for i in range(n):
+            base_exps = [int(D[j][i]) for j in range(n)]
+            base = _binomial_product(base_exps, caps) - TruncSeries.constant(
+                caps, Fraction(1)
+            )
+            row = [TruncSeries.constant(caps, Fraction(1))]
+            for _ in range(tcap):
+                row.append(row[-1] * base)
+            self.tables.append(row)
+        self._cache: dict = {}
+
+    def monomial(self, exp: tuple[int, ...]) -> TruncSeries:
+        got = self._cache.get(exp)
+        if got is not None:
+            return got
+        nz = [i for i, e in enumerate(exp) if e]
+        if not nz:
+            out = TruncSeries.constant(self.caps, Fraction(1))
+        elif len(nz) == 1:
+            out = self.tables[nz[0]][exp[nz[0]]]
+        else:
+            i = nz[-1]
+            rest = tuple(e if j != i else 0 for j, e in enumerate(exp))
+            out = self.monomial(rest) * self.tables[i][exp[i]]
+        self._cache[exp] = out
+        return out
+
+
+def _binomial_product(exponents: Sequence, caps: tuple[int, ...]) -> TruncSeries:
+    """prod_j (1+S_j)^(e_j) for rational exponents (integers of either sign
+    included), truncated to caps."""
+    out = TruncSeries.constant(caps, Fraction(1))
+    for j, e in enumerate(exponents):
+        coeffs = {
+            tuple(k if jj == j else 0 for jj in range(len(caps))): c
+            for k, c in enumerate(binomial_row(e, caps[j]))
+        }
+        out = out * TruncSeries(caps, coeffs)
+    return out
+
+
+def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
+    """Power-series transform of a pseudo-measure satisfying the measure
+    criterion, with exact rational (p-integral) coefficients.
+
+    caps are per-variable degree bounds in the standard coordinates; the
+    divisibility by the denominator support is re-verified on the visible
+    truncation and failure raises PoleDetected."""
+    if len(caps) != pm.n:
+        raise ValueError("caps dimension mismatch")
+    if not pm.numerator:
+        return TruncSeries(caps, {})
+    D, monos = _numerator_coordinates(pm)
+    r = pm.r
+    p = pm.p
+    tcap = sum(caps)
+    tcaps = (tcap,) * pm.n
+    build_caps = tuple(tcap + 1 if i < r else tcap for i in range(pm.n))
+
+    # partition by p-fractional class of the coordinates
+    pieces: dict = {}
+    for c, mcoord in monos:
+        w = tuple(_pfrac(x, p) for x in mcoord)
+        mu = tuple(x - wx for x, wx in zip(mcoord, w))
+        pieces.setdefault(w, []).append((c, mu))
+
+    inv_units = _unit_factor_inverse(pm, tcaps) if r else TruncSeries.constant(
+        tcaps, Fraction(1)
+    )
+    subst = _Substitution(D, caps, tcap)
+    total = TruncSeries(caps, {})
+    for w in sorted(pieces):
+        terms = pieces[w]
+        F = _piece_numerator(terms, build_caps, tcap + r)
+        F = _divide_by_t(F, r, tcaps) if r else TruncSeries(tcaps, F.coeffs)
+        G = F * inv_units
+        piece_series = TruncSeries(caps, {})
+        for e, c in sorted(G.coeffs.items()):
+            if sum(e) > tcap:
+                continue
+            piece_series = piece_series + subst.monomial(e).scale(c)
+        dw = mat_vec(D, vec(w))
+        if any(not is_p_integral(x, p) for x in dw):
+            raise ArithmeticError("piece offset is not p-integral")
+        if any(dw):
+            piece_series = piece_series * _binomial_product(dw, caps)
+        total = total + piece_series
+    return total

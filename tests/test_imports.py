@@ -1,8 +1,8 @@
 """Code left behind by a deletion does not linger in the package: every
 name a module imports is used in that module, every local a function
-assigns is read in it, and every public function or method is referenced
+assigns is read in it, every public function or method is referenced
 somewhere else in src/ unless it is library API kept on purpose
-(KEPT_API)."""
+(KEPT_API), and so is every private module-level function or class."""
 
 import ast
 from pathlib import Path
@@ -120,13 +120,28 @@ KEPT_API = {
 
 
 class _References(ast.NodeVisitor):
-    """Public function and method names defined, and names referenced
-    outside the function of the same name (recursion does not count)."""
+    """Public function and method names defined, private module-level
+    function and class names defined, and names referenced outside the
+    function or class of the same name (recursion does not count)."""
 
     def __init__(self):
         self.defined: set[str] = set()
+        self.private: set[str] = set()
         self.used: set[str] = set()
         self.inside: list[str] = []
+
+    def visit_Module(self, node):
+        self.private.update(
+            item.name for item in node.body
+            if isinstance(item, (*_FUNCTIONS, ast.ClassDef))
+            and item.name.startswith("_") and not item.name.startswith("__")
+        )
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
 
     def visit_FunctionDef(self, node):
         if not node.name.startswith("_"):
@@ -160,6 +175,10 @@ def _unreferenced(refs: _References) -> list[str]:
     return sorted(name for name in refs.defined if name not in refs.used)
 
 
+def _unreferenced_private(refs: _References) -> list[str]:
+    return sorted(name for name in refs.private if name not in refs.used)
+
+
 def test_public_functions_are_referenced():
     refs = _scan(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
     assert sorted(set(_unreferenced(refs)) - set(KEPT_API)) == []
@@ -174,3 +193,19 @@ def test_guard_sees_an_unreferenced_function():
         "def f(a):\n    return a.used()\n\ndef g():\n    return f(A())\n"
     )
     assert _unreferenced(_scan([src])) == ["g", "stale"]
+
+
+def test_private_definitions_are_referenced():
+    refs = _scan(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert _unreferenced_private(refs) == []
+
+
+def test_guard_sees_an_unreferenced_private_definition():
+    src = (
+        "def _used():\n    return 1\n\n"
+        "def _stale(n):\n    return _stale(n - 1) if n else _used()\n\n"
+        "class _Table:\n    def _row(self):\n        return _Table()\n\n"
+        "class A:\n    def _helper(self):\n        return 2\n\n"
+        "def f():\n    return _used(), A()\n"
+    )
+    assert _unreferenced_private(_scan([src])) == ["_Table", "_stale"]

@@ -25,7 +25,8 @@ from shintani_kit._linalg import (
     rational_kernel,
     solve,
     solve_integer,
-    span_rows,
+    span_annihilator,
+    span_coordinate_rows,
     transpose,
     vec,
 )
@@ -233,16 +234,17 @@ def _vanishes(ann, x):
 @given(generators_and_points())
 @settings(max_examples=120, deadline=None)
 def test_span_coordinates(data):
-    """The coordinate rows of span_rows recover c on the span, and its
-    annihilator rows vanish exactly on the span."""
+    """The rows of span_coordinate_rows recover c on the span, and those
+    of span_annihilator vanish exactly on the span."""
     gens, c, w = data
     r = len(gens)
     g = from_columns(gens)
     if rank(g) < r:
         with pytest.raises(SingularMatrix, match="linearly dependent"):
-            span_rows(gens)
+            span_annihilator(gens)
         return
-    coords, ann = span_rows(gens)
+    ann = span_annihilator(gens)
+    coords = span_coordinate_rows(gens, ann)
     assert len(coords) == r
     v = mat_vec(g, c)
     assert mat_vec(coords, v) == c and _vanishes(ann, v)
@@ -252,16 +254,17 @@ def test_span_coordinates(data):
 @given(generators_and_points())
 @settings(max_examples=80, deadline=None)
 def test_unit_completion_gives_a_basis(data):
-    """The annihilator rows of span_rows complete the generators to a
-    basis of Q^n, and the coordinate rows are the first rows of the
-    inverse of that basis."""
+    """The rows of span_annihilator complete the generators to a basis of
+    Q^n, and the coordinate rows are the first rows of the inverse of that
+    basis."""
     gens, _, _ = data
     n, r = len(gens[0]), len(gens)
     if rank(from_columns(gens)) < r:
         with pytest.raises(SingularMatrix, match="linearly dependent"):
-            span_rows(gens)
+            span_annihilator(gens)
         return
-    coords, ann = span_rows(gens)
+    ann = span_annihilator(gens)
+    coords = span_coordinate_rows(gens, ann)
     assert len(ann) == n - r
     basis = from_columns(gens + list(ann))
     assert rank(basis) == n

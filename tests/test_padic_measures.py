@@ -16,13 +16,15 @@ from shintani_kit.errors import (
     PoleDetected,
     PrecisionExhausted,
     RouteDisagreement,
+    SingularMatrix,
 )
 from shintani_kit.exact_core import TruncSeries
 from shintani_kit.padic_measures import (
     KubotaLeopoldt,
     PadicScalar,
     PseudoMeasure,
-    _stirling_row,
+    _measure_by_grouping,
+    _stirling_rows,
     amice_expand,
     amice_of_cone_function,
     comb_int,
@@ -44,7 +46,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
-from helpers import congruent_to, theta_moment
+from helpers import amice_reference, congruent_to, theta_moment
 from oracles import hurwitz_special_value
 
 
@@ -172,13 +174,13 @@ def test_moment_out_of_caps():
 
 def test_stirling_rows_match_explicit_formula():
     # b! S(a, b) = sum_i (-1)^(b-i) C(b, i) i^a counts surjections a -> b
-    for a in range(7):
-        want = [
-            sum((-1) ** (b - i) * math.comb(b, i) * i ** a for i in range(b + 1))
-            for b in range(a + 1)
-        ]
-        assert _stirling_row(a) == want
-    assert _stirling_row(4) == [0, 1, 14, 36, 24]
+    want = [
+        [sum((-1) ** (b - i) * math.comb(b, i) * i ** a for i in range(b + 1))
+         for b in range(a + 1)]
+        for a in range(7)
+    ]
+    assert list(_stirling_rows(7)) == want
+    assert want[4] == [0, 1, 14, 36, 24]
 
 
 small_fraction = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
@@ -240,6 +242,70 @@ def test_pushforward_linearity_against_moments():
                     nxt[key] = nxt.get(key, F(0)) + c * nc
             poly = nxt
         assert moment(nu, (k,)) == polynomial_moment(A, poly)
+
+
+# ---------------------------------------------------------------------------
+# the expansion against the full-box reference route
+
+
+@st.composite
+def cone_pseudo_measures(draw):
+    """pseudo_from_cone of [Z^n] - c[L + a] on a small cone and level set:
+    c = [Z^n : L] smooths, c + 1 does not; m = 1 gives pieces of nonzero
+    offset w, and a one-generator cone in dimension 2 has r < n."""
+    n = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((3, 5, 7)))
+    ell = draw(st.sampled_from([x for x in (2, 3, 4) if x % p]))
+    if n == 1:
+        lattice, offset = ((ell,),), (draw(st.integers(0, ell - 1)),)
+        gens = [(draw(st.integers(1, 3)),)]
+        caps = (draw(st.integers(0, 32)),)
+    else:
+        lattice = ((1, 0), (draw(st.integers(0, 1)), ell))
+        offset = (0, draw(st.integers(0, ell - 1)))
+        gens = draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 2)), min_size=1, max_size=2, unique=True
+        ))
+        if len(gens) == 2 and gens[0][0] * gens[1][1] == gens[0][1] * gens[1][0]:
+            gens = gens[:1]
+        caps = draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    weight = ell + draw(st.sampled_from((0, 1)))
+    f = zn_indicator(n, away_from=p) - lattice_indicator(
+        lattice, offset, away_from=p
+    ).scale(weight)
+    if draw(st.booleans()):
+        U = full_level_set(p, n)
+    else:
+        point = st.tuples(*[st.integers(0, p - 1)] * n)
+        U = PLevelSet(p, 1, n, tuple(draw(st.lists(point, min_size=1, max_size=2))))
+    return pseudo_from_cone(f, cone_of(*gens), U), caps
+
+
+def _expansion_or_refusal(expand, pm, caps):
+    try:
+        return expand(pm, caps).coeffs
+    except (PoleDetected, GuardTripped, SingularMatrix) as exc:
+        return type(exc)
+
+
+@given(cone_pseudo_measures())
+@settings(max_examples=60, deadline=None)
+def test_amice_expand_matches_full_box_reference(case):
+    pm, caps = case
+    got = _expansion_or_refusal(amice_expand, pm, caps)
+    assert got == _expansion_or_refusal(amice_reference, pm, caps)
+    if not _measure_by_grouping(pm):
+        assert got is PoleDetected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kubota_leopoldt_components_match_reference(p):
+    kl = kubota_leopoldt(p, 2, caps=(32,))
+    assert kl.series.coeffs == amice_reference(kl.pseudo, (32,)).coeffs
+    f = smoothed_1d(2, p)
+    for b, ser in kl.components.items():
+        pm = pseudo_from_cone(f, cone_of((1,)), PLevelSet(p, 1, 1, ((b,),)))
+        assert ser.coeffs == amice_reference(pm, (32,)).coeffs
 
 
 # ---------------------------------------------------------------------------
