@@ -1,6 +1,6 @@
 """p-adic bookkeeping for exact rationals: valuations, unit parts, and
-residues modulo prime powers; plus the trial-division primality and
-squarefreeness predicates the field and CLI layers share."""
+residues modulo prime powers; plus the trial-division primality,
+squarefreeness and prime-factor helpers the field and CLI layers share."""
 
 from __future__ import annotations
 
@@ -63,3 +63,18 @@ def is_squarefree(d: int) -> bool:
             return False
         q += 1
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n > 0, ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out

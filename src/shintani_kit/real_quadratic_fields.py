@@ -3,9 +3,11 @@
 Everything an interpolation run needs in one place: fundamental and ray
 units, integral ideals in Hermite form, narrow ray class enumeration,
 Shintani fans (geometric and cocycle-derived), and the exact and p-adic
-sides of smoothed partial zeta values.  Field elements are coordinate
-pairs (x, y) meaning x + y*omega with omega = (1+sqrt(D))/2 for
-D = 1 mod 4 and sqrt(D) otherwise, matching quadratic_norm.
+sides of smoothed partial zeta values.  Principal-ideal tests and the
+fundamental unit come from the rho-cycle of reduced ideals (Cohen, GTM 138,
+5.7-5.8; Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).  Field elements
+are coordinate pairs (x, y) meaning x + y*omega with omega = (1+sqrt(D))/2
+for D = 1 mod 4 and sqrt(D) otherwise, matching quadratic_norm.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from functools import lru_cache
 from random import Random
 
 from ._linalg import columns, from_columns, hnf_with_transform, identity, mat_vec, vec
-from ._rational_padics import is_prime, is_squarefree, residue
+from ._rational_padics import is_prime, is_squarefree, prime_factors, residue, vp_int
 from .cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from .errors import (
     BadSmoothingData,
     ClassSearchExhausted,
-    GuardTripped,
     ShintaniKitError,
     SignCalibrationFailure,
 )
@@ -37,10 +38,7 @@ from .padic_measures import (
 from .shintani_zeta import quadratic_norm, special_value
 from .test_functions import PLevelSet, TestFunction, tensor_at_p
 
-# enumeration guards; all searches below are finite in theory, these keep
-# a bad input from looking like a hang
-UNIT_SEARCH_GUARD = 1_000_000
-GENERATOR_BOX_GUARD = 400_000
+# ray class enumeration guard; keeps a bad input from looking like a hang
 RAY_SEARCH_GUARD = 100_000
 # interior points on which domain_from_cocycle checks the cocycle fan
 DOMAIN_CHECK_SAMPLES = 24
@@ -139,43 +137,46 @@ class RealQuadraticField:
 # units
 
 
+def _rho_to_order(field: RealQuadraticField, A: int, B: int):
+    """mu with [A, (B + sqrt(disc))/2] = mu * O, from the rho-cycle of the
+    ideal; None if an (A, B) repeats before the norm A reaches 1.
+
+    rho multiplies [A, beta], beta = (B + sqrt(disc))/2, by conj(beta)/A,
+    giving [|C|, (-B + sqrt(disc))/2] with C = N(beta)/A; the new B is taken
+    in (r - 2|C|, r] if |C| <= r = isqrt(disc), else in (-|C|, |C|].  mu
+    collects the factors beta/C as (X + Y sqrt(disc))/Z.  The reduced ideals
+    of a class form one rho-cycle and O is reduced, so a repeat is a proof.
+    """
+    disc = field.disc
+    r = math.isqrt(disc)
+    X, Y, Z = 1, 0, 1
+    seen = set()
+    while (A, B) not in seen:
+        seen.add((A, B))
+        C = (B * B - disc) // (4 * A)
+        X, Y, Z = X * B + Y * disc, X + Y * B, 2 * C * Z
+        g = math.gcd(X, Y, Z) if Z > 0 else -math.gcd(X, Y, Z)
+        X, Y, Z = X // g, Y // g, Z // g
+        A = abs(C)
+        top = r if A <= r else A
+        B = top - (top + B) % (2 * A)
+        if A == 1:
+            return ((X - field.omega_trace * Y) // Z, 2 * Y // Z)
+    return None
+
+
 @lru_cache(maxsize=None)
 def fundamental_unit(field: RealQuadraticField) -> tuple[int, int]:
-    """The smallest unit greater than 1, by ascending second coordinate.
+    """The smallest unit greater than 1.
 
-    For the half-integral basis the norm equation is (2x+y)^2 - D y^2 = +-4,
-    otherwise the Pell equation x^2 - D y^2 = +-1.
+    One turn of the rho-cycle from O back to O multiplies by a unit
+    mu = (X + Y sqrt(disc))/2 that generates the units modulo +-1; of
+    +-mu and +-mu^-1, the one greater than 1 has X > 0 and Y > 0.
     """
-    one = QuadScalar(1, 0, field.D)
-    for y in range(1, UNIT_SEARCH_GUARD):
-        best = None
-        deltas = (4, -4) if field.half_basis else (1, -1)
-        for delta in deltas:
-            z2 = field.D * y * y + delta
-            if z2 <= 0:
-                continue
-            z = math.isqrt(z2)
-            if z * z != z2:
-                continue
-            for zz in (z, -z):
-                if field.half_basis:
-                    if (zz - y) % 2:
-                        continue
-                    x = (zz - y) // 2
-                else:
-                    x = zz
-                u = (x, y)
-                if abs(field.norm(u)) != 1:
-                    continue
-                if quad_sign(field.to_quad(u) - one) <= 0:
-                    continue
-                if best is None or quad_sign(
-                    field.to_quad(best) - field.to_quad(u)
-                ) > 0:
-                    best = u
-        if best is not None:
-            return best
-    raise GuardTripped("no fundamental unit found within the search guard")
+    t, r = field.omega_trace, math.isqrt(field.disc)
+    x, y = _rho_to_order(field, 1, r - (r - t) % 2)
+    X, Y = abs(2 * x + t * y), abs(y)
+    return ((X - t * Y) // 2, Y)
 
 
 @lru_cache(maxsize=None)
@@ -189,19 +190,25 @@ def eps_plus(field: RealQuadraticField) -> tuple[int, int]:
 
 
 def unit_order_mod(field: RealQuadraticField, u, modulus: int) -> int:
-    """Multiplicative order of the unit u in (O / modulus O)^*."""
+    """Multiplicative order of the unit u in (O / modulus O)^*: the group
+    order, divided by each prime q while u to the quotient stays 1."""
     if modulus <= 1:
         return 1
-    target = (1 % modulus, 0)
-    cur = (u[0] % modulus, u[1] % modulus)
-    t = 1
-    guard = 4 * modulus * modulus + 64
-    while cur != target:
-        cur = tuple(c % modulus for c in field.mul(cur, u))
-        t += 1
-        if t > guard:
-            raise GuardTripped("unit order exceeds the group-size guard")
-    return t
+    order = euler_phi_quadratic(field, modulus)
+    for q in prime_factors(order):
+        while order % q == 0 and _pow_mod(field, u, order // q, modulus) == (1, 0):
+            order //= q
+    return order
+
+
+def _pow_mod(field: RealQuadraticField, u, k: int, modulus: int):
+    out, base = (1, 0), (u[0] % modulus, u[1] % modulus)
+    while k:
+        if k & 1:
+            out = tuple(c % modulus for c in field.mul(out, base))
+        base = tuple(c % modulus for c in field.mul(base, base))
+        k >>= 1
+    return out
 
 
 def ray_unit(field: RealQuadraticField, modulus: int) -> tuple[tuple[int, int], int]:
@@ -307,38 +314,14 @@ def prime_above(field: RealQuadraticField, ell: int) -> list[IdealHNF]:
 # class groups
 
 
-def _eps_real_bound(field: RealQuadraticField) -> int:
-    # integer upper bound for the larger embedding of eps_plus
-    x, y = eps_plus(field)
-    if field.half_basis:
-        wc = (1 + math.isqrt(field.D)) // 2 + 1
-    else:
-        wc = math.isqrt(field.D) + 1
-    return abs(x) + abs(y) * wc + 1
-
-
 def _generator_of(field: RealQuadraticField, ideal: IdealHNF):
-    """A generator of the ideal, or None if it is not principal.
-
-    Some unit multiple of any generator has both embeddings at most
-    sqrt(norm * eps_plus) in absolute value, so the scan over the box below
-    is complete and a miss is a proof.
-    """
-    n = ideal.norm
-    B = 2 * math.isqrt(n * _eps_real_bound(field)) + 2
-    if (2 * B + 1) ** 2 > GENERATOR_BOX_GUARD:
-        raise ClassSearchExhausted("generator box exceeds the search guard")
-    a, b, d = ideal.a, ideal.b, ideal.d
-    for y in range(-B, B + 1):
-        if y % d:
-            continue
-        r = ((y // d) * b) % a
-        x = -B + ((r + B) % a)
-        while x <= B:
-            if (x or y) and abs(field.norm((x, y))) == n:
-                return (x, y)
-            x += a
-    return None
+    """A generator of the ideal, or None if it is not principal: d times
+    one of its primitive part [A, (B + sqrt(disc))/2], A = a/d and
+    B = 2b/d + omega_trace, read off the rho-cycle of that part."""
+    d = ideal.d
+    A, B = ideal.a // d, 2 * (ideal.b // d) + field.omega_trace
+    mu = (1, 0) if A == 1 else _rho_to_order(field, A, B)
+    return None if mu is None else (d * mu[0], d * mu[1])
 
 
 def is_equivalent(
@@ -410,13 +393,13 @@ def wide_class_reps(field: RealQuadraticField) -> list[IdealHNF]:
 
 
 def euler_phi_quadratic(field: RealQuadraticField, modulus: int) -> int:
-    """Order of (O / modulus O)^*."""
-    count = 0
-    for x in range(modulus):
-        for y in range(modulus):
-            if math.gcd(field.norm((x, y)), modulus) == 1:
-                count += 1
-    return count if modulus > 1 else 1
+    """Order of (O / modulus O)^*: over p^e || modulus, the product of p^(2e-2)
+    times (p-1)^2, p^2-1 or p(p-1) as p splits, is inert or ramifies."""
+    count = 1
+    for p in prime_factors(modulus):
+        local = (p * p - 1, p * (p - 1), (p - 1) ** 2)[len(prime_above(field, p))]
+        count *= p ** (2 * vp_int(modulus, p) - 2) * local
+    return count
 
 
 def _unit_image_order(field: RealQuadraticField, modulus: int) -> int:

@@ -11,15 +11,26 @@ by full-box series products: the numerator in ``Fraction`` binomial rows,
 one product by the inverse of all unit factors over the whole (tcap+1)^n
 box, and a table of substituted monomials; it checks the axis-wise,
 integer-numerator route of ``padic_measures.amice_expand``.
+``generator_by_box``, ``pell_unit_by_scan``, ``euler_phi_by_count`` and
+``unit_order_by_walk`` are the brute-force searches and loops that
+``real_quadratic_fields`` replaced by the reduced-ideal cycle and by
+closed forms; they check it.
 """
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from shintani_kit._linalg import Matrix, Vector, _rref, mat_vec, vec
 from shintani_kit._rational_padics import is_p_integral, residue
-from shintani_kit.errors import NotAwayFromP, PoleDetected, SingularMatrix
-from shintani_kit.exact_core import TruncSeries
+from shintani_kit.errors import (
+    ClassSearchExhausted,
+    GuardTripped,
+    NotAwayFromP,
+    PoleDetected,
+    SingularMatrix,
+)
+from shintani_kit.exact_core import QuadScalar, TruncSeries, quad_sign
 from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
@@ -27,7 +38,7 @@ from shintani_kit.padic_measures import (
     _pfrac,
     binomial_row,
 )
-from shintani_kit.real_quadratic_fields import IdealHNF, RealQuadraticField
+from shintani_kit.real_quadratic_fields import IdealHNF, RealQuadraticField, eps_plus
 from shintani_kit.test_functions import LatticeTerm, PLevelSet, TestFunction
 
 
@@ -279,3 +290,107 @@ def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
             piece_series = piece_series * _binomial_product(dw, caps)
         total = total + piece_series
     return total
+
+
+# largest box generator_by_box scans
+GENERATOR_BOX_GUARD = 400_000
+
+
+def _eps_real_bound(field: RealQuadraticField) -> int:
+    # integer upper bound for the larger embedding of eps_plus
+    x, y = eps_plus(field)
+    if field.half_basis:
+        wc = (1 + math.isqrt(field.D)) // 2 + 1
+    else:
+        wc = math.isqrt(field.D) + 1
+    return abs(x) + abs(y) * wc + 1
+
+
+def generator_by_box(field: RealQuadraticField, ideal: IdealHNF):
+    """A generator of the ideal, or None if it is not principal.
+
+    Some unit multiple of any generator has both embeddings at most
+    sqrt(norm * eps_plus) in absolute value, so the scan over the box below
+    is complete and a miss is a proof.
+    """
+    n = ideal.norm
+    B = 2 * math.isqrt(n * _eps_real_bound(field)) + 2
+    if (2 * B + 1) ** 2 > GENERATOR_BOX_GUARD:
+        raise ClassSearchExhausted("generator box exceeds the search guard")
+    a, b, d = ideal.a, ideal.b, ideal.d
+    for y in range(-B, B + 1):
+        if y % d:
+            continue
+        r = ((y // d) * b) % a
+        x = -B + ((r + B) % a)
+        while x <= B:
+            if (x or y) and abs(field.norm((x, y))) == n:
+                return (x, y)
+            x += a
+    return None
+
+
+def pell_unit_by_scan(field: RealQuadraticField, y_bound: int):
+    """The smallest unit greater than 1, by ascending second coordinate
+    below y_bound, or None if there is none there.
+
+    For the half-integral basis the norm equation is (2x+y)^2 - D y^2 = +-4,
+    otherwise the Pell equation x^2 - D y^2 = +-1.
+    """
+    one = QuadScalar(1, 0, field.D)
+    for y in range(1, y_bound):
+        best = None
+        deltas = (4, -4) if field.half_basis else (1, -1)
+        for delta in deltas:
+            z2 = field.D * y * y + delta
+            if z2 <= 0:
+                continue
+            z = math.isqrt(z2)
+            if z * z != z2:
+                continue
+            for zz in (z, -z):
+                if field.half_basis:
+                    if (zz - y) % 2:
+                        continue
+                    x = (zz - y) // 2
+                else:
+                    x = zz
+                u = (x, y)
+                if abs(field.norm(u)) != 1:
+                    continue
+                if quad_sign(field.to_quad(u) - one) <= 0:
+                    continue
+                if best is None or quad_sign(
+                    field.to_quad(best) - field.to_quad(u)
+                ) > 0:
+                    best = u
+        if best is not None:
+            return best
+    return None
+
+
+def euler_phi_by_count(field: RealQuadraticField, modulus: int) -> int:
+    """Order of (O / modulus O)^*, by counting residues of unit norm."""
+    count = 0
+    for x in range(modulus):
+        for y in range(modulus):
+            if math.gcd(field.norm((x, y)), modulus) == 1:
+                count += 1
+    return count if modulus > 1 else 1
+
+
+def unit_order_by_walk(field: RealQuadraticField, u, modulus: int) -> int:
+    """Multiplicative order of the unit u in (O / modulus O)^*, by walking
+    its powers."""
+    if modulus <= 1:
+        return 1
+    target = (1 % modulus, 0)
+    cur = (u[0] % modulus, u[1] % modulus)
+    t = 1
+    guard = 4 * modulus * modulus + 64
+    while cur != target:
+        cur = tuple(c % modulus for c in field.mul(cur, u))
+        t += 1
+        if t > guard:
+            raise GuardTripped("unit order exceeds the group-size guard")
+    return t

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani_kit._linalg import mat_vec
-from shintani_kit._rational_padics import residue
+from shintani_kit._rational_padics import is_squarefree, residue
 from shintani_kit.cones import ConeFunction, OpenCone
 from shintani_kit.errors import (
     BadSmoothingData,
+    ClassSearchExhausted,
     ShintaniKitError,
     SignCalibrationFailure,
 )
@@ -25,6 +26,8 @@ from shintani_kit.padic_measures import amice_of_cone_function
 from shintani_kit.real_quadratic_fields import (
     IdealHNF,
     RealQuadraticField,
+    _generator_of,
+    _ideals_of_norm,
     _smoothed_class_function,
     domain_from_cocycle,
     eps_plus,
@@ -49,10 +52,18 @@ from shintani_kit.real_quadratic_fields import (
     x_level_set,
 )
 
-from helpers import field_trace, ideal_contains
+from helpers import (
+    euler_phi_by_count,
+    field_trace,
+    generator_by_box,
+    ideal_contains,
+    pell_unit_by_scan,
+    unit_order_by_walk,
+)
 from oracles import siegel_zeta_minus_one, siegel_zeta_minus_three
 
 FIELDS = {D: RealQuadraticField(D) for D in (2, 3, 5, 13, 21)}
+SQUAREFREE = [D for D in range(2, 200) if is_squarefree(D)]
 F2, F3, F5, F13, F21 = (FIELDS[D] for D in (2, 3, 5, 13, 21))
 
 small_coord = st.integers(min_value=-9, max_value=9)
@@ -148,6 +159,31 @@ class TestUnits:
         assert fundamental_unit(F13) == (1, 1)
         assert fundamental_unit(F21) == (2, 1)
 
+    def test_large_fundamental_unit_pins(self):
+        # D = 139 to 199 have y above 10^6
+        pins = {
+            46: (24335, 3588),
+            94: (2143295, 221064),
+            139: (77563250, 6578829),
+            151: (1728148040, 140634693),
+            163: (64080026, 5019135),
+            166: (1700902565, 132015642),
+            199: (16266196520, 1153080099),
+        }
+        for D, u in pins.items():
+            F = RealQuadraticField(D)
+            assert fundamental_unit(F) == u
+            assert abs(F.norm(u)) == 1
+
+    def test_fundamental_unit_matches_pell_scan(self):
+        checked = 0
+        for D in SQUAREFREE:
+            F = RealQuadraticField(D)
+            u = fundamental_unit(F)
+            assert pell_unit_by_scan(F, 10**4) == (u if u[1] < 10**4 else None)
+            checked += u[1] < 10**4
+        assert checked == 108
+
     def test_fundamental_unit_properties(self):
         from shintani_kit.exact_core import quad_sign
 
@@ -175,6 +211,12 @@ class TestUnits:
         assert unit_order_mod(F3, eps_plus(F3), 5) == 3
         assert unit_order_mod(F5, eps_plus(F5), 7) == 8
         assert unit_order_mod(F5, eps_plus(F5), 9) == 12
+
+    def test_unit_order_matches_walk(self):
+        for F in FIELDS.values():
+            for u in (fundamental_unit(F), eps_plus(F)):
+                for Q in range(1, 31):
+                    assert unit_order_mod(F, u, Q) == unit_order_by_walk(F, u, Q)
 
     def test_ray_unit(self):
         u, t = ray_unit(F5, 3)
@@ -309,6 +351,31 @@ class TestClasses:
         assert euler_phi_quadratic(F5, 5) == 20  # ramified
         assert euler_phi_quadratic(F5, 11) == 100  # split
         assert euler_phi_quadratic(F5, 1) == 1
+
+    def test_euler_phi_quadratic_matches_count(self):
+        for F in FIELDS.values():
+            for Q in range(1, 31):
+                assert euler_phi_quadratic(F, Q) == euler_phi_by_count(F, Q)
+
+    def test_generator_matches_box_scan(self):
+        # every ideal of norm <= 40 over squarefree D < 100; the box scan
+        # answers where its box fits the guard
+        checked = 0
+        for D in (D for D in SQUAREFREE if D < 100):
+            F = RealQuadraticField(D)
+            for n in range(1, 41):
+                for I in _ideals_of_norm(F, n):
+                    g = _generator_of(F, I)
+                    if g is not None:
+                        assert principal_ideal(F, g) == I
+                        assert abs(F.norm(g)) == n
+                    try:
+                        ref = generator_by_box(F, I)
+                    except ClassSearchExhausted:
+                        continue
+                    assert (g is None) == (ref is None)
+                    checked += 1
+        assert checked == 1814
 
     def test_ray_class_count_mod_3(self):
         assert h_plus_count(F5, 3) == 2
@@ -493,6 +560,11 @@ class TestExactZeta:
 
     def test_field_zeta_matches_siegel(self):
         for D, F in FIELDS.items():
+            assert field_zeta_value(F, 1) == siegel_zeta_minus_one(D)
+        # two narrow classes each, and totally positive units above 3000
+        for D in (43, 46, 58):
+            F = RealQuadraticField(D)
+            assert h_plus_count(F) == 2
             assert field_zeta_value(F, 1) == siegel_zeta_minus_one(D)
         # the heavier weight only on the two-class fields, where the sum
         # actually combines different cone data
