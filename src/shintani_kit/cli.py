@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -449,6 +450,9 @@ def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
     p = _need(cfg, "p", int, "an odd prime, unramified and prime to the conductor")
     cprime = _smoothing_prime(cfg, field, p)
     aideal = _class_ideal(cfg, field)
+    ell = cprime.norm
+    if math.gcd(ell, conductor * aideal.norm) > 1:
+        raise ConfigError(f"config key 'ell' must be prime to conductor and class, got ell={ell}")
     rows = []
     all_ok = True
     integral = True

@@ -7,7 +7,9 @@ expanded as a power series whose p-integral rational coefficients are the
 Mahler coefficients of the measure.  Moments are then exact rationals:
 by Mahler's theorem each is a sum of Mahler coefficients weighted by
 Stirling numbers of the second kind (Mahler, J. reine angew. Math. 199,
-1958; Colmez, Asterisque 330, 2010, section 1).
+1958; Colmez, Asterisque 330, 2010, section 1).  The pushforward along
+a quadratic norm takes its Mahler coefficients from the same moments,
+through the Stirling numbers of the first kind.
 
 The expansion multiplies no full boxes: each unit factor is inverted in
 its own variable and applied along that axis, every intermediate is cut
@@ -57,15 +59,6 @@ from .test_functions import (
 )
 
 COMPLETION_VALUATION_GUARD = 6
-
-
-def comb_int(z: int, j: int) -> int:
-    """Binomial coefficient C(z, j) for any integer z, j >= 0."""
-    if j < 0:
-        raise ValueError("negative lower index")
-    if z >= 0:
-        return math.comb(z, j)
-    return (-1) ** j * math.comb(j - z - 1, j)
 
 
 def binomial_row(x, cap: int) -> list[Fraction]:
@@ -463,43 +456,29 @@ def polynomial_moment(series: TruncSeries, poly: dict) -> Fraction:
 def pushforward_norm(series: TruncSeries, norm_poly: dict, count: int) -> TruncSeries:
     """One-variable transform of the image measure under x -> N(x).
 
-    Mahler coefficient j of the image is recovered from the finite Newton
-    expansion of C(N(x), j), which is exact as long as 2j fits under every
-    cap of the source series."""
-    n = len(series.caps)
+    Mahler coefficient j of the image is the integral of C(N, j), that is
+    sum_i s(j, i) * integral(N^i) / j! with s(j, i) the Stirling numbers of
+    the first kind.  N is quadratic, so N^i fits under caps 2i and each
+    integral is exact as long as 2(count - 1) fits under every cap."""
     need = 2 * (count - 1)
     if any(cap < need for cap in series.caps):
-        raise PrecisionExhausted(
-            f"pushforward needs caps >= {need}, have {series.caps}"
-        )
-
-    def norm_at(gamma: tuple[int, ...]) -> int:
-        total = Fraction(0)
-        for alpha, c in norm_poly.items():
-            term = Fraction(c)
-            for g, a in zip(gamma, alpha):
-                term *= Fraction(g) ** a
-            total += term
-        if total.denominator != 1:
-            raise ValueError("norm polynomial must be integer-valued on the grid")
-        return total.numerator
-
+        raise PrecisionExhausted(f"pushforward needs caps >= {need}, have {series.caps}")
+    if any(Fraction(c).denominator != 1 for c in norm_poly.values()):
+        raise ValueError("norm polynomial must have integer coefficients")
+    caps = (need,) * len(series.caps)
+    norm = TruncSeries(caps, {e: Fraction(c) for e, c in norm_poly.items()})
+    power = TruncSeries.constant(caps, Fraction(1))
+    moments = [polynomial_moment(series, power.coeffs)]
+    for _ in range(count - 1):
+        power = power * norm
+        moments.append(polynomial_moment(series, power.coeffs))
     out = {}
+    falling = [1]  # s(j, 0..j): coefficients of x(x-1)...(x-j+1)
     for j in range(count):
-        box = 2 * j
-        acc = Fraction(0)
-        for beta in itertools.product(range(box + 1), repeat=n):
-            a_beta = series.coeff(beta)
-            c_beta = Fraction(0)
-            for gamma in itertools.product(*(range(b + 1) for b in beta)):
-                sgn = (-1) ** (sum(beta) - sum(gamma))
-                w = 1
-                for bi, gi in zip(beta, gamma):
-                    w *= math.comb(bi, gi)
-                c_beta += sgn * w * comb_int(norm_at(gamma), j)
-            acc += c_beta * a_beta
+        acc = Fraction(sum(s * m for s, m in zip(falling, moments)), math.factorial(j))
         if acc:
             out[(j,)] = acc
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
     return TruncSeries((count - 1,), out)
 
 

@@ -5,9 +5,11 @@ units, integral ideals in Hermite form, narrow ray class enumeration,
 Shintani fans (geometric and cocycle-derived), and the exact and p-adic
 sides of smoothed partial zeta values.  Principal-ideal tests and the
 fundamental unit come from the rho-cycle of reduced ideals (Cohen, GTM 138,
-5.7-5.8; Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).  Field elements
-are coordinate pairs (x, y) meaning x + y*omega with omega = (1+sqrt(D))/2
-for D = 1 mod 4 and sqrt(D) otherwise, matching quadratic_norm.
+5.7-5.8; Buchmann-Vollmer, Binary Quadratic Forms, ch. 6); ray class
+equivalence from the image of the units in (O/Q)^* x signs (GTM 193, ch. 3).
+Field elements are coordinate pairs (x, y) meaning x + y*omega with
+omega = (1+sqrt(D))/2 for D = 1 mod 4 and sqrt(D) otherwise, matching
+quadratic_norm.
 """
 
 from __future__ import annotations
@@ -335,38 +337,23 @@ def is_equivalent(
     totally positive generators when narrow is set.
 
     I ~ J iff I * conj(J) has a generator g that is totally positive and
-    congruent to norm(J) mod (modulus); all generators are +-u0^j * g0, and
-    their sign patterns and residues repeat with period twice the order of
-    u0 mod (modulus), so the scan is complete.
+    congruent to norm(J) mod (modulus).  The generators are u * g0 for the
+    units u, so that holds iff the unit image contains the residue of
+    norm(J) / g0 = norm(J) * conj(g0) / norm(g0) with the signs of g0 (only
+    the residue for wide classes).  Ideals must be prime to the modulus.
     """
+    Q = modulus
+    if math.gcd(I.norm * J.norm, Q) > 1:
+        raise ValueError(f"ideals must be prime to the modulus {Q}")
     g0 = _generator_of(field, I * J.conjugate())
     if g0 is None:
         return False
-    if not narrow and modulus == 1:
-        return True
-    Q = modulus
-    u0 = fundamental_unit(field)
-    su = field.sign_pair(u0)
-    sg = field.sign_pair(g0)
-    period = 2 * (unit_order_mod(field, u0, Q) if Q > 1 else 1)
-    target = (J.norm % Q, 0) if Q > 1 else None
-    cur = (1 % Q, 0) if Q > 1 else (1, 0)
-    g0m = (g0[0] % Q, g0[1] % Q) if Q > 1 else g0
-    cs = (1, 1)
-    for _ in range(period):
-        for sgn in (1, -1):
-            signs = (sgn * cs[0] * sg[0], sgn * cs[1] * sg[1])
-            if narrow and signs != (1, 1):
-                continue
-            if Q == 1:
-                return True
-            v = field.mul(cur, g0m)
-            if ((sgn * v[0]) % Q, (sgn * v[1]) % Q) == target:
-                return True
-        if Q > 1:
-            cur = tuple(c % Q for c in field.mul(cur, u0))
-        cs = (cs[0] * su[0], cs[1] * su[1])
-    return False
+    scale = J.norm * pow(field.norm(g0), -1, Q)
+    res = tuple(scale * c % Q for c in field.conj(g0))
+    image = _unit_image(field, Q)
+    if narrow:
+        return (res, field.sign_pair(g0)) in image
+    return any(r == res for r, _ in image)
 
 
 def _ideals_of_norm(field: RealQuadraticField, n: int) -> list[IdealHNF]:
@@ -402,28 +389,20 @@ def euler_phi_quadratic(field: RealQuadraticField, modulus: int) -> int:
     return count
 
 
-def _unit_image_order(field: RealQuadraticField, modulus: int) -> int:
-    """Size of the image of the unit group in residues-times-signs."""
-    Q = modulus
+@lru_cache(maxsize=None)
+def _unit_image(field: RealQuadraticField, Q: int) -> frozenset:
+    """Image of the units +-u0^j in residues mod (Q) times sign pairs; the
+    walk stops once a power of u0 is already in it up to sign."""
     u0 = fundamental_unit(field)
-    gens = [
-        ((u0[0] % Q, u0[1] % Q), field.sign_pair(u0)),
-        (((-1) % Q, 0), (-1, -1)),
-    ]
-    start = ((1 % Q, 0), (1, 1))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        res, sg = frontier.pop()
-        for gres, gsg in gens:
-            nxt = (
-                tuple(c % Q for c in field.mul(res, gres)),
-                (sg[0] * gsg[0], sg[1] * gsg[1]),
-            )
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen)
+    su = field.sign_pair(u0)
+    image = set()
+    res, sg = (1 % Q, 0), (1, 1)
+    while (res, sg) not in image:
+        image.add((res, sg))
+        image.add((tuple(-c % Q for c in res), (-sg[0], -sg[1])))
+        res = tuple(c % Q for c in field.mul(res, u0))
+        sg = (sg[0] * su[0], sg[1] * su[1])
+    return frozenset(image)
 
 
 def h_plus_count(field: RealQuadraticField, modulus: int = 1) -> int:
@@ -431,7 +410,7 @@ def h_plus_count(field: RealQuadraticField, modulus: int = 1) -> int:
     order of the unit image in residues-times-signs."""
     h = len(wide_class_reps(field))
     num = h * euler_phi_quadratic(field, modulus) * 4
-    img = _unit_image_order(field, modulus)
+    img = len(_unit_image(field, modulus))
     if num % img:
         raise ShintaniKitError("unit image order does not divide the count")
     return num // img

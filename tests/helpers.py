@@ -14,9 +14,15 @@ integer-numerator route of ``padic_measures.amice_expand``.
 ``generator_by_box``, ``pell_unit_by_scan``, ``euler_phi_by_count`` and
 ``unit_order_by_walk`` are the brute-force searches and loops that
 ``real_quadratic_fields`` replaced by the reduced-ideal cycle and by
-closed forms; they check it.
+closed forms; they check it.  ``is_equivalent_by_scan`` walks the unit
+multiples of one generator through twice the unit period, against the
+unit-image lookup of ``real_quadratic_fields.is_equivalent``, and
+``pushforward_by_newton_box`` sums the Newton expansion of C(N(x), j) over
+the box, against the Stirling-number moments of
+``padic_measures.pushforward_norm``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -28,6 +34,7 @@ from shintani_kit.errors import (
     GuardTripped,
     NotAwayFromP,
     PoleDetected,
+    PrecisionExhausted,
     SingularMatrix,
 )
 from shintani_kit.exact_core import QuadScalar, TruncSeries, quad_sign
@@ -38,7 +45,14 @@ from shintani_kit.padic_measures import (
     _pfrac,
     binomial_row,
 )
-from shintani_kit.real_quadratic_fields import IdealHNF, RealQuadraticField, eps_plus
+from shintani_kit.real_quadratic_fields import (
+    IdealHNF,
+    RealQuadraticField,
+    _generator_of,
+    eps_plus,
+    fundamental_unit,
+    unit_order_mod,
+)
 from shintani_kit.test_functions import LatticeTerm, PLevelSet, TestFunction
 
 
@@ -394,3 +408,100 @@ def unit_order_by_walk(field: RealQuadraticField, u, modulus: int) -> int:
         if t > guard:
             raise GuardTripped("unit order exceeds the group-size guard")
     return t
+
+
+def is_equivalent_by_scan(
+    field: RealQuadraticField,
+    I: IdealHNF,
+    J: IdealHNF,
+    modulus: int = 1,
+    narrow: bool = True,
+) -> bool:
+    """Whether I and J agree in the ray class group mod (modulus), with
+    totally positive generators when narrow is set.
+
+    I ~ J iff I * conj(J) has a generator g that is totally positive and
+    congruent to norm(J) mod (modulus); all generators are +-u0^j * g0, and
+    their sign patterns and residues repeat with period twice the order of
+    u0 mod (modulus), so the scan is complete.
+    """
+    g0 = _generator_of(field, I * J.conjugate())
+    if g0 is None:
+        return False
+    if not narrow and modulus == 1:
+        return True
+    Q = modulus
+    u0 = fundamental_unit(field)
+    su = field.sign_pair(u0)
+    sg = field.sign_pair(g0)
+    period = 2 * (unit_order_mod(field, u0, Q) if Q > 1 else 1)
+    target = (J.norm % Q, 0) if Q > 1 else None
+    cur = (1 % Q, 0) if Q > 1 else (1, 0)
+    g0m = (g0[0] % Q, g0[1] % Q) if Q > 1 else g0
+    cs = (1, 1)
+    for _ in range(period):
+        for sgn in (1, -1):
+            signs = (sgn * cs[0] * sg[0], sgn * cs[1] * sg[1])
+            if narrow and signs != (1, 1):
+                continue
+            if Q == 1:
+                return True
+            v = field.mul(cur, g0m)
+            if ((sgn * v[0]) % Q, (sgn * v[1]) % Q) == target:
+                return True
+        if Q > 1:
+            cur = tuple(c % Q for c in field.mul(cur, u0))
+        cs = (cs[0] * su[0], cs[1] * su[1])
+    return False
+
+
+def comb_int(z: int, j: int) -> int:
+    """Binomial coefficient C(z, j) for any integer z, j >= 0."""
+    if j < 0:
+        raise ValueError("negative lower index")
+    if z >= 0:
+        return math.comb(z, j)
+    return (-1) ** j * math.comb(j - z - 1, j)
+
+
+def pushforward_by_newton_box(series: TruncSeries, norm_poly: dict, count: int) -> TruncSeries:
+    """One-variable transform of the image measure under x -> N(x).
+
+    Mahler coefficient j of the image is recovered from the finite Newton
+    expansion of C(N(x), j), which is exact as long as 2j fits under every
+    cap of the source series."""
+    n = len(series.caps)
+    need = 2 * (count - 1)
+    if any(cap < need for cap in series.caps):
+        raise PrecisionExhausted(
+            f"pushforward needs caps >= {need}, have {series.caps}"
+        )
+
+    def norm_at(gamma: tuple[int, ...]) -> int:
+        total = Fraction(0)
+        for alpha, c in norm_poly.items():
+            term = Fraction(c)
+            for g, a in zip(gamma, alpha):
+                term *= Fraction(g) ** a
+            total += term
+        if total.denominator != 1:
+            raise ValueError("norm polynomial must be integer-valued on the grid")
+        return total.numerator
+
+    out = {}
+    for j in range(count):
+        box = 2 * j
+        acc = Fraction(0)
+        for beta in itertools.product(range(box + 1), repeat=n):
+            a_beta = series.coeff(beta)
+            c_beta = Fraction(0)
+            for gamma in itertools.product(*(range(b + 1) for b in beta)):
+                sgn = (-1) ** (sum(beta) - sum(gamma))
+                w = 1
+                for bi, gi in zip(beta, gamma):
+                    w *= math.comb(bi, gi)
+                c_beta += sgn * w * comb_int(norm_at(gamma), j)
+            acc += c_beta * a_beta
+        if acc:
+            out[(j,)] = acc
+    return TruncSeries((count - 1,), out)

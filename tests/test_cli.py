@@ -159,6 +159,8 @@ def test_config_errors(tmp_path, capsys):
         ("zeta", dict(custom, terms=[dict(term, offset=5)]), "'offset'"),
         ("padic-zeta", dict(padic, **{"class": [1, "x", 1]}), "'class'"),
         ("padic-zeta", dict(padic, ell=4), "'ell'"),
+        ("padic-zeta", dict(padic, conductor=11), "'ell'"),
+        ("padic-zeta", dict(padic, **{"class": [11, 3, 1]}), "'ell'"),
     ]
     for command, cfg, key in malformed:
         path = tmp_path / "malformed.json"
@@ -279,6 +281,15 @@ def test_selftest_quick(capsys):
     names = [c["name"] for c in rec["values"]["checks"]]
     assert "bernoulli-constants" in names and "interpolation-quick" in names
     assert rec["values"]["failed"] == 0
+
+
+def test_selftest_full(capsys):
+    code, rec = run_cli(capsys, ["selftest", "--full"])
+    assert code == 0
+    assert rec["certificates"]["all_ok"] is True
+    assert len(rec["values"]["checks"]) == 17
+    assert all(c["ok"] for c in rec["values"]["checks"])
+    assert (rec["values"]["passed"], rec["values"]["failed"]) == (17, 0)
 
 
 def test_selftest_tamper_canary_fails_in_subprocess():

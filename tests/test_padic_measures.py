@@ -27,7 +27,6 @@ from shintani_kit.padic_measures import (
     _stirling_rows,
     amice_expand,
     amice_of_cone_function,
-    comb_int,
     evaluate_at_s,
     is_measure,
     kubota_leopoldt,
@@ -46,7 +45,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
-from helpers import amice_reference, congruent_to, theta_moment
+from helpers import amice_reference, congruent_to, pushforward_by_newton_box, theta_moment
 from oracles import hurwitz_special_value
 
 
@@ -211,7 +210,7 @@ def test_pushforward_of_point_mass_along_product():
     A = amice_expand(d23, (8, 8))
     nu = pushforward_norm(A, {(1, 1): 1}, 5)
     for j in range(5):
-        assert nu.coeff((j,)) == comb_int(6, j)
+        assert nu.coeff((j,)) == math.comb(6, j)
 
 
 def test_pushforward_precision_guard():
@@ -242,6 +241,25 @@ def test_pushforward_linearity_against_moments():
                     nxt[key] = nxt.get(key, F(0)) + c * nc
             poly = nxt
         assert moment(nu, (k,)) == polynomial_moment(A, poly)
+
+
+def test_pushforward_matches_newton_box_on_an_indefinite_norm():
+    # x^2 + xy - y^2 is negative on part of the grid, where C(N, j) has
+    # negative upper index
+    f = smoothed_2d_even(5)
+    A = amice_expand(pseudo_from_cone(f, cone_of((1, 1), (2, 1)), full_level_set(5, 2)), (8, 8))
+    norm = {(2, 0): 1, (1, 1): 1, (0, 2): -1}
+    for count in (1, 3, 5):
+        ref = pushforward_by_newton_box(A, norm, count)
+        assert ref.coeffs
+        assert pushforward_norm(A, norm, count).coeffs == ref.coeffs
+
+
+def test_pushforward_refuses_fractional_norm():
+    d23 = PseudoMeasure(p=5, m=0, n=2, numerator=(((F(2), F(3)), F(1)),), denoms=())
+    A = amice_expand(d23, (4, 4))
+    with pytest.raises(ValueError):
+        pushforward_norm(A, {(2, 0): F(1, 2), (1, 0): F(1, 2)}, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ from helpers import (
     field_trace,
     generator_by_box,
     ideal_contains,
+    is_equivalent_by_scan,
     pell_unit_by_scan,
+    pushforward_by_newton_box,
     unit_order_by_walk,
 )
 from oracles import siegel_zeta_minus_one, siegel_zeta_minus_three
@@ -413,6 +415,30 @@ class TestClasses:
                     F5, J, I, narrow=True
                 )
 
+    def test_equivalence_matches_period_scan(self):
+        # every pair of ideals of norm below 9 prime to Q, narrow and wide;
+        # the fields cover unit norm -1 and +1 and h+ = 1, 2, 4, 6
+        answers = []
+        for D in (2, 3, 5, 15, 34, 79):
+            F = RealQuadraticField(D)
+            ideals = [I for n in range(1, 9) for I in _ideals_of_norm(F, n)]
+            for Q in range(1, 13):
+                prime = [I for I in ideals if math.gcd(I.norm, Q) == 1]
+                for I in prime:
+                    for J in prime:
+                        for narrow in (True, False):
+                            got = is_equivalent(F, I, J, Q, narrow)
+                            assert got == is_equivalent_by_scan(F, I, J, Q, narrow)
+                            answers.append(got)
+        assert len(answers) > 4000 and 0 < sum(answers) < len(answers)
+
+    def test_equivalence_refuses_ideals_meeting_the_modulus(self):
+        (p5,) = prime_above(F5, 5)
+        for I, J in [(p5, o_ideal(F5)), (o_ideal(F5), p5), (rational_ideal(F5, 2), p5)]:
+            with pytest.raises(ValueError, match="modulus 10"):
+                is_equivalent(F5, I, J, modulus=10)
+        assert is_equivalent(F5, p5, p5, modulus=3)
+
 
 # ---------------------------------------------------------------------------
 # fans
@@ -729,3 +755,14 @@ class TestFieldPadicL:
         assert (va.residue - vb.residue) % 27 == 0
         with pytest.raises(ValueError):
             L.value_at(Fraction(1, 3), twist=0, M=8)
+
+    @pytest.mark.parametrize("D, p, ell", [(5, 3, 11), (2, 5, 7), (13, 3, 17)])
+    def test_components_match_newton_box(self, monkeypatch, D, p, ell):
+        F = RealQuadraticField(D)
+        c = prime_above(F, ell)[0]
+        got = field_padic_L(F, o_ideal(F), c, p, count=3).components
+        monkeypatch.setattr(
+            "shintani_kit.real_quadratic_fields.pushforward_norm", pushforward_by_newton_box
+        )
+        want = field_padic_L(F, o_ideal(F), c, p, count=3).components
+        assert {b: s.coeffs for b, s in got.items()} == {b: s.coeffs for b, s in want.items()}

@@ -20,6 +20,7 @@ PADIC = PACKAGE / "padic_measures.py"
 # entry points of the p-adic side, and the exact side it must not use
 PADIC_ENTRIES = (
     "moment", "polynomial_moment", "amice_expand", "evaluate_at_s", "kubota_leopoldt",
+    "pushforward_norm",
 )
 EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
 
