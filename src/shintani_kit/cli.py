@@ -6,6 +6,11 @@ flag overrides, and emit one JSON record per run with versioned schema
 p-adic scalars as {residue, p, M, guard} objects, so no value is shown
 beyond its effective precision.
 
+One table, COMMANDS, lists every config key each subcommand reads (zeta's
+per preset) with its flag where it has one.  It drives the flags, their
+merging, the dispatch and the integer readers.  A key the subcommand does
+not read, also inside ``terms``, ``cones`` or ``level``, exits 2 naming it.
+
 Exit codes: 0 on success, 2 for configuration problems, 3 when a
 mathematical contract is violated (route disagreement, oracle mismatch,
 failed interpolation, guard trips, selftest failures).
@@ -20,6 +25,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import selftest as selftest_mod
 from ._linalg import from_columns
@@ -108,28 +114,32 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-# flag -> config key for the flags that set one value
-_SCALAR_FLAGS = {
-    "p": "p", "prec": "M", "cutoff": "cutoff", "preset": "preset",
-    "D": "D", "a": "a", "f": "f", "ell": "ell", "m": "m",
-}
+_REQUIRED = object()  # the default of a key that must be given
 
 
-def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    out = dict(cfg)
-    for attr, key in _SCALAR_FLAGS.items():
-        if getattr(args, attr, None) is not None:
-            out[key] = getattr(args, attr)
-    for attr, flag in (("k", "-k"), ("caps", "--caps")):
-        text = getattr(args, attr, None)
-        if text is not None:
-            try:
-                out[attr] = [int(x) for x in text.split(",") if x != ""]
-            except ValueError:
-                raise ConfigError(
-                    f"{flag} expects a comma-separated integer list, got {text!r}"
-                ) from None
-    return out
+class Key(NamedTuple):
+    """How a subcommand reads one config key: the flag that sets it (None:
+    config only) and the flag's argparse type; for the readers _int and
+    _ints the least value, the default for an absent or null key (_REQUIRED:
+    it must be given) and a list's length (None: any); and the keys read
+    inside its object, or inside each object of its list."""
+
+    flag: str | None = None
+    type: object = None
+    help: str | None = None
+    least: int | None = None
+    default: object = None
+    length: int | None = None
+    nested: dict | None = None
+
+
+def _comma_ints(text: str) -> list[int] | str:
+    """A flag's comma-separated integer list; other text is kept for _ints
+    to refuse."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        return text
 
 
 def _is_int(x, minimum: int | None = None) -> bool:
@@ -145,48 +155,47 @@ def _int_list(val, length: int | None = None, minimum: int | None = None) -> boo
     return all(_is_int(x, minimum) for x in val)
 
 
-def _need(cfg: dict, key: str, kind, what: str):
+def _need(cfg: dict, key: str, what: str) -> list:
+    """The list at a key that must be given."""
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r} ({what})")
-    val = cfg[key]
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+    if not isinstance(cfg[key], list):
         raise ConfigError(f"config key {key!r} must be {what}")
+    return cfg[key]
+
+
+def _int(cfg: dict, keys: dict, key: str) -> int | None:
+    """The integer at `key`, at least the table's least value; the table's
+    default when the key is absent or null."""
+    spec = keys[key]
+    val = cfg.get(key)
+    if val is None:
+        if spec.default is _REQUIRED:
+            raise ConfigError(f"missing config key {key!r} ({spec.help})")
+        return spec.default
+    if not _is_int(val, spec.least):
+        bound = "" if spec.least is None else f" >= {spec.least}"
+        raise ConfigError(f"config key {key!r} must be an integer{bound}, got {val!r}")
     return val
 
 
-def _int_key(cfg: dict, key: str, default, minimum: int) -> int | None:
-    val = cfg.get(key, default)
-    if val is None and default is None:
-        return None
-    if not _is_int(val, minimum):
-        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, got {val!r}")
-    return val
-
-
-def _caps(cfg: dict, nvars: int, default: tuple[int, ...]) -> tuple[int, ...]:
-    caps = cfg.get("caps")
-    if caps is None:
-        return default
-    if not _int_list(caps, nvars, 0):
-        raise ConfigError(
-            f"config key 'caps' must be a list of {nvars} integers >= 0, "
-            f"one per variable, got {caps!r}"
-        )
-    return tuple(caps)
-
-
-def _k_list(cfg: dict) -> list[int]:
-    ks = cfg.get("k", [0, 1, 2])
-    if not _int_list(ks, minimum=0):
-        raise ConfigError("config key 'k' must be a non-empty list of integers >= 0")
-    return ks
-
-
-def _dimension(cfg: dict) -> int:
-    n = _need(cfg, "n", int, "the ambient dimension, an integer >= 1")
-    if n < 1:
-        raise ConfigError(f"config key 'n' must be an integer >= 1, got {n}")
-    return n
+def _ints(cfg: dict, keys: dict, key: str, length: int | None = None) -> tuple | None:
+    """The non-empty integer list at `key`, of the table's length (or the
+    given one) and each entry at least the table's least value; the table's
+    default when the key is absent or null.  A key whose flag takes one
+    integer (padic-zeta's m) may be one integer in a config too."""
+    spec = keys[key]
+    length = length or spec.length
+    val = cfg.get(key)
+    if val is None:
+        return spec.default
+    if spec.type is int and _is_int(val):
+        val = [val]
+    if not _int_list(val, length, spec.least):
+        what = "a non-empty list of" if length is None else f"a list of {length}"
+        bound = "" if spec.least is None else f" >= {spec.least}"
+        raise ConfigError(f"config key {key!r} must be {what} integers{bound}, got {val!r}")
+    return tuple(val)
 
 
 def _rational(key: str, x) -> Fraction:
@@ -212,7 +221,7 @@ def _rational_vectors(key: str, vs, n: int, count: int | None = None) -> tuple:
 
 
 def _parse_test_function(cfg: dict, n: int, away: int | None = None) -> TestFunction:
-    terms_cfg = _need(cfg, "terms", list, "a list of lattice terms")
+    terms_cfg = _need(cfg, "terms", "a list of lattice terms")
     terms = []
     for t in terms_cfg:
         if not isinstance(t, dict):
@@ -230,7 +239,7 @@ def _parse_test_function(cfg: dict, n: int, away: int | None = None) -> TestFunc
 
 
 def _parse_cones(cfg: dict, n: int) -> ConeFunction:
-    cones_cfg = _need(cfg, "cones", list, "a list of weighted cones")
+    cones_cfg = _need(cfg, "cones", "a list of weighted cones")
     terms = []
     for c in cones_cfg:
         if not isinstance(c, dict):
@@ -243,30 +252,26 @@ def _parse_cones(cfg: dict, n: int) -> ConeFunction:
     return ConeFunction(terms)
 
 
-def _field(cfg: dict) -> RealQuadraticField:
-    D = _need(cfg, "D", int, "a squarefree integer > 1")
+def _field(cfg: dict, keys: dict) -> RealQuadraticField:
+    D = _int(cfg, keys, "D")
     try:
         return RealQuadraticField(D)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _class_ideal(cfg: dict, field: RealQuadraticField) -> IdealHNF:
-    spec = cfg.get("class")
-    if spec is None:
+def _class_ideal(cfg: dict, keys: dict, field: RealQuadraticField) -> IdealHNF:
+    abd = _ints(cfg, keys, "class")
+    if abd is None:
         return o_ideal(field)
-    if not _int_list(spec, 3):
-        raise ConfigError(
-            f"config key 'class' must be three integers [a, b, d], got {spec!r}"
-        )
     try:
-        return IdealHNF(field, *spec)
+        return IdealHNF(field, *abd)
     except ShintaniKitError as exc:
         raise ConfigError(f"bad class ideal: {exc}") from None
 
 
-def _smoothing_prime(cfg: dict, field: RealQuadraticField, p: int) -> IdealHNF:
-    ell = _need(cfg, "ell", int, "a prime with a degree-one prime above it")
+def _smoothing_prime(cfg: dict, keys: dict, field: RealQuadraticField, p: int) -> IdealHNF:
+    ell = _int(cfg, keys, "ell")
     if not is_prime(ell):
         raise ConfigError(f"config key 'ell' must be a prime, got ell={ell}")
     if ell == p:
@@ -281,19 +286,15 @@ def _smoothing_prime(cfg: dict, field: RealQuadraticField, p: int) -> IdealHNF:
 # subcommands
 
 
-def cmd_zeta(cfg: dict) -> tuple[dict, int]:
+def cmd_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
-    ks = _k_list(cfg)
+    ks = _ints(cfg, keys, "k")
     preset = cfg.get("preset", "custom")
     certificates: dict = {}
 
-    if preset == "riemann":
-        cfg.setdefault("a", 1)
-        cfg.setdefault("f", 1)
-        preset = "hurwitz"
-    if preset == "hurwitz":
-        a = _need(cfg, "a", int, "the coset offset")
-        f = _need(cfg, "f", int, "the coset modulus")
+    if preset in ("riemann", "hurwitz"):
+        a, f = (1, 1) if preset == "riemann" else (_int(cfg, keys, "a"), _int(cfg, keys, "f"))
+        cfg.update(a=a, f=f)  # a riemann record shows it as hurwitz at a = f = 1
         if not 1 <= a <= f:
             raise ConfigError("need 1 <= a <= f")
         fun = TestFunction(1, ((Fraction(1), (Fraction(a),), ((Fraction(f),),)),))
@@ -303,10 +304,10 @@ def cmd_zeta(cfg: dict) -> tuple[dict, int]:
         certificates["hurwitz_oracle"] = [_frac(v) for v in oracle]
         certificates["oracle_ok"] = vals == oracle
     elif preset == "rq-field":
-        field = _field(cfg)
+        field = _field(cfg, keys)
         vals = [field_zeta_value(field, k) for k in ks]
-    elif preset == "custom":
-        n = _dimension(cfg)
+    else:
+        n = _int(cfg, keys, "n")
         fun = _parse_test_function(cfg, n)
         kappa = _parse_cones(cfg, n)
         norm_cfg = cfg.get("norm", "std")
@@ -322,24 +323,15 @@ def cmd_zeta(cfg: dict) -> tuple[dict, int]:
         else:
             raise ConfigError("config key 'norm' must be 'std' or 'quadratic:D'")
         vals = [special_value(fun, kappa, k, ns) for k in ks]
-    else:
-        raise ConfigError(f"unknown preset {preset!r}")
 
-    record = _record(
-        "zeta",
-        cfg,
-        {"k": ks, "values": [_frac(v) for v in vals]},
-        certificates,
-        t0,
-    )
-    code = EXIT_OK if certificates.get("oracle_ok", True) else EXIT_MATH
-    return record, code
+    record = _record("zeta", cfg, {"k": ks, "values": [_frac(v) for v in vals]}, certificates, t0)
+    return record, EXIT_OK if certificates.get("oracle_ok", True) else EXIT_MATH
 
 
 def _hill_input(cfg: dict) -> tuple:
     """The matrices (n of them, n x n) and the optional nonzero points."""
     what = "a non-empty list of n square n x n matrices"
-    mats = _need(cfg, "matrices", list, what)
+    mats = _need(cfg, "matrices", what)
     if not mats:
         raise ConfigError(f"config key 'matrices' must be {what}")
     n = len(mats)
@@ -355,7 +347,7 @@ def _hill_input(cfg: dict) -> tuple:
     return mats, points
 
 
-def cmd_hill(cfg: dict) -> tuple[dict, int]:
+def cmd_hill(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
     mats, points = _hill_input(cfg)
     try:
@@ -406,10 +398,10 @@ def _level_set(cfg: dict, p: int, n: int) -> PLevelSet:
     )
 
 
-def cmd_measure(cfg: dict) -> tuple[dict, int]:
+def cmd_measure(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
-    n = _dimension(cfg)
-    p = _need(cfg, "p", int, "the residue prime")
+    n = _int(cfg, keys, "n")
+    p = _int(cfg, keys, "p")
     if not is_prime(p):
         raise ConfigError(f"config key 'p' must be a prime, got p={p}")
     fun = _parse_test_function(cfg, n, away=p)
@@ -417,7 +409,12 @@ def cmd_measure(cfg: dict) -> tuple[dict, int]:
     if len(cones.terms) != 1:
         raise ConfigError("measure checks take exactly one cone")
     cone = cones.terms[0][1]
-    caps = _caps(cfg, n, (4,) * n)
+    caps = _ints(cfg, keys, "caps", n) or (4,) * n
+    ks = _ints(cfg, keys, "k")
+    if max(ks) > min(caps):
+        raise ConfigError(
+            f"config key 'k' must stay within min(caps) = {min(caps)}, got k = {max(ks)}"
+        )
     U = _level_set(cfg, p, n)
     verdict = is_measure(fun, cone, U)  # RouteDisagreement propagates
     values: dict = {"is_measure": verdict}
@@ -426,30 +423,23 @@ def cmd_measure(cfg: dict) -> tuple[dict, int]:
         series = amice_expand(pseudo_from_cone(fun, cone, U), caps)
         integral = all(is_p_integral(c, p) for c in series.coeffs.values())
         certificates["integral_coefficients"] = integral
-        ks = _k_list(cfg)
-        values["moments"] = {
-            str(k): _frac(moment(series, (k,) * n)) for k in ks if k <= min(caps)
-        }
+        values["moments"] = {str(k): _frac(moment(series, (k,) * n)) for k in ks}
         if not integral:
             return _record("measure", cfg, values, certificates, t0), EXIT_MATH
     return _record("measure", cfg, values, certificates, t0), EXIT_OK
 
 
-def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
+def cmd_padic_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
-    conductor = _int_key(cfg, "conductor", 1, 1)
-    ks = _k_list(cfg)
-    M = _int_key(cfg, "M", 6, 1)
-    levels = cfg.get("m", [0, 1])
-    if isinstance(levels, int):
-        levels = [levels]
-    if not _int_list(levels, minimum=0):
-        raise ConfigError("config key 'm' must be a level >= 0 or a non-empty list of them")
-    caps = _caps(cfg, 2, (2 * max(ks),) * 2)
-    field = _field(cfg)
-    p = _need(cfg, "p", int, "an odd prime, unramified and prime to the conductor")
-    cprime = _smoothing_prime(cfg, field, p)
-    aideal = _class_ideal(cfg, field)
+    conductor = _int(cfg, keys, "conductor")
+    ks = _ints(cfg, keys, "k")
+    M = _int(cfg, keys, "M")
+    levels = _ints(cfg, keys, "m")
+    caps = _ints(cfg, keys, "caps") or (2 * max(ks),) * 2
+    field = _field(cfg, keys)
+    p = _int(cfg, keys, "p")
+    cprime = _smoothing_prime(cfg, keys, field, p)
+    aideal = _class_ideal(cfg, keys, field)
     ell = cprime.norm
     if math.gcd(ell, conductor * aideal.norm) > 1:
         raise ConfigError(f"config key 'ell' must be prime to conductor and class, got ell={ell}")
@@ -458,53 +448,36 @@ def cmd_padic_zeta(cfg: dict) -> tuple[dict, int]:
     integral = True
     for m in levels:
         try:
-            series = smoothed_class_series(
-                field, aideal, cprime, p, m, conductor, caps
-            )
+            series = smoothed_class_series(field, aideal, cprime, p, m, conductor, caps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        integral = integral and all(
-            is_p_integral(c, p) for c in series.coeffs.values()
-        )
+        integral = integral and all(is_p_integral(c, p) for c in series.coeffs.values())
         for k in ks:
-            pz = padic_partial_zeta(
-                field, aideal, cprime, p, m, k, conductor, M=M, series=series
+            pz = padic_partial_zeta(field, aideal, cprime, p, m, k, conductor, M=M, series=series)
+            # level 0 removes the p-divisible part; level m >= 1 sits inside p^m
+            exact = exact_ray_class_zeta(
+                field, aideal, conductor * p**m, k, smoothing=cprime, star_at=None if m else p
             )
-            if m == 0:
-                exact = exact_ray_class_zeta(
-                    field, aideal, conductor, k, smoothing=cprime, star_at=p
-                )
-            else:
-                exact = exact_ray_class_zeta(
-                    field, aideal, conductor * p**m, k, smoothing=cprime
-                )
             ok = pz.exact == exact
             all_ok = all_ok and ok
-            rows.append(
-                {
-                    "m": m,
-                    "k": k,
-                    "padic": _scalar(pz.value),
-                    "exact": _frac(exact),
-                    "interpolation_ok": ok,
-                }
-            )
+            rows.append({"m": m, "k": k, "padic": _scalar(pz.value), "exact": _frac(exact),
+                         "interpolation_ok": ok})
     values = {"table": rows}
     certificates = {"interpolation_ok": all_ok, "integral_coefficients": integral}
     code = EXIT_OK if all_ok and integral else EXIT_MATH
     return _record("padic-zeta", cfg, values, certificates, t0), code
 
 
-def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
+def cmd_kubota_leopoldt(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
-    ks = _k_list(cfg)
-    M = _int_key(cfg, "M", 8, 1)
-    caps = _caps(cfg, 1, (max(2 * max(ks), 8),))
-    cutoff = _int_key(cfg, "cutoff", None, 0)
-    p = _need(cfg, "p", int, "an odd prime")
+    ks = _ints(cfg, keys, "k")
+    M = _int(cfg, keys, "M")
+    caps = _ints(cfg, keys, "caps") or (max(2 * max(ks), 8),)
+    cutoff = _int(cfg, keys, "cutoff")
+    p = _int(cfg, keys, "p")
     if p < 3 or not is_prime(p):
         raise ConfigError(f"p must be an odd prime, got p={p}")
-    ell = _need(cfg, "ell", int, "the smoothing modulus")
+    ell = _int(cfg, keys, "ell")
     if ell == p:
         raise ConfigError("smoothing prime must differ from p")
     try:
@@ -518,32 +491,19 @@ def cmd_kubota_leopoldt(cfg: dict) -> tuple[dict, int]:
         want = (1 - Fraction(ell) ** (k + 1)) * hurwitz_value(1, 1, k)
         ok = exact == want
         oracle_ok = oracle_ok and ok
-        rows.append(
-            {
-                "k": k,
-                "moment": _frac(exact),
-                "value": _scalar(
-                    kl.value_at(-k, twist=k, M=M, count=cutoff)
-                ),
-                "oracle_ok": ok,
-            }
-        )
+        value = _scalar(kl.value_at(-k, twist=k, M=M, count=cutoff))
+        rows.append({"k": k, "moment": _frac(exact), "value": value, "oracle_ok": ok})
     values = {"mass": _frac(kl.mass()), "table": rows}
-    certificates = {
-        "oracle_ok": oracle_ok,
-        "integral_coefficients": all(
-            is_p_integral(c, p) for c in kl.series.coeffs.values()
-        ),
-    }
-    good = oracle_ok and certificates["integral_coefficients"]
-    return _record("kubota-leopoldt", cfg, values, certificates, t0), (
-        EXIT_OK if good else EXIT_MATH
-    )
+    integral = all(is_p_integral(c, p) for c in kl.series.coeffs.values())
+    certificates = {"oracle_ok": oracle_ok, "integral_coefficients": integral}
+    code = EXIT_OK if oracle_ok and integral else EXIT_MATH
+    return _record("kubota-leopoldt", cfg, values, certificates, t0), code
 
 
-def cmd_selftest(cfg: dict, level: str, tamper: bool) -> tuple[dict, int]:
+def cmd_selftest(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
-    if tamper:
+    level = "full" if args.full else "quick"
+    if args.tamper_bernoulli:
         selftest_mod.tamper_bernoulli()
     results = selftest_mod.run(level)
     ok = all(r["ok"] for r in results)
@@ -553,14 +513,76 @@ def cmd_selftest(cfg: dict, level: str, tamper: bool) -> tuple[dict, int]:
         "passed": sum(r["ok"] for r in results),
         "failed": sum(not r["ok"] for r in results),
     }
-    certificates = {"all_ok": ok, "tampered": tamper}
-    return _record("selftest", cfg, values, certificates, t0), (
-        EXIT_OK if ok else EXIT_MATH
-    )
+    certificates = {"all_ok": ok, "tampered": args.tamper_bernoulli}
+    return _record("selftest", cfg, values, certificates, t0), EXIT_OK if ok else EXIT_MATH
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the key table, argument parsing and dispatch
+
+_K = Key("-k", _comma_ints, "comma-separated list of k values", 0, (0, 1, 2))
+_P = Key("--p", int, "residue prime", default=_REQUIRED)
+_D = Key("--D", int, "squarefree D of the field", default=_REQUIRED)
+_ELL = Key("--ell", int, "smoothing prime", default=_REQUIRED)
+_PREC = Key("--prec", int, "p-adic working precision M", 1, 6)
+_CAPS = Key("--caps", _comma_ints, "comma-separated per-variable degree caps", 0)
+_N = Key(help="the ambient dimension", least=1, default=_REQUIRED)
+_TERMS = Key(nested=dict.fromkeys(("weight", "offset", "basis"), Key()))
+_CONES = Key(nested=dict.fromkeys(("weight", "generators"), Key()))
+_ZETA = {"preset": Key("--preset"), "k": _K}
+
+ZETA_PRESETS = {
+    "riemann": _ZETA,
+    "hurwitz": {**_ZETA, "a": Key("--a", int, "hurwitz offset", default=_REQUIRED),
+                "f": Key("--f", int, "hurwitz modulus", default=_REQUIRED)},
+    "rq-field": {**_ZETA, "D": _D},
+    "custom": {**_ZETA, "n": _N, "terms": _TERMS, "cones": _CONES, "norm": Key()},
+}
+
+# subcommand -> (its function, every config key it reads); zeta's entry is
+# the union over its presets, and a zeta run reads its preset's keys only
+COMMANDS = {
+    "zeta": (cmd_zeta, {k: v for keys in ZETA_PRESETS.values() for k, v in keys.items()}),
+    "hill": (cmd_hill, {"matrices": Key(), "points": Key()}),
+    "measure": (cmd_measure, {
+        "n": _N, "p": _P, "terms": _TERMS, "cones": _CONES, "caps": _CAPS, "k": _K,
+        "level": Key(nested=dict.fromkeys(("m", "offsets"), Key())),
+    }),
+    "padic-zeta": (cmd_padic_zeta, {
+        "D": _D, "p": _P, "ell": _ELL, "m": Key("--m", int, "interpolation level", 0, (0, 1)),
+        "k": _K, "M": _PREC, "caps": _CAPS._replace(length=2),
+        "conductor": Key(least=1, default=1), "class": Key(length=3),
+    }),
+    "kubota-leopoldt": (cmd_kubota_leopoldt, {
+        "p": _P, "ell": _ELL._replace(help="smoothing modulus"), "k": _K,
+        "M": _PREC._replace(default=8), "caps": _CAPS._replace(length=1),
+        "cutoff": Key("--cutoff", int, "Mahler truncation cutoff", 0),
+    }),
+    "selftest": (cmd_selftest, {}),
+}
+
+
+def _keys_read(command: str, cfg: dict) -> tuple[dict, str]:
+    """The keys `command` reads from this config (zeta: its preset's), and
+    the name of their reader."""
+    if command != "zeta":
+        return COMMANDS[command][1], command
+    presets, preset = list(ZETA_PRESETS), cfg.get("preset", "custom")
+    if preset not in presets:  # a list: an unhashable value is refused, not raised on
+        raise ConfigError(f"config key 'preset' must be one of {presets}, got {preset!r}")
+    return ZETA_PRESETS[preset], f"zeta preset {preset!r}"
+
+
+def _refuse_unread(cfg: dict, keys: dict, reader: str, at: str = "") -> None:
+    """Refuse a key `reader` does not read, at the top level and in the
+    object, or each object of the list, under a key with nested keys."""
+    for key, val in cfg.items():
+        if key not in keys:
+            reads = ", ".join(map(repr, keys)) or "none"
+            raise ConfigError(f"{reader} does not read config key {key!r}{at}; it reads {reads}")
+        for obj in val if isinstance(val, list) else [val]:
+            if keys[key].nested and isinstance(obj, dict):
+                _refuse_unread(obj, keys[key].nested, reader, f" in {key!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,41 +590,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shintani-kit",
         description="Exact cone zeta values, perturbed cone cocycles, and "
         "p-adic measures for real quadratic fields.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (_, keys) in COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="path to a JSON config file")
         sp.add_argument("--out", help="write the JSON record here instead of stdout")
-        sp.add_argument("-k", help="comma-separated list of k values")
-        sp.add_argument("--p", type=int, help="residue prime")
-        sp.add_argument("--prec", type=int, help="p-adic working precision M")
-        sp.add_argument("--caps", help="comma-separated per-variable degree caps")
-        sp.add_argument("--cutoff", type=int, help="Mahler truncation cutoff")
-
-    for name in ("zeta", "hill", "measure", "padic-zeta", "kubota-leopoldt"):
-        sp = sub.add_parser(name)
-        common(sp)
-        if name == "zeta":
-            sp.add_argument("--preset", choices=["riemann", "hurwitz", "rq-field"])
-            sp.add_argument("--D", type=int, help="squarefree D for rq-field")
-            sp.add_argument("--a", type=int, help="hurwitz offset")
-            sp.add_argument("--f", type=int, help="hurwitz modulus")
-        if name == "padic-zeta":
-            sp.add_argument("--D", type=int, help="squarefree D of the field")
-            sp.add_argument("--ell", type=int, help="smoothing prime")
-            sp.add_argument("--m", type=int, help="interpolation level")
-        if name == "kubota-leopoldt":
-            sp.add_argument("--ell", type=int, help="smoothing modulus")
-
-    sp = sub.add_parser("selftest")
-    common(sp)
+        for key, spec in keys.items():
+            if spec.flag:
+                choices = list(ZETA_PRESETS) if key == "preset" else None
+                sp.add_argument(spec.flag, dest=key, type=spec.type, choices=choices,
+                                help=spec.help)
+    # the selftest flags set no config key
+    sp = sub.choices["selftest"]
     tier = sp.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", help="smoke tier (default)")
     tier.add_argument("--full", action="store_true", help="complete tier")
     sp.add_argument(
-        "--tamper-bernoulli",
-        action="store_true",
+        "--tamper-bernoulli", action="store_true",
         help="corrupt a cached constant first; the run must then fail",
     )
     return parser
@@ -618,24 +624,14 @@ def _emit(record: dict, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, flagged = COMMANDS[args.command]
+    flags = {key: val for key, val in vars(args).items() if key in flagged and val is not None}
     try:
-        cfg = _load_config(args.config)
-        cfg = _merge_flags(cfg, args)
-        if args.command == "zeta":
-            record, code = cmd_zeta(cfg)
-        elif args.command == "hill":
-            record, code = cmd_hill(cfg)
-        elif args.command == "measure":
-            record, code = cmd_measure(cfg)
-        elif args.command == "padic-zeta":
-            record, code = cmd_padic_zeta(cfg)
-        elif args.command == "kubota-leopoldt":
-            record, code = cmd_kubota_leopoldt(cfg)
-        else:
-            level = "full" if args.full else "quick"
-            record, code = cmd_selftest(cfg, level, args.tamper_bernoulli)
+        cfg = {**_load_config(args.config), **flags}
+        keys, reader = _keys_read(args.command, cfg)
+        _refuse_unread(cfg, keys, reader)
+        record, code = run(cfg, keys, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -632,9 +632,6 @@ class PartialZetaValue:
 
     exact: Fraction
     value: PadicScalar
-    p: int
-    level: int
-    k: int
 
 
 def _smoothed_class_function(field, aideal, cprime, p, conductor, offset_modulus):
@@ -709,7 +706,7 @@ def padic_partial_zeta(
     for _ in range(k):
         norm_k = norm_k * norm
     val = Fraction(aideal.norm) ** k * polynomial_moment(series, norm_k.coeffs)
-    return PartialZetaValue(val, PadicScalar(p, M, 0, residue(val, p, M)), p, m, k)
+    return PartialZetaValue(val, PadicScalar(p, M, 0, residue(val, p, M)))
 
 
 @dataclass(frozen=True)

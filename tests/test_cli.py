@@ -161,6 +161,21 @@ def test_config_errors(tmp_path, capsys):
         ("padic-zeta", dict(padic, ell=4), "'ell'"),
         ("padic-zeta", dict(padic, conductor=11), "'ell'"),
         ("padic-zeta", dict(padic, **{"class": [11, 3, 1]}), "'ell'"),
+        # keys the subcommand does not read, at the top level and nested
+        ("zeta", dict(custom, p=3), "'p'"),
+        ("zeta", {"preset": "riemann", "k": [1], "a": 2}, "'a'"),
+        ("zeta", {"preset": "rq-field", "D": 5, "k": [1], "n": 2}, "'n'"),
+        ("zeta", dict(custom, terms=[dict(term, offest=[1, 0])]), "'offest'"),
+        ("hill", dict(hill, k=[0]), "'k'"),
+        ("measure", dict(measure, M=4), "'M'"),
+        ("measure", dict(measure, terms=[{"wieght": 1, "offset": [0], "basis": [[1]]}]), "'wieght'"),
+        ("measure", dict(measure, cones=[{"generator": [[1]]}]), "'generator'"),
+        ("measure", dict(measure, level={"m": 1, "ofsets": [[1]]}), "'ofsets'"),
+        ("padic-zeta", dict(padic, cap=[6, 6]), "'cap'"),
+        ("kubota-leopoldt", dict(kl, m=1), "'m'"),
+        ("selftest", {"level": "full"}, "'level'"),
+        # moments beyond the smallest cap are refused, not dropped
+        ("measure", dict(measure, k=[0, 1, 5, 9], caps=[4]), "'k' must stay within min(caps) = 4"),
     ]
     for command, cfg, key in malformed:
         path = tmp_path / "malformed.json"
@@ -170,6 +185,26 @@ def test_config_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert key in captured.err
         assert captured.out == ""
+
+
+# flags the subcommand does not read, and an abbreviation of --ell
+_UNREAD_FLAGS = [
+    *(("zeta", flag) for flag in ("--p", "--prec", "--caps", "--cutoff")),
+    *(("hill", flag) for flag in ("-k", "--p", "--prec", "--caps", "--cutoff")),
+    ("measure", "--prec"),
+    ("measure", "--cutoff"),
+    ("padic-zeta", "--cutoff"),
+    *(("selftest", flag) for flag in ("-k", "--p", "--prec", "--caps", "--cutoff")),
+    ("padic-zeta", "--el"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+def test_unread_and_abbreviated_flags_are_refused(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "3"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_hill_terms_and_points(tmp_path, capsys):
@@ -379,6 +414,30 @@ def _key_paths(obj, prefix=()):
 _FUZZ_CASES = [
     (command, base, path) for command, base in _FUZZ_BASES for path in _key_paths(base)
 ]
+
+
+def _table_paths(keys):
+    for key, spec in keys.items():
+        yield (key,)
+        yield from ((key, inner) for inner in spec.nested or ())
+
+
+_READERS = [
+    (command, None, keys) for command, (_, keys) in cli.COMMANDS.items() if command != "zeta"
+] + [("zeta", preset, keys) for preset, keys in cli.ZETA_PRESETS.items()]
+
+
+@pytest.mark.parametrize(
+    "command, preset, keys", _READERS, ids=[c + (f"-{p}" if p else "") for c, p, _ in _READERS]
+)
+def test_fuzz_bases_cover_the_key_table(command, preset, keys):
+    """Every key a subcommand (or zeta preset) reads is fuzzed."""
+    fuzzed = {
+        tuple(key for key in path if isinstance(key, str))
+        for name, base, path in _FUZZ_CASES
+        if name == command and (preset is None or base.get("preset", "custom") == preset)
+    }
+    assert set(_table_paths(keys)) - fuzzed == set()
 
 
 def _json_values(top: int):
