@@ -398,6 +398,16 @@ def _level_set(cfg: dict, p: int, n: int) -> PLevelSet:
     )
 
 
+def _check_k_within(ks, caps, degree: int) -> None:
+    """Refuse, before any work, a k whose moment polynomial (of degree
+    degree * k in each variable) reaches past the series caps."""
+    if degree * max(ks) > min(caps):
+        scaled = f" as {degree}k (the moment polynomial has degree {degree}k)" if degree > 1 else ""
+        raise ConfigError(
+            f"config key 'k' must stay within min(caps) = {min(caps)}{scaled}, got k = {max(ks)}"
+        )
+
+
 def cmd_measure(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int]:
     t0 = time.monotonic()
     n = _int(cfg, keys, "n")
@@ -411,10 +421,7 @@ def cmd_measure(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, 
     cone = cones.terms[0][1]
     caps = _ints(cfg, keys, "caps", n) or (4,) * n
     ks = _ints(cfg, keys, "k")
-    if max(ks) > min(caps):
-        raise ConfigError(
-            f"config key 'k' must stay within min(caps) = {min(caps)}, got k = {max(ks)}"
-        )
+    _check_k_within(ks, caps, 1)
     U = _level_set(cfg, p, n)
     verdict = is_measure(fun, cone, U)  # RouteDisagreement propagates
     values: dict = {"is_measure": verdict}
@@ -436,6 +443,7 @@ def cmd_padic_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dic
     M = _int(cfg, keys, "M")
     levels = _ints(cfg, keys, "m")
     caps = _ints(cfg, keys, "caps") or (2 * max(ks),) * 2
+    _check_k_within(ks, caps, 2)
     field = _field(cfg, keys)
     p = _int(cfg, keys, "p")
     cprime = _smoothing_prime(cfg, keys, field, p)
@@ -473,6 +481,7 @@ def cmd_kubota_leopoldt(cfg: dict, keys: dict, args: argparse.Namespace) -> tupl
     ks = _ints(cfg, keys, "k")
     M = _int(cfg, keys, "M")
     caps = _ints(cfg, keys, "caps") or (max(2 * max(ks), 8),)
+    _check_k_within(ks, caps, 1)
     cutoff = _int(cfg, keys, "cutoff")
     p = _int(cfg, keys, "p")
     if p < 3 or not is_prime(p):

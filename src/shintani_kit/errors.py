@@ -54,10 +54,6 @@ class PrecisionExhausted(ShintaniKitError):
     """Requested quantity is not determined at the working precision."""
 
 
-class SignCalibrationFailure(ShintaniKitError):
-    """Neither sign choice matches the exact-side calibration value."""
-
-
 class GuardTripped(ShintaniKitError):
     """An internal sanity guard failed; results would be unreliable."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import exact_core
-from ._linalg import det, from_columns, mat, mat_vec, rank
+from ._linalg import det, from_columns, identity, mat, mat_vec, rank
 from ._rational_padics import is_p_integral
 from .cones import GLTuple, OpenCone, cocycle_defect, hill_cone_function, hill_eval
 from .errors import DegenerateTuple
@@ -21,7 +21,6 @@ from .exact_core import bernoulli_number, bernoulli_polynomial, hurwitz_value
 from .padic_measures import is_measure, kubota_leopoldt
 from .real_quadratic_fields import (
     RealQuadraticField,
-    domain_from_cocycle,
     eps_plus,
     exact_ray_class_zeta,
     field_zeta_value,
@@ -155,17 +154,22 @@ def check_cocycle_condition(tuples: int = 2, dims=(2,)):
 
 
 def check_unit_cone_domain():
+    # Hill's cocycle at (1, eps) is the Shintani fan of eps with its ray
+    # moved from 1 to eps; each covers one point of every eps-orbit
     for D in (5, 3):
         F = RealQuadraticField(D)
         e = eps_plus(F)
-        fan = domain_from_cocycle(F, e)
-        geo = shintani_fan(F, e)
         m = F.mult_matrix(e)
+        kappa = hill_cone_function(GLTuple((identity(2), m)))
+        geo = shintani_fan(F, e)
+        cone, (w, ray) = geo.terms
+        moved = (w, OpenCone((mat_vec(m, ray.generators[0]),)))
+        if sorted(kappa.terms, key=lambda t: t[1].dim) != [moved, cone]:
+            return False, f"cocycle is not the eps-moved Shintani fan for D={D}"
         for v in ((Fraction(7, 2), Fraction(1, 3)), (Fraction(9), Fraction(4))):
-            hits = [fan.evaluate(w) for w in (v, tuple(mat_vec(m, v)))]
-            geo_hits = [geo.evaluate(w) for w in (v, tuple(mat_vec(m, v)))]
-            if sum(hits) != 1 or sum(geo_hits) != 1:
-                return False, f"domain does not tile at {v} for D={D}"
+            for fan in (kappa, geo):
+                if sum(fan.evaluate(u) for u in (v, tuple(mat_vec(m, v)))) != 1:
+                    return False, f"domain does not tile at {v} for D={D}"
     return True, "cocycle domain tiles one orbit point for D = 5, 3"
 
 

@@ -19,16 +19,21 @@ multiples of one generator through twice the unit period, against the
 unit-image lookup of ``real_quadratic_fields.is_equivalent``, and
 ``pushforward_by_newton_box`` sums the Newton expansion of C(N(x), j) over
 the box, against the Stirling-number moments of
-``padic_measures.pushforward_norm``.
+``padic_measures.pushforward_norm``.  ``domain_from_cocycle`` reads the
+Shintani domain off Hill's cocycle at (1, eps), the paper's construction,
+and checks it on sample points; it is the reference for the
+``shintani_fan`` that both sides of ``real_quadratic_fields`` use.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from random import Random
 from typing import Sequence
 
-from shintani_kit._linalg import Matrix, Vector, _rref, mat_vec, vec
+from shintani_kit._linalg import Matrix, Vector, _rref, identity, mat_vec, vec
 from shintani_kit._rational_padics import is_p_integral, residue
+from shintani_kit.cones import ConeFunction, GLTuple, hill_cone_function
 from shintani_kit.errors import (
     ClassSearchExhausted,
     GuardTripped,
@@ -505,3 +510,39 @@ def pushforward_by_newton_box(series: TruncSeries, norm_poly: dict, count: int) 
         if acc:
             out[(j,)] = acc
     return TruncSeries((count - 1,), out)
+
+
+# interior points on which domain_from_cocycle checks the cocycle fan
+DOMAIN_CHECK_SAMPLES = 24
+
+
+def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
+    """Shintani domain read off the perturbed cocycle at (1, mult-by-eps).
+
+    The output is normalized to weight +1 and cross-checked pointwise
+    against the geometric domain on interior sample points; the
+    one-dimensional ray may lawfully sit on either edge of the cone, which
+    changes nothing downstream because eps has norm one.
+    """
+    if field.norm(eps) != 1 or not field.is_totally_positive(eps):
+        raise ValueError("eps must be a totally positive unit")
+    kappa = hill_cone_function(GLTuple((identity(2), field.mult_matrix(eps))))
+    two = [t for t in kappa.terms if t[1].dim == 2]
+    one = [t for t in kappa.terms if t[1].dim == 1]
+    if len(two) != 1 or len(one) != 1 or len(kappa.terms) != 2:
+        raise AssertionError("unexpected cone pattern from the cocycle")
+    w = two[0][0]
+    if w not in (1, -1) or one[0][0] != w:
+        raise AssertionError("unexpected weight pattern from the cocycle")
+    fan = ConeFunction([(Fraction(1), two[0][1]), (Fraction(1), one[0][1])])
+    meps = field.mult_matrix(eps)
+    rng = Random(11213)
+    for _ in range(DOMAIN_CHECK_SAMPLES):
+        t1 = Fraction(rng.randrange(1, 400), rng.randrange(1, 97))
+        t2 = Fraction(rng.randrange(1, 400), rng.randrange(1, 97))
+        v = (t1 + t2 * eps[0], t2 * eps[1])
+        if fan.evaluate(v) != 1:
+            raise AssertionError("cocycle domain disagrees inside the cone")
+        if fan.evaluate(mat_vec(meps, v)) != 0:
+            raise AssertionError("cocycle domain meets its eps-translate")
+    return fan

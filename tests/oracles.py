@@ -2,8 +2,9 @@
 
 Everything here is implemented from closed formulas, deliberately not
 sharing code paths with the package: Bernoulli numbers come from the
-worpitzky double sum rather than the package recurrence, and the field
-zeta values at -1 and -3 come from sigma-divisor sums.
+worpitzky double sum rather than the package recurrence, the field
+zeta values at -1 and -3 come from sigma-divisor sums, and the partial
+zeta of one narrow class at 0 from Meyer's continued-fraction formula.
 """
 
 from fractions import Fraction
@@ -67,3 +68,27 @@ def siegel_zeta_minus_three(D: int) -> Fraction:
         if (disc - t * t) % 4 == 0 and disc - t * t > 0:
             total += sigma((disc - t * t) // 4, 3)
     return Fraction(total, 120)
+
+
+def meyer_zeta_zero(disc: int, a: int, b: int, t: int) -> Fraction:
+    """zeta(B, 0) for the narrow class B of the ideal [a, b + omega] of
+    the real quadratic field of discriminant disc, where t is the trace of
+    omega: by Meyer's formula, sum(b_i - 3) / 12 over the period of the
+    minus continued fraction of w = (2b + t + sqrt(disc)) / (2a), with
+    w = b_0 - 1/w_1 and b_i = floor(w_i) + 1 (Zagier, "Nombres de classes
+    et fractions continues", Asterisque 24-25, 1975)."""
+    r = isqrt(disc)
+    P, Q = 2 * b + t, 2 * a
+    seen: dict[tuple[int, int], int] = {}
+    digits = []
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        if Q > 0:
+            bi = (P + r) // Q + 1
+        else:
+            bi = (-P - r - 1) // -Q + 1
+        digits.append(bi)
+        P = bi * Q - P
+        Q = (P * P - disc) // Q
+    period = digits[seen[P, Q]:]
+    return Fraction(sum(bi - 3 for bi in period), 12)

@@ -285,6 +285,29 @@ def test_padic_zeta_rejects_inert_ell(capsys):
     assert "degree-one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["padic-zeta", "--D", "5", "--p", "3", "--ell", "11", "--m", "0", "-k", "2",
+          "--caps", "1,1"], "smoothed_class_series"),
+        (["kubota-leopoldt", "--p", "3", "--ell", "2", "-k", "5", "--caps", "2"],
+         "kubota_leopoldt"),
+    ],
+    ids=["padic-zeta", "kubota-leopoldt"],
+)
+def test_k_beyond_caps_is_refused_up_front(argv, stage, monkeypatch, capsys):
+    # the moments of N^k need 2k <= caps, those of x^k need k <= caps;
+    # the refusal comes before the expansion is built
+    def never(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before the caps check")
+
+    monkeypatch.setattr(cli, stage, never)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config key 'k' must stay within min(caps)" in captured.err
+    assert captured.out == ""
+
+
 def test_kubota_leopoldt_command(capsys):
     code, rec = run_cli(capsys, ["kubota-leopoldt", "--p", "3", "--ell", "2", "-k", "0,1"])
     assert code == 0

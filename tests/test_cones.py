@@ -38,6 +38,7 @@ from shintani_kit.errors import (
     ZeroVector,
 )
 from shintani_kit.exact_core import TruncSeries
+from shintani_kit.selftest import _rand_gl, _rand_tuple
 
 from helpers import span_coordinates
 
@@ -119,31 +120,13 @@ def test_cone_function_reference_tuple():
     assert cf.constant == 0
 
 
-def _rand_gl(rng, n, unimodular=False):
-    while True:
-        m = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
-        d = det(mat(m))
-        if unimodular and abs(d) == 1:
-            return mat(m)
-        if not unimodular and d != 0:
-            return mat(m)
-
-
-def _rand_nondegenerate_tuple(rng, n):
-    while True:
-        mats = tuple(_rand_gl(rng, n) for _ in range(n))
-        u = [mat_vec(m, [1] + [0] * (n - 1)) for m in mats]
-        if rank(from_columns(u)) == n:
-            return GLTuple(mats)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_perturbation_caps_never_truncate(n):
     # the caps (n-1,)*n chosen for the perturbed columns must be exact:
     # recomputing with one more degree per eps changes nothing
     rng = random.Random(300 + n)
     for _ in range(5):
-        t = _rand_nondegenerate_tuple(rng, n)
+        t = _rand_tuple(rng, n)
         cols = _perturbed_columns(t)
         assert cols[0][0].caps == (n - 1,) * n
         wide = [[TruncSeries((n,) * n, e.coeffs) for e in col] for col in cols]
@@ -156,7 +139,7 @@ def test_perturbation_caps_never_truncate(n):
 def test_cone_function_matches_eval(n):
     rng = random.Random(100 + n)
     for _ in range(4):
-        t = _rand_nondegenerate_tuple(rng, n)
+        t = _rand_tuple(rng, n)
         cf = hill_cone_function(t)
         for _ in range(60):
             v = [Fraction(rng.randrange(-10, 11), rng.randrange(1, 4)) for _ in range(n)]
@@ -171,7 +154,7 @@ def test_sandwich_property():
     rng = random.Random(31)
     for n in (2, 3):
         for _ in range(3):
-            t = _rand_nondegenerate_tuple(rng, n)
+            t = _rand_tuple(rng, n)
             w1 = [1] + [0] * (n - 1)
             u = [mat_vec(m, w1) for m in t.matrices]
             sigma = None
@@ -207,7 +190,7 @@ def test_cocycle_defect_constant():
 def test_equivariance():
     rng = random.Random(19)
     for _ in range(10):
-        t = _rand_nondegenerate_tuple(rng, 2)
+        t = _rand_tuple(rng, 2)
         gamma = _rand_gl(rng, 2)
         sign = 1 if det(gamma) > 0 else -1
         moved = GLTuple(tuple(

@@ -2,9 +2,11 @@
 name a module imports is used in that module, every local a function
 assigns is read in it, every public function or method is referenced
 somewhere else in src/ unless it is library API kept on purpose
-(KEPT_API), and so is every private module-level function or class."""
+(KEPT_API), and so is every private module-level function or class,
+every public module-level class and every UPPER_CASE constant."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -119,23 +121,35 @@ KEPT_API = {
 }
 
 
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
 class _References(ast.NodeVisitor):
     """Public function and method names defined, private module-level
-    function and class names defined, and names referenced outside the
-    function or class of the same name (recursion does not count)."""
+    function and class names defined, public module-level classes and
+    UPPER_CASE constants defined, and names read outside the function or
+    class of the same name (recursion does not count)."""
 
     def __init__(self):
         self.defined: set[str] = set()
         self.private: set[str] = set()
+        self.named: set[str] = set()
         self.used: set[str] = set()
         self.inside: list[str] = []
 
     def visit_Module(self, node):
-        self.private.update(
-            item.name for item in node.body
-            if isinstance(item, (*_FUNCTIONS, ast.ClassDef))
-            and item.name.startswith("_") and not item.name.startswith("__")
-        )
+        for item in node.body:
+            if isinstance(item, (*_FUNCTIONS, ast.ClassDef)):
+                if item.name.startswith("_") and not item.name.startswith("__"):
+                    self.private.add(item.name)
+                elif isinstance(item, ast.ClassDef):
+                    self.named.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                self.named.update(
+                    t.id for t in targets
+                    if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id)
+                )
         self.generic_visit(node)
 
     def visit_ClassDef(self, node):
@@ -157,7 +171,8 @@ class _References(ast.NodeVisitor):
             self.used.add(name)
 
     def visit_Name(self, node):
-        self._use(node.id)
+        if not isinstance(node.ctx, ast.Store):
+            self._use(node.id)
 
     def visit_Attribute(self, node):
         self._use(node.attr)
@@ -177,6 +192,10 @@ def _unreferenced(refs: _References) -> list[str]:
 
 def _unreferenced_private(refs: _References) -> list[str]:
     return sorted(name for name in refs.private if name not in refs.used)
+
+
+def _unreferenced_named(refs: _References) -> list[str]:
+    return sorted(name for name in refs.named if name not in refs.used)
 
 
 def test_public_functions_are_referenced():
@@ -209,3 +228,18 @@ def test_guard_sees_an_unreferenced_private_definition():
         "def f():\n    return _used(), A()\n"
     )
     assert _unreferenced_private(_scan([src])) == ["_Table", "_stale"]
+
+
+def test_classes_and_constants_are_referenced():
+    refs = _scan(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert _unreferenced_named(refs) == []
+
+
+def test_guard_sees_an_unreferenced_class_or_constant():
+    src = (
+        "LIMIT = 10\nSTALE_LIMIT = 20\n_ROWS: int = 3\nlowercase = 1\n\n"
+        "class Used(Exception):\n    pass\n\n"
+        "class Stale(Used):\n    def again(self):\n        return Stale()\n\n"
+        "def f(n):\n    if n > LIMIT:\n        raise Used(n)\n    return n\n"
+    )
+    assert _unreferenced_named(_scan([src])) == ["STALE_LIMIT", "Stale", "_ROWS"]
