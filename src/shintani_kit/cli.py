@@ -299,13 +299,13 @@ def cmd_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int
             raise ConfigError("need 1 <= a <= f")
         fun = TestFunction(1, ((Fraction(1), (Fraction(a),), ((Fraction(f),),)),))
         cone = OpenCone(((1,),))
-        vals = [special_value(fun, cone, k, std_norm(1)) for k in ks]
+        vals = special_value(fun, cone, ks, std_norm(1))
         oracle = [hurwitz_value(a, f, k) for k in ks]
         certificates["hurwitz_oracle"] = [_frac(v) for v in oracle]
         certificates["oracle_ok"] = vals == oracle
     elif preset == "rq-field":
         field = _field(cfg, keys)
-        vals = [field_zeta_value(field, k) for k in ks]
+        vals = field_zeta_value(field, ks)
     else:
         n = _int(cfg, keys, "n")
         fun = _parse_test_function(cfg, n)
@@ -322,7 +322,7 @@ def cmd_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, int
                 raise ConfigError(f"bad quadratic norm: {exc}") from None
         else:
             raise ConfigError("config key 'norm' must be 'std' or 'quadratic:D'")
-        vals = [special_value(fun, kappa, k, ns) for k in ks]
+        vals = special_value(fun, kappa, ks, ns)
 
     record = _record("zeta", cfg, {"k": ks, "values": [_frac(v) for v in vals]}, certificates, t0)
     return record, EXIT_OK if certificates.get("oracle_ok", True) else EXIT_MATH
@@ -423,11 +423,12 @@ def cmd_measure(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dict, 
     ks = _ints(cfg, keys, "k")
     _check_k_within(ks, caps, 1)
     U = _level_set(cfg, p, n)
-    verdict = is_measure(fun, cone, U)  # RouteDisagreement propagates
+    pm = pseudo_from_cone(fun, cone, U)
+    verdict = is_measure(fun, cone, pm)  # RouteDisagreement propagates
     values: dict = {"is_measure": verdict}
     certificates: dict = {"routes_agree": True}
     if verdict:
-        series = amice_expand(pseudo_from_cone(fun, cone, U), caps)
+        series = amice_expand(pm, caps)
         integral = all(is_p_integral(c, p) for c in series.coeffs.values())
         certificates["integral_coefficients"] = integral
         values["moments"] = {str(k): _frac(moment(series, (k,) * n)) for k in ks}
@@ -460,15 +461,16 @@ def cmd_padic_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dic
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         integral = integral and all(is_p_integral(c, p) for c in series.coeffs.values())
-        for k in ks:
-            pz = padic_partial_zeta(field, aideal, cprime, p, m, k, conductor, M=M, series=series)
-            # level 0 removes the p-divisible part; level m >= 1 sits inside p^m
-            exact = exact_ray_class_zeta(
-                field, aideal, conductor * p**m, k, smoothing=cprime, star_at=None if m else p
-            )
-            ok = pz.exact == exact
+        padic = [padic_partial_zeta(field, aideal, cprime, p, m, k, conductor, M=M, series=series)
+                 for k in ks]
+        # level 0 removes the p-divisible part; level m >= 1 sits inside p^m
+        exact = exact_ray_class_zeta(
+            field, aideal, conductor * p**m, ks, smoothing=cprime, star_at=None if m else p
+        )
+        for k, pz, ex in zip(ks, padic, exact):
+            ok = pz.exact == ex
             all_ok = all_ok and ok
-            rows.append({"m": m, "k": k, "padic": _scalar(pz.value), "exact": _frac(exact),
+            rows.append({"m": m, "k": k, "padic": _scalar(pz.value), "exact": _frac(ex),
                          "interpolation_ok": ok})
     values = {"table": rows}
     certificates = {"interpolation_ok": all_ok, "integral_coefficients": integral}

@@ -218,10 +218,16 @@ def _pfrac(x: Fraction, p: int) -> Fraction:
 
 
 def _numerator_coordinates(pm: PseudoMeasure):
-    """(coefficient, D^{-1} exponent) pairs plus the completed matrix D."""
+    """(coefficient, D^{-1} exponent) pairs plus the completed matrix D;
+    D^{-1} is the integer adjugate over det D, applied to integer numerators."""
     D = _complete_directions([d for _, d in pm.denoms], pm.n, pm.p)
-    Dinv = inverse(D)
-    monos = [(c, mat_vec(Dinv, e)) for e, c in pm.numerator]
+    dd = int(det(D))
+    adj = [[int(dd * x) for x in row] for row in inverse(D)]
+    monos = []
+    for e, c in pm.numerator:
+        q = math.lcm(*(x.denominator for x in e))
+        v = [x.numerator * (q // x.denominator) for x in e]
+        monos.append((c, tuple(Fraction(sum(a * x for a, x in zip(r, v)), q * dd) for r in adj)))
     return D, monos
 
 
@@ -248,17 +254,19 @@ def _measure_by_grouping(pm: PseudoMeasure) -> bool:
     return True
 
 
-def is_measure(f: TestFunction, cone: OpenCone, U: PLevelSet) -> bool:
-    """Whether the pseudo-measure of (f, cone, U) is a genuine measure.
+def is_measure(f: TestFunction, cone: OpenCone, pm: PseudoMeasure) -> bool:
+    """Whether pm, the pseudo-measure of f on the cone (from
+    `pseudo_from_cone`), is a genuine measure.
 
     Decided twice: once through the prime-to-p line-mass vanishing of f in
-    the primitive generator directions, once through exact coefficient
-    grouping of the transform numerator.  The two verdicts are compared
-    and a disagreement raises rather than picking a side."""
+    the primitive generator directions, which reads only f and the cone,
+    once through exact coefficient grouping of the numerator of pm.  The
+    two verdicts are compared and a disagreement raises rather than
+    picking a side."""
     route_a = all(
         vanishing_check(f, primitive_direction(g)) for g in cone.generators
     )
-    route_b = _measure_by_grouping(pseudo_from_cone(f, cone, U))
+    route_b = _measure_by_grouping(pm)
     if route_a != route_b:
         raise RouteDisagreement(
             f"direction-vanishing route says {route_a}, "
@@ -600,7 +608,7 @@ def kubota_leopoldt(p: int, ell: int, caps: tuple[int, ...] = (8,)) -> KubotaLeo
     cone = OpenCone(((Fraction(1),),))
     U = PLevelSet(p, 0, 1, ((0,),))
     pmeas = pseudo_from_cone(f, cone, U)
-    if not is_measure(f, cone, U):
+    if not is_measure(f, cone, pmeas):
         raise PoleDetected("smoothed test function failed the measure criterion")
     series = amice_expand(pmeas, caps)
     components = {}

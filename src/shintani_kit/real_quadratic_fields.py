@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from ._linalg import columns, from_columns, hnf_with_transform, vec
 from ._rational_padics import is_prime, is_squarefree, prime_factors, residue, vp_int
@@ -505,13 +506,13 @@ def exact_ray_class_zeta(
     field: RealQuadraticField,
     aideal: IdealHNF,
     modulus: int,
-    k: int,
+    ks: Sequence[int],
     smoothing: IdealHNF | None = None,
     star_at: int | None = None,
-) -> Fraction:
-    """Value at -k of the partial zeta of the narrow ray class of aideal
-    mod (modulus), optionally smoothed by a degree-one prime and with the
-    p-divisible part of the sum removed (star_at = p).
+) -> list[Fraction]:
+    """Values at -k, for each k in ks, of the partial zeta of the narrow
+    ray class of aideal mod (modulus), optionally smoothed by a degree-one
+    prime and with the p-divisible part of the sum removed (star_at = p).
 
     The sum over the class is folded onto the fixed fan of eps_plus by
     translating the ray coset through eps_plus^j for j below the order of
@@ -529,16 +530,16 @@ def exact_ray_class_zeta(
     f = smoothed_ray_function(field, aideal, smoothing, Q, c, translates, star_at)
     if star_at is not None:
         f = tensor_at_p(f, x_level_set(field, base, star_at, 0))
-    value = special_value(f, shintani_fan(field, base), k, quadratic_norm(field.D))
-    return Fraction(aideal.norm) ** k * value
+    values = special_value(f, shintani_fan(field, base), ks, quadratic_norm(field.D))
+    return [Fraction(aideal.norm) ** k * v for k, v in zip(ks, values)]
 
 
-def field_zeta_value(field: RealQuadraticField, k: int) -> Fraction:
-    """zeta_F(-k) as the sum of the narrow class partial values."""
-    total = Fraction(0)
+def field_zeta_value(field: RealQuadraticField, ks: Sequence[int]) -> list[Fraction]:
+    """zeta_F(-k) for each k in ks: the sum of the narrow class values."""
+    totals = [Fraction(0)] * len(ks)
     for rep in narrow_ray_class_reps(field, 1):
-        total += exact_ray_class_zeta(field, rep, 1, k)
-    return total
+        totals = [t + v for t, v in zip(totals, exact_ray_class_zeta(field, rep, 1, ks))]
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,14 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _bernoulli_sums(points, r: int, N: int) -> dict[tuple, Fraction]:
-    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| = N.
+def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
+    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns.
 
     Expanding B_m(t) = sum_a C(m, a) B_{m-a} t^a reduces the point loop
-    to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N, in integers
-    over the common denominators d of the t_j and dv of the values."""
+    to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N = max(Ns), in
+    integers over the common denominators d of the t_j and dv of the
+    values; one pass over the points serves every N in Ns."""
+    N = max(Ns)
     d = math.lcm(*(c.denominator for _, t, _ in points for c in t))
     dv = math.lcm(*(val.denominator for _, _, val in points))
     # every alpha with |alpha| <= N, each one multiplication away from its
@@ -192,7 +194,7 @@ def _bernoulli_sums(points, r: int, N: int) -> dict[tuple, Fraction]:
     B = [bernoulli_number(m) for m in range(N + 1)]
     row = [[math.comb(m, a) * B[m - a] for a in range(m + 1)] for m in range(N + 1)]
     out = {}
-    for mu in _compositions(N, r):
+    for mu in (mu for total in set(Ns) for mu in _compositions(total, r)):
         acc = Fraction(0)
         for alpha in itertools.product(*(range(m + 1) for m in mu)):
             c = moment[alpha]
@@ -349,81 +351,85 @@ def _coefficient_at(G: GeneratingFunction, i: int, k: int):
     return S.coeff(target)
 
 
-def _closed_form_slices(G: GeneratingFunction, k: int, indices) -> list:
-    S = _bernoulli_sums(G.points, G.r, G.ns.n * k + G.r)
-    return [_closed_form_coefficient(G, i, k, S) for i in indices]
+def _closed_form_slices(G: GeneratingFunction, ks, indices) -> dict:
+    S = _bernoulli_sums(G.points, G.r, [G.ns.n * k + G.r for k in ks])
+    return {k: [_closed_form_coefficient(G, i, k, S) for i in indices] for k in ks}
 
 
-def _series_slices(G: GeneratingFunction, k: int, indices) -> list:
-    return [_coefficient_at(G, i, k) for i in indices]
+def _series_slices(G: GeneratingFunction, ks, indices) -> dict:
+    return {k: [_coefficient_at(G, i, k) for i in indices] for k in ks}
 
 
-def _cone_value(route, slices, f, cone, k, ns, conjugate_shortcut) -> Fraction:
-    """(-1)^r (k!)^n times the mean over i of the slice coefficients
-    C_i(k), with `slices(G, k, indices)` computing them; a ConeFunction is
-    summed term by term through `route`."""
-    if k < 0:
+def _cone_value(route, slices, f, cone, ks, ns, conjugate_shortcut) -> list[Fraction]:
+    """For each k in ks, (-1)^r (k!)^n times the mean over i of the slice
+    coefficients C_i(k), with `slices(G, distinct ks, indices)` computing
+    them from the one enumeration G of the cone; a ConeFunction is summed
+    term by term through `route`."""
+    if any(k < 0 for k in ks):
         raise ValueError("k must be >= 0")
     if ns is None:
         ns = std_norm(f.n)
     if isinstance(cone, ConeFunction):
         if cone.constant != 0:
             raise ValueError("cone function has a nonzero constant part")
-        total = Fraction(0)
-        for weight, c in cone.terms:
-            total += weight * route(f, c, k, ns, conjugate_shortcut)
-        return total
+        totals = [Fraction(0)] * len(ks)
+        for w, c in cone.terms:
+            totals = [t + w * v for t, v in zip(totals, route(f, c, ks, ns, conjugate_shortcut))]
+        return totals
     if not isinstance(cone, OpenCone):
         raise TypeError("cone must be an OpenCone or ConeFunction")
 
     G = build_G(f, cone, ns)
     if not G.points:
-        return Fraction(0)
+        return [Fraction(0)] * len(ks)
     n, r = ns.n, G.r
     sign = Fraction(-1) ** r
-    if ns.kind == "quadratic" and conjugate_shortcut:
-        # C_1(k) is the Galois conjugate of C_0(k)
-        (c,) = slices(G, k, (0,))
-        rat = c.rational_part() if isinstance(c, QuadScalar) else Fraction(c)
-        return Fraction(math.factorial(k)) ** n * sign * rat
-    total = None
-    for c in slices(G, k, range(n)):
-        total = c if total is None else total + c
-    try:
-        rat = scalar_rational(total)
-    except ArithmeticError as exc:
-        raise IrrationalResidue(str(exc)) from None
-    return Fraction(math.factorial(k)) ** n * sign * rat / n
+    shortcut = ns.kind == "quadratic" and conjugate_shortcut
+    value = {}
+    for k, cs in slices(G, list(dict.fromkeys(ks)), (0,) if shortcut else range(n)).items():
+        if shortcut:
+            # C_1(k) is the Galois conjugate of C_0(k), so the mean is the
+            # rational part of C_0(k)
+            mean = cs[0].rational_part() if isinstance(cs[0], QuadScalar) else Fraction(cs[0])
+        else:
+            try:
+                mean = scalar_rational(sum(cs[1:], cs[0])) / n
+            except ArithmeticError as exc:
+                raise IrrationalResidue(str(exc)) from None
+        value[k] = Fraction(math.factorial(k)) ** n * sign * mean
+    return [value[k] for k in ks]
 
 
 def special_value(
     f: TestFunction,
     cone,
-    k: int,
+    ks: Sequence[int],
     ns: NormStructure | None = None,
     conjugate_shortcut: bool = True,
-) -> Fraction:
-    """Value at s = -k of the cone zeta sum of f(v) N(v)^(-s).
+) -> list[Fraction]:
+    """Values at s = -k of the cone zeta sum of f(v) N(v)^(-s), one for
+    each k in ks, in order.
 
     Accepts a single OpenCone or a ConeFunction (weighted sum of cones
-    with zero constant part).  Evaluated by Shintani's closed form (see
-    the module docstring); `_special_value_series` computes the same value
-    from the generating-function series and is its check.
+    with zero constant part).  Each cone is enumerated once for the whole
+    list.  Evaluated by Shintani's closed form (see the module docstring);
+    `_special_value_series` computes the same values from the
+    generating-function series and is its check.
     """
     return _cone_value(
-        special_value, _closed_form_slices, f, cone, k, ns, conjugate_shortcut
+        special_value, _closed_form_slices, f, cone, ks, ns, conjugate_shortcut
     )
 
 
 def _special_value_series(
     f: TestFunction,
     cone,
-    k: int,
+    ks: Sequence[int],
     ns: NormStructure | None = None,
     conjugate_shortcut: bool = True,
-) -> Fraction:
+) -> list[Fraction]:
     """`special_value` by series expansion and inversion of the generating
     function, reading no Bernoulli numbers."""
     return _cone_value(
-        _special_value_series, _series_slices, f, cone, k, ns, conjugate_shortcut
+        _special_value_series, _series_slices, f, cone, ks, ns, conjugate_shortcut
     )

@@ -9,8 +9,10 @@ the theta operator, independently of the Stirling-number sum in
 ``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure
 by full-box series products: the numerator in ``Fraction`` binomial rows,
 one product by the inverse of all unit factors over the whole (tcap+1)^n
-box, and a table of substituted monomials; it checks the axis-wise,
-integer-numerator route of ``padic_measures.amice_expand``.
+box, and a table of substituted monomials, with its numerator points
+mapped through a ``Fraction`` D^-1 by ``_numerator_coordinates``; it
+checks the axis-wise, integer-numerator route of
+``padic_measures.amice_expand`` and its integer-adjugate coordinates.
 ``generator_by_box``, ``pell_unit_by_scan``, ``euler_phi_by_count`` and
 ``unit_order_by_walk`` are the brute-force searches and loops that
 ``real_quadratic_fields`` replaced by the reduced-ideal cycle and by
@@ -31,7 +33,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from shintani_kit._linalg import Matrix, Vector, _rref, identity, mat_vec, vec
+from shintani_kit._linalg import Matrix, Vector, _rref, identity, inverse, mat_vec, vec
 from shintani_kit._rational_padics import is_p_integral, residue
 from shintani_kit.cones import ConeFunction, GLTuple, hill_cone_function
 from shintani_kit.errors import (
@@ -46,7 +48,7 @@ from shintani_kit.exact_core import QuadScalar, TruncSeries, quad_sign
 from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
-    _numerator_coordinates,
+    _complete_directions,
     _pfrac,
     binomial_row,
 )
@@ -260,6 +262,14 @@ def _binomial_product(exponents: Sequence, caps: tuple[int, ...]) -> TruncSeries
         }
         out = out * TruncSeries(caps, coeffs)
     return out
+
+
+def _numerator_coordinates(pm: PseudoMeasure):
+    """(coefficient, D^{-1} exponent) pairs plus the completed matrix D."""
+    D = _complete_directions([d for _, d in pm.denoms], pm.n, pm.p)
+    Dinv = inverse(D)
+    monos = [(c, mat_vec(Dinv, e)) for e, c in pm.numerator]
+    return D, monos
 
 
 def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:

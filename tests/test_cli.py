@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,21 @@ def test_padic_zeta_interpolation(capsys):
     assert all(r["interpolation_ok"] for r in rows)
     v = rows[2]["padic"]
     assert v["p"] == 3 and v["M"] == 6 and v["residue"] == 2368 % 3**6
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "rq_interpolation.json"
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_padic_zeta_matches_golden_record(m, tmp_path, capsys):
+    # the benchmark's rq_interpolation configs; the golden file is only read
+    golden = json.loads(GOLDEN.read_text())
+    cfg = {"D": 5, "p": 3, "ell": 11, "k": [0, 1, 2], "caps": [6, 6], "m": m}
+    path = tmp_path / "padic.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = run_cli(capsys, ["padic-zeta", "--config", str(path)])
+    assert code == 0
+    assert json.dumps(rec["values"], sort_keys=True, separators=(",", ":")) == golden[str(m)]
 
 
 def test_padic_zeta_rejects_ell_equal_p(capsys):

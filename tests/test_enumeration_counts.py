@@ -1,0 +1,81 @@
+"""Each enumeration runs once per call.
+
+The exact side enumerates a cone's parallelepiped in `shintani_zeta.build_G`
+and the p-adic side in the `parallelepiped_support` call of
+`padic_measures.pseudo_from_cone`.  Counters on those two names pin how
+many enumerations a whole k-list, a measure check and a Kubota-Leopoldt
+construction make: one per (function, cone) on the exact side, and one
+pseudo-measure that `is_measure` judges and `amice_expand` expands.
+"""
+
+import json
+
+import pytest
+
+from shintani_kit import cli, padic_measures, shintani_zeta
+from shintani_kit.padic_measures import kubota_leopoldt
+
+# the two padic-zeta configs of the golden interpolation record
+GOLDEN_CONFIGS = [
+    {"D": 5, "p": 3, "ell": 11, "k": [0, 1, 2], "caps": [6, 6], "m": m} for m in (0, 1)
+]
+
+# the measure config of the README: [Z] - 2[2Z] on the positive ray at p = 3
+ACCEPTED_MEASURE = {
+    "n": 1,
+    "p": 3,
+    "terms": [
+        {"weight": 1, "offset": [0], "basis": [[1]]},
+        {"weight": -2, "offset": [0], "basis": [[2]]},
+    ],
+    "cones": [{"weight": 1, "generators": [[1]]}],
+    "k": [0, 1],
+    "caps": [6],
+}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Call counters on the exact and the p-adic enumeration."""
+    seen = {"build_G": 0, "parallelepiped_support": 0}
+    for module, name in (
+        (shintani_zeta, "build_G"),
+        (padic_measures, "parallelepiped_support"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            seen[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _run(tmp_path, capsys, command, cfg):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_golden_padic_zeta_builds_each_cone_once(counts, tmp_path, capsys):
+    # one exact call per level for the whole k-list, and two cones per
+    # level: the unit cone and its ray
+    for cfg in GOLDEN_CONFIGS:
+        code, _ = _run(tmp_path, capsys, "padic-zeta", cfg)
+        assert code == 0
+    assert counts["build_G"] == 4
+
+
+def test_accepted_measure_enumerates_once(counts, tmp_path, capsys):
+    code, rec = _run(tmp_path, capsys, "measure", ACCEPTED_MEASURE)
+    assert code == 0
+    assert rec["values"]["is_measure"] is True
+    assert counts["parallelepiped_support"] == 1
+
+
+def test_kubota_leopoldt_enumerates_once_per_level_set(counts):
+    # the full level set, and the two unit residues mod 3
+    kubota_leopoldt(3, 2, (32,))
+    assert counts["parallelepiped_support"] == 3

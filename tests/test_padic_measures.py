@@ -24,6 +24,7 @@ from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
     _measure_by_grouping,
+    _numerator_coordinates,
     _stirling_rows,
     amice_expand,
     amice_of_cone_function,
@@ -45,6 +46,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
+from helpers import _numerator_coordinates as numerator_coordinates_by_inverse
 from helpers import amice_reference, congruent_to, pushforward_by_newton_box, theta_moment
 from oracles import hurwitz_special_value
 
@@ -316,6 +318,18 @@ def test_amice_expand_matches_full_box_reference(case):
         assert got is PoleDetected
 
 
+@pytest.mark.parametrize(
+    "U", [full_level_set(5, 2), PLevelSet(5, 1, 2, ((1, 2),)), PLevelSet(5, 2, 2, ((4, 7),))]
+)
+def test_integer_adjugate_coordinates_match_inverse(U):
+    # exponents with denominators 2 and 3, so the common denominator of
+    # each point enters; the amice test above sees integer exponents only
+    f = lattice_indicator(((2, 1), (0, 3)), offset=(F(1, 2), F(1, 3)), away_from=5)
+    pm = pseudo_from_cone(f, cone_of((2, 1), (1, 3)), U)
+    assert any(x.denominator > 1 for e, _ in pm.numerator for x in e)
+    assert _numerator_coordinates(pm) == numerator_coordinates_by_inverse(pm)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_kubota_leopoldt_components_match_reference(p):
     kl = kubota_leopoldt(p, 2, caps=(32,))
@@ -330,12 +344,16 @@ def test_kubota_leopoldt_components_match_reference(p):
 # measure criterion
 
 
+def _judge(f, cone, U):
+    return is_measure(f, cone, pseudo_from_cone(f, cone, U))
+
+
 def test_is_measure_accepts_smoothed_and_rejects_plain():
     cone = cone_of((1,))
     U = full_level_set(3, 1)
-    assert is_measure(smoothed_1d(2, 3), cone, U) is True
+    assert _judge(smoothed_1d(2, 3), cone, U) is True
     bad = zn_indicator(1, away_from=3) - lattice_indicator(((2,),), away_from=3).scale(3)
-    assert is_measure(bad, cone, U) is False
+    assert _judge(bad, cone, U) is False
 
 
 def test_is_measure_dim2_direction_sensitivity():
@@ -344,8 +362,8 @@ def test_is_measure_dim2_direction_sensitivity():
         ((2, 0), (0, 1)), away_from=3
     ).scale(2)
     U = full_level_set(3, 2)
-    assert is_measure(f, cone_of((1, 1), (1, 2)), U) is True
-    assert is_measure(f, cone_of((1, 1), (2, 1)), U) is False
+    assert _judge(f, cone_of((1, 1), (1, 2)), U) is True
+    assert _judge(f, cone_of((1, 1), (2, 1)), U) is False
 
 
 def test_route_disagreement_is_raised_not_hidden():
@@ -354,7 +372,7 @@ def test_route_disagreement_is_raised_not_hidden():
     f = zn_indicator(2, away_from=3)
     U = PLevelSet(3, 1, 2, ((1, 1),))
     with pytest.raises(RouteDisagreement):
-        is_measure(f, cone_of((1, 0)), U)
+        _judge(f, cone_of((1, 0)), U)
 
 
 def test_randomized_route_agreement_full_rank():
@@ -389,7 +407,7 @@ def test_randomized_route_agreement_full_rank():
             U = full_level_set(p, n)
         else:
             U = PLevelSet(p, 1, n, (tuple(rng.randrange(p) for _ in range(n)),))
-        verdict = is_measure(f, cone_of(*gens), U)
+        verdict = _judge(f, cone_of(*gens), U)
         seen.add(verdict)
         runs += 1
     assert seen == {True, False}
@@ -404,8 +422,7 @@ def test_moment_identity_dim1():
     f = smoothed_1d(2, 3)
     cone = cone_of((1,))
     A = amice_expand(pseudo_from_cone(f, cone, full_level_set(3, 1)), (8,))
-    for k in range(6):
-        assert moment(A, (k,)) == special_value(f, cone, k)
+    assert [moment(A, (k,)) for k in range(6)] == special_value(f, cone, range(6))
 
 
 def test_moment_identity_dim2_full_level():
@@ -413,10 +430,10 @@ def test_moment_identity_dim2_full_level():
     U = full_level_set(3, 2)
     for gens in [((1, 1), (2, 1)), ((1, 1), (1, 3)), ((3, 1), (1, 1))]:
         cone = cone_of(*gens)
-        assert is_measure(f, cone, U) is True
-        A = amice_expand(pseudo_from_cone(f, cone, U), (8, 8))
-        for k in range(4):
-            assert moment(A, (k, k)) == special_value(f, cone, k)
+        pm = pseudo_from_cone(f, cone, U)
+        assert is_measure(f, cone, pm) is True
+        A = amice_expand(pm, (8, 8))
+        assert [moment(A, (k, k)) for k in range(4)] == special_value(f, cone, range(4))
 
 
 def test_moment_identity_dim2_deeper_levels():
@@ -429,16 +446,14 @@ def test_moment_identity_dim2_deeper_levels():
     ]:
         A = amice_expand(pseudo_from_cone(f, cone, U), (6, 6))
         ft = tensor_at_p(f, U)
-        for k in range(3):
-            assert moment(A, (k, k)) == special_value(ft, cone, k)
+        assert [moment(A, (k, k)) for k in range(3)] == special_value(ft, cone, range(3))
 
 
 def test_moment_identity_other_prime():
     f = smoothed_2d_even(7)
     cone = cone_of((1, 1), (2, 1))
     A = amice_expand(pseudo_from_cone(f, cone, full_level_set(7, 2)), (6, 6))
-    for k in range(3):
-        assert moment(A, (k, k)) == special_value(f, cone, k)
+    assert [moment(A, (k, k)) for k in range(3)] == special_value(f, cone, range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import translate
 from oracles import (
@@ -16,7 +18,12 @@ from shintani_kit._linalg import rank
 from shintani_kit.cones import ConeFunction, OpenCone
 from shintani_kit.errors import IrrationalResidue, NotInPositiveOrthant
 from shintani_kit.exact_core import QuadScalar, bernoulli_number, quad_sign
-from shintani_kit.real_quadratic_fields import RealQuadraticField
+from shintani_kit.real_quadratic_fields import (
+    RealQuadraticField,
+    exact_ray_class_zeta,
+    o_ideal,
+    prime_above,
+)
 from shintani_kit.shintani_zeta import (
     NormStructure,
     _special_value_series,
@@ -56,56 +63,45 @@ def test_oracle_bernoulli_matches_package():
 
 def test_riemann_values():
     f = zn_indicator(1)
-    assert special_value(f, RAY, 0) == F(-1, 2)
-    assert special_value(f, RAY, 1) == F(-1, 12)
-    assert special_value(f, RAY, 2) == 0
-    assert special_value(f, RAY, 3) == F(1, 120)
-    assert special_value(f, RAY, 4) == 0
-    assert special_value(f, RAY, 5) == F(-1, 252)
+    assert special_value(f, RAY, range(6)) == [F(-1, 2), F(-1, 12), 0, F(1, 120), 0, F(-1, 252)]
 
 
 def test_hurwitz_agreement():
     for fmod in range(1, 5):
         for a in range(1, fmod + 1):
             f = lattice_indicator(((fmod,),), offset=(a,))
-            for k in range(5):
-                assert special_value(f, RAY, k) == hurwitz_special_value(a, fmod, k)
+            want = [hurwitz_special_value(a, fmod, k) for k in range(5)]
+            assert special_value(f, RAY, range(5)) == want
 
 
 def test_ray_scaling():
     f = lattice_indicator(((3,),))
-    for k in range(4):
-        assert special_value(f, RAY, k) == F(3) ** k * special_value(
-            zn_indicator(1), RAY, k
-        )
+    base = special_value(zn_indicator(1), RAY, range(4))
+    assert special_value(f, RAY, range(4)) == [F(3) ** k * v for k, v in enumerate(base)]
     # the cone generator's own scale never matters
     fat_ray = OpenCone(((F(7, 2),),))
-    for k in range(4):
-        assert special_value(f, fat_ray, k) == special_value(f, RAY, k)
+    assert special_value(f, fat_ray, range(4)) == special_value(f, RAY, range(4))
 
 
 def test_weighted_function_linearity():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
-    for k in range(5):
-        expect = special_value(zn_indicator(1), RAY, k) - 2 * special_value(
-            lattice_indicator(((2,),)), RAY, k
-        )
-        assert special_value(f, RAY, k) == expect
-        # smoothed Riemann values: (1 - 2^(1+k)) * zeta(-k)
-        assert expect == (1 - F(2) ** (k + 1)) * hurwitz_special_value(1, 1, k)
+    ones = special_value(zn_indicator(1), RAY, range(5))
+    evens = special_value(lattice_indicator(((2,),)), RAY, range(5))
+    expect = [a - 2 * b for a, b in zip(ones, evens)]
+    assert special_value(f, RAY, range(5)) == expect
+    # smoothed Riemann values: (1 - 2^(1+k)) * zeta(-k)
+    for k, v in enumerate(expect):
+        assert v == (1 - F(2) ** (k + 1)) * hurwitz_special_value(1, 1, k)
 
 
 def test_rank_deficient_diagonal():
     f = zn_indicator(2)
     diag = OpenCone(((F(1), F(1)),))
     # N(m, m) = m^2, so the value at -k is zeta(-2k)
-    assert special_value(f, diag, 0) == F(-1, 2)
-    assert special_value(f, diag, 1) == 0
-    assert special_value(f, diag, 2) == 0
+    assert special_value(f, diag, range(3)) == [F(-1, 2), 0, 0]
     steep = OpenCone(((F(1), F(2)),))
     # N(m, 2m) = 2m^2: value 2^k * zeta(-2k)
-    assert special_value(f, steep, 0) == F(-1, 2)
-    assert special_value(f, steep, 1) == 0
+    assert special_value(f, steep, [0, 1]) == [F(-1, 2), 0]
 
 
 def test_refinement_additivity():
@@ -117,9 +113,8 @@ def test_refinement_additivity():
         OpenCone((mid,)),
         OpenCone((mid, (F(1), F(3)))),
     ]
-    for k in range(3):
-        total = sum(special_value(f, c, k) for c in parts)
-        assert special_value(f, whole, k) == total
+    total = [sum(vs) for vs in zip(*(special_value(f, c, range(3)) for c in parts))]
+    assert special_value(f, whole, range(3)) == total
 
 
 def test_refinement_additivity_translated():
@@ -132,9 +127,8 @@ def test_refinement_additivity_translated():
         OpenCone((mid,)),
         OpenCone((mid, (F(1), F(2)))),
     ]
-    for k in range(3):
-        total = sum(special_value(f, c, k) for c in parts)
-        assert special_value(f, whole, k) == total
+    total = [sum(vs) for vs in zip(*(special_value(f, c, range(3)) for c in parts))]
+    assert special_value(f, whole, range(3)) == total
 
 
 def test_permutation_symmetry():
@@ -145,22 +139,21 @@ def test_permutation_symmetry():
         f = lattice_indicator(((2, 0), (0, 3)), offset=off) + zn_indicator(2)
         cone = OpenCone(((F(1), F(2)), (F(3), F(1))))
         swapped_cone = OpenCone(tuple(tuple(reversed(g)) for g in cone.generators))
-        for k in range(3):
-            assert special_value(f, cone, k) == special_value(
-                gl_act_test(f, swap), swapped_cone, k
-            )
+        assert special_value(f, cone, range(3)) == special_value(
+            gl_act_test(f, swap), swapped_cone, range(3)
+        )
 
 
 def test_not_in_positive_orthant():
     f = zn_indicator(2)
     with pytest.raises(NotInPositiveOrthant):
-        special_value(f, OpenCone(((F(1), F(0)), (F(1), F(1)))), 1)
+        special_value(f, OpenCone(((F(1), F(0)), (F(1), F(1)))), [1])
     with pytest.raises(NotInPositiveOrthant):
-        special_value(f, OpenCone(((F(1), F(-1)),)), 0)
+        special_value(f, OpenCone(((F(1), F(-1)),)), [0])
     ns5 = quadratic_norm(5)
     # (0,1) is omega, whose conjugate is negative
     with pytest.raises(NotInPositiveOrthant):
-        special_value(f, OpenCone(((F(0), F(1)),)), 0, ns=ns5)
+        special_value(f, OpenCone(((F(0), F(1)),)), [0], ns=ns5)
 
 
 def test_quadratic_rank_deficient():
@@ -168,9 +161,8 @@ def test_quadratic_rank_deficient():
     f = zn_indicator(2)
     ray = OpenCone(((F(1), F(0)),))
     # points (m, 0) have norm m^2
-    assert special_value(f, ray, 0, ns=ns5) == F(-1, 2)
-    assert special_value(f, ray, 1, ns=ns5) == 0
-    assert special_value(f, ray, 0, ns=ns5, conjugate_shortcut=False) == F(-1, 2)
+    assert special_value(f, ray, [0, 1], ns=ns5) == [F(-1, 2), 0]
+    assert special_value(f, ray, [0], ns=ns5, conjugate_shortcut=False) == [F(-1, 2)]
 
 
 def test_quadratic_shortcut_matches_full_loop():
@@ -188,10 +180,9 @@ def test_quadratic_shortcut_matches_full_loop():
     ]
     for f in fs:
         for cone in cones:
-            for k in range(3):
-                a = special_value(f, cone, k, ns=ns5)
-                b = special_value(f, cone, k, ns=ns5, conjugate_shortcut=False)
-                assert a == b
+            a = special_value(f, cone, range(3), ns=ns5)
+            b = special_value(f, cone, range(3), ns=ns5, conjugate_shortcut=False)
+            assert a == b
 
 
 def test_quadratic_field_domain_values():
@@ -206,16 +197,18 @@ def test_quadratic_field_domain_values():
             (F(1), OpenCone(((F(1), F(0)),))),
         ]
     )
-    assert special_value(f, fan, 0, ns=ns5) == 0
-    assert special_value(f, fan, 1, ns=ns5) == siegel_zeta_minus_one(5)
-    assert special_value(f, fan, 3, ns=ns5) == siegel_zeta_minus_three(5)
+    assert special_value(f, fan, [0, 1, 3], ns=ns5) == [
+        0,
+        siegel_zeta_minus_one(5),
+        siegel_zeta_minus_three(5),
+    ]
 
 
 def test_cone_function_rejects_constant():
     f = zn_indicator(1)
     cf = ConeFunction([(F(1), RAY)], F(1))
     with pytest.raises(ValueError):
-        special_value(f, cf, 0)
+        special_value(f, cf, [0])
 
 
 def test_norm_value():
@@ -240,7 +233,7 @@ def test_irrational_residue_guard():
     cone = OpenCone(((F(1), F(1)), (F(2), F(1))))
     for route in (special_value, _special_value_series):
         with pytest.raises(IrrationalResidue):
-            route(f, cone, 1, ns=ns, conjugate_shortcut=False)
+            route(f, cone, [1], ns=ns, conjugate_shortcut=False)
 
 
 def test_build_g_point_collection():
@@ -286,14 +279,59 @@ def test_closed_form_matches_series_route():
             cone = _random_cone(rng, ns, r)
             shortcuts = (True, False) if ns.kind == "quadratic" else (True,)
             for shortcut in shortcuts:
-                for k in range(kmax + 1):
-                    if not shortcut and k > 2:
-                        continue  # the unshortened series route is slow there
-                    fast = special_value(f, cone, k, ns, shortcut)
-                    slow = _special_value_series(f, cone, k, ns, shortcut)
-                    assert fast == slow, (ns.kind, n, cone, k, shortcut)
-                    checked += 1
+                # the unshortened series route is slow above k = 2
+                ks = range(kmax + 1 if shortcut else min(kmax, 2) + 1)
+                fast = special_value(f, cone, ks, ns, shortcut)
+                slow = _special_value_series(f, cone, ks, ns, shortcut)
+                assert fast == slow, (ns.kind, n, cone, shortcut)
+                checked += len(ks)
     assert checked == 58
+
+
+# k-lists in any order, with repeats
+K_LISTS = st.lists(st.integers(0, 3), min_size=1, max_size=5)
+
+K_LIST_CASES = {
+    "1-D ray": (lattice_indicator(((3,),), offset=(1,)), RAY, None),
+    "2-D std": (
+        lattice_indicator(((2, 1), (0, 3)), offset=(F(1, 2), F(1, 3))),
+        OpenCone(((2, 1), (1, 3))),
+        None,
+    ),
+    "D=5 fan": (
+        zn_indicator(2),
+        ConeFunction(
+            [
+                (F(1), OpenCone(((F(1), F(0)), (F(1), F(1))))),
+                (F(1), OpenCone(((F(1), F(0)),))),
+            ]
+        ),
+        quadratic_norm(5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_LIST_CASES))
+@given(ks=K_LISTS)
+@settings(max_examples=10, deadline=None)
+def test_k_list_matches_one_k_at_a_time(case, ks):
+    f, cone, ns = K_LIST_CASES[case]
+    values = special_value(f, cone, ks, ns)
+    assert values == [special_value(f, cone, [k], ns)[0] for k in ks]
+    assert values == _special_value_series(f, cone, ks, ns)
+
+
+@given(ks=K_LISTS)
+@settings(max_examples=10, deadline=None)
+def test_k_list_of_starred_class_value(ks):
+    F5 = RealQuadraticField(5)
+    O = o_ideal(F5)
+    c11 = prime_above(F5, 11)[0]
+    values = exact_ray_class_zeta(F5, O, 1, ks, smoothing=c11, star_at=3)
+    one_at_a_time = [
+        exact_ray_class_zeta(F5, O, 1, [k], smoothing=c11, star_at=3)[0] for k in ks
+    ]
+    assert values == one_at_a_time
 
 
 def test_two_route_selftest_reads_live_bernoulli_numbers():
