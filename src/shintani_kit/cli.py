@@ -19,6 +19,7 @@ failed interpolation, guard trips, selftest failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -596,6 +597,7 @@ def _refuse_unread(cfg: dict, keys: dict, reader: str, at: str = "") -> None:
                 _refuse_unread(obj, keys[key].nested, reader, f" in {key!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shintani-kit",

@@ -1,19 +1,21 @@
 """Exact scalar and truncated power series arithmetic.
 
 Everything here is rational or quadratic-irrational and exact; no floats.
-TruncSeries is the package's single sparse multivariate polynomial type:
-it carries the cone generating functions and Amice transforms, the formal
-eps-perturbation polynomials of the cocycle, and powers of the norm form.
-Its multiplication clamps against per-variable caps rather than growing
-without bound; callers that need an exact polynomial choose caps that the
-product can never exceed.
+QuadScalar holds an element of Q(sqrt D) as integers (A + B*sqrt(D))/q in
+lowest terms, so its arithmetic is integer products and one gcd per
+result, with no Fraction in between.  TruncSeries is the package's single
+sparse multivariate polynomial type: it carries the cone generating
+functions and Amice transforms, the formal eps-perturbation polynomials of
+the cocycle, and powers of the norm form.  Its multiplication clamps
+against per-variable caps rather than growing without bound; callers that
+need an exact polynomial choose caps that the product can never exceed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 from typing import Union
 
 from .errors import ZeroConstantTerm
@@ -56,107 +58,127 @@ def hurwitz_value(a: int, f: int, k: int) -> Fraction:
     return -(Fraction(f) ** k) * bernoulli_polynomial(k + 1, Fraction(a, f)) / (k + 1)
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 class QuadScalar:
-    """Element a + b*sqrt(D) of a real quadratic field, exact.
+    """Element (A + B*sqrt(D))/q of a real quadratic field, exact.
 
-    D must be a nonsquare positive integer; sqrt(D) always denotes the
-    positive root, so comparisons have a definite meaning.
+    A, B and q are integers with q > 0 and gcd(A, B, q) = 1, so every
+    element has one representation; each operation is a few integer
+    products and one gcd.  a and b are the rational coordinates A/q and
+    B/q.  D must be a nonsquare positive integer; sqrt(D) always denotes
+    the positive root, so comparisons have a definite meaning.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("A", "B", "q", "D")
 
     def __init__(self, a: Rational, b: Rational, D: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.D = D
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators the triple is reduced
+        q = lcm(a.denominator, b.denominator)
+        self.A, self.B = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        self.q, self.D = q, D
+
+    @classmethod
+    def _reduced(cls, A: int, B: int, q: int, D: int) -> "QuadScalar":
+        """(A + B*sqrt(D))/q for q > 0, divided by gcd(A, B, q)."""
+        g = gcd(A, B, q)
+        x = object.__new__(cls)
+        x.A, x.B, x.q, x.D = A // g, B // g, q // g, D
+        return x
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.q)
 
     # -- arithmetic -------------------------------------------------
 
-    def _coerce(self, other) -> "QuadScalar":
+    def _parts(self, other):
+        """(A, B, q) of an int, Fraction or QuadScalar operand, else None."""
         if isinstance(other, QuadScalar):
-            if other.D != self.D and other.b != 0 and self.b != 0:
+            if other.D != self.D and other.B and self.B:
                 raise ValueError("mixed radicands")
-            return other
+            return other.A, other.B, other.q
         if isinstance(other, (int, Fraction)):
-            return QuadScalar(other, 0, self.D)
-        return NotImplemented  # type: ignore[return-value]
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b, self.D)
+        A, B, q = o
+        if q == self.q:
+            return QuadScalar._reduced(self.A + A, self.B + B, q, self.D)
+        return QuadScalar._reduced(
+            self.A * q + A * self.q, self.B * q + B * self.q, self.q * q, self.D
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.D)
+        return QuadScalar._reduced(-self.A, -self.B, self.q, self.D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, Fraction, QuadScalar)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(
-            self.a * o.a + self.b * o.b * self.D,
-            self.a * o.b + self.b * o.a,
-            self.D,
+        A, B, q = o
+        return QuadScalar._reduced(
+            self.A * A + self.B * B * self.D, self.A * B + self.B * A, self.q * q, self.D
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadScalar":
-        n = self.a * self.a - self.b * self.b * self.D
+        # q / (A + B sqrt D) = q (A - B sqrt D) / (A^2 - B^2 D)
+        n = self.A * self.A - self.B * self.B * self.D
         if n == 0:
             raise ZeroDivisionError("zero element")
-        return QuadScalar(self.a / n, -self.b / n, self.D)
+        s = 1 if n > 0 else -1
+        return QuadScalar._reduced(s * self.q * self.A, -s * self.q * self.B, s * n, self.D)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = QuadScalar(other, 0, self.D)
+        if not isinstance(other, QuadScalar):
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.D)
+        return QuadScalar._reduced(self.A, -self.B, self.q, self.D)
 
     # -- structure --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return not self.B and self.A == other.numerator and self.q == other.denominator
         if isinstance(other, QuadScalar):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.D == other.D and self.a == other.a and self.b == other.b
+            if (self.A, self.B, self.q) != (other.A, other.B, other.q):
+                return False
+            return not self.B or self.D == other.D
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.B:
             return hash(self.a)
         return hash((self.a, self.b, self.D))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.A or self.B)
 
     def __repr__(self):
         return f"QuadScalar({self.a}, {self.b}, sqrt{self.D})"
@@ -166,36 +188,32 @@ class QuadScalar:
 
 
 def quad_sign(x) -> int:
-    """Exact sign of a + b*sqrt(D) in {-1, 0, +1}.
+    """Exact sign of A + B*sqrt(D) (q > 0) in {-1, 0, +1}.
 
-    Decided by rational case analysis only: when a and b have opposite
-    signs the comparison reduces to a^2 versus b^2 * D.  Equality of
-    those squares is impossible for b != 0 since D is not a square.
+    Decided by integer case analysis only: when A and B have opposite
+    signs the comparison reduces to A^2 versus B^2 * D.  Equality of
+    those squares is impossible for B != 0 since D is not a square.
     """
     if isinstance(x, (int, Fraction)):
-        return _sign(Fraction(x))
-    a, b, D = x.a, x.b, x.D
-    if b == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    sa, sb = _sign(a), _sign(b)
-    if sa == sb:
+        return (x > 0) - (x < 0)
+    A, B = x.A, x.B
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sa == sb or not sb:
         return sa
-    aa = a * a
-    bb = b * b * D
+    if not sa:
+        return sb
+    aa = A * A
+    bb = B * B * x.D
     if aa == bb:
         raise ArithmeticError("radicand must not be a perfect square")
     # sign determined by the larger magnitude side
-    if aa > bb:
-        return sa
-    return sb
+    return sa if aa > bb else sb
 
 
 def scalar_rational(x) -> Fraction:
     """Assert-and-extract a rational value."""
     if isinstance(x, QuadScalar):
-        if x.b != 0:
+        if x.B:
             raise ArithmeticError(f"not rational: {x!r}")
         return x.a
     return Fraction(x)

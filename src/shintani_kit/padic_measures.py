@@ -120,7 +120,8 @@ class PseudoMeasure:
 
     d_i are integer direction vectors already carrying the level p^m; the
     multipliers a_i must be p-units, otherwise the denominator cannot be
-    regularized and construction is refused."""
+    regularized and construction is refused.  numerator holds (v, c)
+    pairs of Fractions, strictly sorted by v, and is stored as given."""
 
     p: int
     m: int
@@ -129,10 +130,6 @@ class PseudoMeasure:
     denoms: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        num = tuple(
-            (tuple(Fraction(x) for x in e), Fraction(c)) for e, c in self.numerator
-        )
-        object.__setattr__(self, "numerator", tuple(sorted(num)))
         den = []
         for a, d in self.denoms:
             a = Fraction(a)

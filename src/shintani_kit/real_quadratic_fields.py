@@ -87,8 +87,8 @@ class RealQuadraticField:
     def to_quad(self, u) -> QuadScalar:
         x, y = u
         if self.half_basis:
-            return QuadScalar(Fraction(x) + Fraction(y, 2), Fraction(y, 2), self.D)
-        return QuadScalar(Fraction(x), Fraction(y), self.D)
+            return QuadScalar(x + Fraction(y, 2), Fraction(y, 2), self.D)
+        return QuadScalar(x, y, self.D)
 
     def sign_pair(self, u) -> tuple[int, int]:
         q = self.to_quad(u)

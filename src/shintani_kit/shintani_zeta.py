@@ -275,9 +275,11 @@ def _closed_form_coefficient(G: GeneratingFunction, i: int, k: int, S: dict):
 # generating-function series (the independent second route)
 
 
-def _coefficient_at(G: GeneratingFunction, i: int, k: int):
-    """Coefficient of u^(nk+r) * prod_{m != i} x_m^k in the regularized
-    one-variable slice of the generating function at x_i = 1."""
+def _slice_series(G: GeneratingFunction, i: int, k: int) -> TruncSeries:
+    """The regularized one-variable slice of the generating function at
+    x_i = 1, to u^(nk+r+2) and x_m^(k+2) for m != i.  Truncated products
+    and inversion are exact below the caps, so its coefficient of
+    u^(nk'+r) * prod_{m != i} x_m^k' is C_i(k') for every k' <= k."""
     n = G.ns.n
     r = G.r
     ucap = n * k + r + 2
@@ -346,9 +348,7 @@ def _coefficient_at(G: GeneratingFunction, i: int, k: int):
                 powt = powt * lam_x
         denom = denom * TruncSeries(caps, e1)
 
-    S = P * denom.invert()
-    target = (n * k + r,) + (k,) * (n - 1)
-    return S.coeff(target)
+    return P * denom.invert()
 
 
 def _closed_form_slices(G: GeneratingFunction, ks, indices) -> dict:
@@ -357,7 +357,9 @@ def _closed_form_slices(G: GeneratingFunction, ks, indices) -> dict:
 
 
 def _series_slices(G: GeneratingFunction, ks, indices) -> dict:
-    return {k: [_coefficient_at(G, i, k) for i in indices] for k in ks}
+    n, r = G.ns.n, G.r
+    series = [_slice_series(G, i, max(ks)) for i in indices]
+    return {k: [S.coeff((n * k + r,) + (k,) * (n - 1)) for S in series] for k in ks}
 
 
 def _cone_value(route, slices, f, cone, ks, ns, conjugate_shortcut) -> list[Fraction]:

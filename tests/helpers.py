@@ -25,6 +25,9 @@ the box, against the Stirling-number moments of
 Shintani domain off Hill's cocycle at (1, eps), the paper's construction,
 and checks it on sample points; it is the reference for the
 ``shintani_fan`` that both sides of ``real_quadratic_fields`` use.
+``PairQuadScalar`` and ``pair_quad_sign`` are the quadratic scalar as a
+pair of ``Fraction`` coordinates, the reference for the integer
+(A + B*sqrt(D))/q representation of ``exact_core.QuadScalar``.
 """
 
 import itertools
@@ -44,7 +47,7 @@ from shintani_kit.errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from shintani_kit.exact_core import QuadScalar, TruncSeries, quad_sign
+from shintani_kit.exact_core import QuadScalar, Rational, TruncSeries, quad_sign
 from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
@@ -556,3 +559,144 @@ def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
         if fan.evaluate(mat_vec(meps, v)) != 0:
             raise AssertionError("cocycle domain meets its eps-translate")
     return fan
+
+
+# ---------------------------------------------------------------------------
+# the quadratic scalar as two Fraction coordinates, the reference for
+# exact_core.QuadScalar
+
+
+def _fraction_sign(x: Fraction) -> int:
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+class PairQuadScalar:
+    """Element a + b*sqrt(D) of a real quadratic field, exact.
+
+    D must be a nonsquare positive integer; sqrt(D) always denotes the
+    positive root, so comparisons have a definite meaning.
+    """
+
+    __slots__ = ("a", "b", "D")
+
+    def __init__(self, a: Rational, b: Rational, D: int):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.D = D
+
+    # -- arithmetic -------------------------------------------------
+
+    def _coerce(self, other) -> "PairQuadScalar":
+        if isinstance(other, PairQuadScalar):
+            if other.D != self.D and other.b != 0 and self.b != 0:
+                raise ValueError("mixed radicands")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PairQuadScalar(other, 0, self.D)
+        return NotImplemented  # type: ignore[return-value]
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PairQuadScalar(self.a + o.a, self.b + o.b, self.D)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PairQuadScalar(-self.a, -self.b, self.D)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PairQuadScalar(
+            self.a * o.a + self.b * o.b * self.D,
+            self.a * o.b + self.b * o.a,
+            self.D,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "PairQuadScalar":
+        n = self.a * self.a - self.b * self.b * self.D
+        if n == 0:
+            raise ZeroDivisionError("zero element")
+        return PairQuadScalar(self.a / n, -self.b / n, self.D)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def conjugate(self) -> "PairQuadScalar":
+        return PairQuadScalar(self.a, -self.b, self.D)
+
+    # -- structure --------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, PairQuadScalar):
+            if self.b == 0 and other.b == 0:
+                return self.a == other.a
+            return self.D == other.D and self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.D))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        return f"PairQuadScalar({self.a}, {self.b}, sqrt{self.D})"
+
+    def rational_part(self) -> Fraction:
+        return self.a
+
+
+def pair_quad_sign(x) -> int:
+    """Exact sign of a + b*sqrt(D) in {-1, 0, +1}.
+
+    Decided by rational case analysis only: when a and b have opposite
+    signs the comparison reduces to a^2 versus b^2 * D.  Equality of
+    those squares is impossible for b != 0 since D is not a square.
+    """
+    if isinstance(x, (int, Fraction)):
+        return _fraction_sign(Fraction(x))
+    a, b, D = x.a, x.b, x.D
+    if b == 0:
+        return _fraction_sign(a)
+    if a == 0:
+        return _fraction_sign(b)
+    sa, sb = _fraction_sign(a), _fraction_sign(b)
+    if sa == sb:
+        return sa
+    aa = a * a
+    bb = b * b * D
+    if aa == bb:
+        raise ArithmeticError("radicand must not be a perfect square")
+    # sign determined by the larger magnitude side
+    if aa > bb:
+        return sa
+    return sb

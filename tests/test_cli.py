@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -366,13 +367,20 @@ def test_selftest_full(capsys):
     assert (rec["values"]["passed"], rec["values"]["failed"]) == (17, 0)
 
 
+def _cli_process(*argv):
+    """The command line in a fresh interpreter that imports the package
+    this test imported, whether or not PYTHONPATH names it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "shintani_kit.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_selftest_tamper_canary_fails_in_subprocess():
     # run in a subprocess so the corrupted cache cannot leak into this one
-    proc = subprocess.run(
-        [sys.executable, "-m", "shintani_kit.cli", "selftest", "--quick", "--tamper-bernoulli"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _cli_process("selftest", "--quick", "--tamper-bernoulli")
     assert proc.returncode == 3
     rec = json.loads(proc.stdout)
     assert rec["certificates"]["tampered"] is True
@@ -381,19 +389,53 @@ def test_selftest_tamper_canary_fails_in_subprocess():
 
 
 def test_determinism_byte_identical():
-    argv = [
-        sys.executable, "-m", "shintani_kit.cli",
-        "zeta", "--preset", "rq-field", "--D", "5", "-k", "0,1",
-    ]
     outs = []
     for _ in range(2):
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = _cli_process("zeta", "--preset", "rq-field", "--D", "5", "-k", "0,1")
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         del rec["timing"]
         outs.append(json.dumps(rec, sort_keys=True))
     assert outs[0] == outs[1]
 
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; a parse error, a measure and
+    # a zeta through that one parser print what a fresh parser prints
+    cfg = tmp_path / "meas.json"
+    cfg.write_text(json.dumps({
+        "n": 1, "p": 3, "k": [0, 1], "caps": [6],
+        "terms": [
+            {"weight": 1, "offset": [0], "basis": [[1]]},
+            {"weight": -2, "offset": [0], "basis": [[2]]},
+        ],
+        "cones": [{"weight": 1, "generators": [[1]]}],
+    }))
+    calls = [
+        ["zeta", "--preset", "euler"],
+        ["measure", "--config", str(cfg)],
+        ["zeta", "--preset", "rq-field", "--D", "13", "-k", "1,3"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        rec = json.loads(out.out) if out.out else {}
+        rec.pop("timing", None)
+        return code, json.dumps(rec, indent=2, sort_keys=True), out.err
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared == fresh
 
 # ---------------------------------------------------------------------------
 # fuzzing: one key of a small valid config replaced by an arbitrary value

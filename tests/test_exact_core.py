@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -15,6 +16,8 @@ from shintani_kit.exact_core import (
     bernoulli_polynomial,
     quad_sign,
 )
+
+from helpers import PairQuadScalar, pair_quad_sign
 
 
 def test_bernoulli_small_values():
@@ -110,6 +113,87 @@ def test_series_invert_roundtrip():
         prod = s * s.invert()
         assert prod.coeff((0, 0)) == 1
         assert all(c == 0 for e, c in prod.coeffs.items() if e != (0, 0))
+
+
+RADICANDS = [2, 3, 5, 13, 15, 43]
+quad_rational = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def operand_pairs(draw, D: int, quad: bool):
+    """(operand, reference operand): an int, a Fraction, or a QuadScalar
+    beside the Fraction-pair scalar of the same value, rational or not."""
+    kind = "quad" if quad else draw(st.sampled_from(["int", "fraction", "quad"]))
+    if kind == "int":
+        n = draw(st.integers(-30, 30))
+        return n, n
+    if kind == "fraction":
+        x = draw(quad_rational)
+        return x, x
+    a = draw(quad_rational)
+    b = draw(st.one_of(st.just(Fraction(0)), quad_rational))
+    return QuadScalar(a, b, D), PairQuadScalar(a, b, D)
+
+
+def _lowest_terms(x: QuadScalar) -> None:
+    assert all(type(v) is int for v in (x.A, x.B, x.q, x.D))
+    assert x.q > 0 and math.gcd(x.A, x.B, x.q) == 1
+
+
+def _agrees(got, want) -> None:
+    """got is the value the reference computed as want, QuadScalar for a
+    Fraction-pair scalar, and QuadScalar results are in lowest terms."""
+    if isinstance(want, PairQuadScalar):
+        assert isinstance(got, QuadScalar)
+        _lowest_terms(got)
+        assert (got.a, got.b, got.D) == (want.a, want.b, want.D)
+        assert hash(got) == hash(want)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def _both(op, *args):
+    """op on the operands and on the reference operands, or the exception
+    type each raised."""
+    out = []
+    for side in (0, 1):
+        try:
+            out.append(op(*(a[side] for a in args)))
+        except ZeroDivisionError as exc:
+            out.append(type(exc))
+    return out
+
+
+@given(st.data(), st.sampled_from(RADICANDS))
+@settings(max_examples=300, deadline=None)
+def test_quad_scalar_matches_fraction_pair_reference(data, D):
+    x = data.draw(operand_pairs(D, quad=True))
+    y = data.draw(operand_pairs(D, quad=False))
+    _lowest_terms(x[0])
+    for op in (
+        lambda u, v: u + v, lambda u, v: v + u, lambda u, v: u - v, lambda u, v: v - u,
+        lambda u, v: u * v, lambda u, v: v * u, lambda u, v: u / v, lambda u, v: v / u,
+    ):
+        got, want = _both(op, x, y)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            _agrees(got, want)
+    for op in (lambda u: -u, lambda u: u.conjugate(), lambda u: u.inverse()):
+        got, want = _both(op, x)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            _agrees(got, want)
+    new, old = x
+    assert (new == y[0]) == (old == y[1]) and (y[0] == new) == (y[1] == old)
+    assert hash(new) == hash(old)
+    if not old.b:
+        assert hash(new) == hash(old.a) and new == old.a
+    assert bool(new) == bool(old)
+    assert quad_sign(new) == pair_quad_sign(old)
+    assert new.rational_part() == old.rational_part()
+    assert type(new.rational_part()) is Fraction
 
 
 small_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))

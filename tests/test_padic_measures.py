@@ -301,6 +301,17 @@ def cone_pseudo_measures(draw):
     return pseudo_from_cone(f, cone_of(*gens), U), caps
 
 
+@given(cone_pseudo_measures())
+@settings(max_examples=40, deadline=None)
+def test_pseudo_from_cone_numerator_is_sorted_fractions(case):
+    # PseudoMeasure stores its numerator as given: pseudo_from_cone hands
+    # it the (x, f(x)) pairs strictly sorted by x, every entry a Fraction
+    pm, _ = case
+    xs = [e for e, _ in pm.numerator]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert all(type(v) is F for e, c in pm.numerator for v in (*e, c))
+
+
 def _expansion_or_refusal(expand, pm, caps):
     try:
         return expand(pm, caps).coeffs
