@@ -328,10 +328,22 @@ def _common_denominator(values: list) -> tuple[int, list[int]]:
 
 
 def _divide_by_t(coeffs: dict, r: int) -> dict:
-    """Divide by T_1 * ... * T_r, verifying the visible obstruction first."""
-    if any(e[i] == 0 for e in coeffs for i in range(r)):
-        raise PoleDetected("transform numerator is not divisible by its denominator support")
+    """Divide by T_1 * ... * T_r; the caller has checked divisibility."""
     return {tuple(x - 1 if i < r else x for i, x in enumerate(e)): c for e, c in coeffs.items()}
+
+
+def _divisible_by_axes(terms: list, r: int) -> bool:
+    """Whether sum c * (1+T)^mu over the (c, mu) terms is divisible by
+    each T_i, i < r: at T_i = 0 the terms with equal mu off axis i must
+    cancel."""
+    for i in range(r):
+        rest: dict = {}
+        for c, mu in terms:
+            key = mu[:i] + mu[i + 1 :]
+            rest[key] = rest.get(key, 0) + c
+        if any(rest.values()):
+            return False
+    return True
 
 
 def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, list[int]]:
@@ -371,9 +383,11 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     """Power-series transform of a pseudo-measure satisfying the measure
     criterion, with exact rational (p-integral) coefficients.
 
-    caps are per-variable degree bounds in the standard coordinates S;
-    the divisibility by the denominator support is re-verified on the
-    visible truncation and failure raises PoleDetected.  Each p-fractional
+    caps are per-variable degree bounds in the standard coordinates S.
+    A pseudo-measure that fails the criterion raises PoleDetected at any
+    caps: each piece's divisibility by the denominator support is tested
+    on its numerator terms, not on the truncation, which at small caps
+    can miss the obstruction.  Each p-fractional
     piece w is expanded in T_i = prod_j (1+S_j)^(D_ji) - 1 and divided by
     each unit factor along its own axis, all cut at total degree
     tcap = sum(caps) since T^e has S-degree >= |e|; rewritten in powers of
@@ -394,6 +408,8 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
         w = tuple(_pfrac(x, pm.p) for x in mcoord)
         mu = tuple(x - wx for x, wx in zip(mcoord, w))
         pieces.setdefault(w, []).append((c, mu))
+    if not all(_divisible_by_axes(terms, r) for terms in pieces.values()):
+        raise PoleDetected("transform numerator is not divisible by its denominator support")
 
     inverse_rows = [_unit_inverse_row(a, tcap) for a, _ in pm.denoms]
     Dint = [[int(x) for x in row] for row in D]

@@ -275,13 +275,27 @@ def _numerator_coordinates(pm: PseudoMeasure):
     return D, monos
 
 
+def _piece_vanishes_on_axes(terms: list[tuple[Fraction, Vector]], r: int) -> bool:
+    """Whether sum c * (1+T)^mu is divisible by each T_i, i < r: setting
+    T_i = 0 drops coordinate i of every mu, and the terms left must cancel."""
+    for i in range(r):
+        rest: dict = {}
+        for c, mu in terms:
+            key = tuple(mu[:i]) + tuple(mu[i + 1 :])
+            rest[key] = rest.get(key, 0) + c
+        if any(rest.values()):
+            return False
+    return True
+
+
 def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     """Power-series transform of a pseudo-measure satisfying the measure
     criterion, with exact rational (p-integral) coefficients.
 
-    caps are per-variable degree bounds in the standard coordinates; the
-    divisibility by the denominator support is re-verified on the visible
-    truncation and failure raises PoleDetected."""
+    caps are per-variable degree bounds in the standard coordinates; a
+    piece not divisible by every T_i raises PoleDetected at any caps (see
+    ``_piece_vanishes_on_axes``), and the visible truncation is checked
+    again before dividing."""
     if len(caps) != pm.n:
         raise ValueError("caps dimension mismatch")
     if not pm.numerator:
@@ -307,6 +321,8 @@ def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     total = TruncSeries(caps, {})
     for w in sorted(pieces):
         terms = pieces[w]
+        if not _piece_vanishes_on_axes(terms, r):
+            raise PoleDetected("transform numerator is not divisible by its denominator support")
         F = _piece_numerator(terms, build_caps, tcap + r)
         F = _divide_by_t(F, r, tcaps) if r else TruncSeries(tcaps, F.coeffs)
         G = F * inv_units

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shintani_kit.cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
@@ -319,7 +319,18 @@ def _expansion_or_refusal(expand, pm, caps):
         return type(exc)
 
 
+# a non-measure whose obstruction lies above the truncation at caps (0, 0)
+_HIDDEN_POLE = PseudoMeasure(
+    p=5,
+    m=1,
+    n=2,
+    numerator=(((F(5), F(6)), F(1)), ((F(5), F(11)), F(-2)), ((F(5), F(16)), F(1))),
+    denoms=((F(3), (0, 5)), (F(1), (5, 5))),
+)
+
+
 @given(cone_pseudo_measures())
+@example((_HIDDEN_POLE, (0, 0)))
 @settings(max_examples=60, deadline=None)
 def test_amice_expand_matches_full_box_reference(case):
     pm, caps = case
