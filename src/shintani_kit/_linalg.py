@@ -10,12 +10,14 @@ rational_kernel, and span_coordinate_rows (its coordinates in them) one
 inverse.  Over the integers, integer_det is fraction-free (Bareiss)
 elimination, and det scales its rows to integers and calls it; the
 lattice routines go through hnf_with_transform.
+Integers over one common denominator, the layout of every hot loop in
+the package, are built in one place, common_denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import SingularMatrix, ZeroVector
 
@@ -65,13 +67,18 @@ def from_columns(cols) -> Matrix:
     return tuple(tuple(c[i] for c in cols) for i in range(len(cols[0])))
 
 
+def common_denominator(rows) -> tuple[int, list[list[int]]]:
+    """The lcm d of the denominators of every entry (1 when there is
+    none), and the rows, of ints or Fractions, as integer numerators over
+    d in the same shape."""
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def det(a: Matrix) -> Fraction:
-    """Determinant: each row scaled to integers, integer_det, divided back."""
-    rows = [vec(r) for r in a]
-    scales = [lcm(*(x.denominator for x in r), 1) for r in rows]
-    d = integer_det([[x.numerator * (s // x.denominator) for x in r]
-                     for r, s in zip(rows, scales)])
-    return Fraction(d, prod(scales))
+    """Determinant: the rows scaled to integers, integer_det, divided back."""
+    d, rows = common_denominator(mat(a))
+    return Fraction(integer_det(rows), d ** len(rows))
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -301,24 +308,17 @@ def lattice_intersection(a, b) -> IntMatrix:
     a and b are square rational matrices whose columns span the lattices.
     """
     a = mat(a)
-    b = mat(b)
     n = len(a)
-    s = lcm(*(f.denominator for m_ in (a, b) for row in m_ for f in row), 1)
-    sa = tuple(tuple(int(x * s) for x in row) for row in a)
-    sb = tuple(tuple(int(x * s) for x in row) for row in b)
-    stacked = tuple(sa[i] + tuple(-x for x in sb[i]) for i in range(n))
+    s, rows = common_denominator(a + mat(b))
+    sa, sb = rows[:n], rows[n:]
+    stacked = tuple(tuple(sa[i] + [-x for x in sb[i]]) for i in range(n))
     kern = integer_kernel(stacked)
     if len(kern) != n:
         raise SingularMatrix("lattices are not full rank")
-    cols = []
-    for k in kern:
-        cols.append(tuple(
-            sum(Fraction(sa[i][j], s) * k[j] for j in range(n))
-            for i in range(n)))
+    cols = [[Fraction(sum(c * x for c, x in zip(row, k)), s) for row in sa] for k in kern]
     # HNF-normalize so callers get a canonical triangular basis
-    den = lcm(*(f.denominator for c in cols for f in c), 1)
-    icols = [[int(x * den) for x in c] for c in cols]
-    h, _ = hnf_with_transform(tuple(zip(*[tuple(c) for c in icols])))
+    den, icols = common_denominator(cols)
+    h, _ = hnf_with_transform(tuple(zip(*icols)))
     return tuple(tuple(Fraction(h[i][j], den) for j in range(n))
                  for i in range(n))
 
@@ -344,9 +344,7 @@ def coset_representatives(h: IntMatrix) -> list[tuple[int, ...]]:
 
 def minimal_multiplier(g, basis: Matrix) -> Fraction:
     """Smallest positive rational a with a*g inside the column lattice."""
-    coords = solve(basis, g)
-    d = lcm(*(c.denominator for c in coords), 1)
-    numers = [int(c * d) for c in coords]
+    d, (numers,) = common_denominator([solve(basis, g)])
     g0 = gcd(*numers) if any(numers) else 0
     if g0 == 0:
         raise ZeroVector("zero vector has no minimal multiplier")

@@ -462,8 +462,7 @@ def cmd_padic_zeta(cfg: dict, keys: dict, args: argparse.Namespace) -> tuple[dic
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         integral = integral and all(is_p_integral(c, p) for c in series.coeffs.values())
-        padic = [padic_partial_zeta(field, aideal, cprime, p, m, k, conductor, M=M, series=series)
-                 for k in ks]
+        padic = [padic_partial_zeta(field, aideal, series, p, k, M=M) for k in ks]
         # level 0 removes the p-divisible part; level m >= 1 sits inside p^m
         exact = exact_ray_class_zeta(
             field, aideal, conductor * p**m, ks, smoothing=cprime, star_at=None if m else p

@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd
 
 from ._linalg import (
     Matrix,
     Vector,
     columns,
+    common_denominator,
     det,
     integer_det,
     mat,
@@ -81,8 +82,7 @@ def primitive_direction(g) -> tuple[int, ...]:
     g = vec(g)
     if all(x == 0 for x in g):
         raise ZeroVector("zero vector has no direction")
-    den = lcm(*(x.denominator for x in g), 1)
-    ints = [int(x * den) for x in g]
+    _, (ints,) = common_denominator([g])
     g0 = gcd(*(abs(x) for x in ints))
     return tuple(x // g0 for x in ints)
 

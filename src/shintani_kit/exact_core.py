@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Union
 
+from ._linalg import common_denominator
 from .errors import ZeroConstantTerm
 
 # Grown on demand by bernoulli_number; selftest uses it as a tamper canary.
@@ -71,11 +72,9 @@ class QuadScalar:
     __slots__ = ("A", "B", "q", "D")
 
     def __init__(self, a: Rational, b: Rational, D: int):
-        a, b = Fraction(a), Fraction(b)
         # over the lcm of two reduced denominators the triple is reduced
-        q = lcm(a.denominator, b.denominator)
-        self.A, self.B = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        self.q, self.D = q, D
+        self.q, ((self.A, self.B),) = common_denominator([(Fraction(a), Fraction(b))])
+        self.D = D
 
     @classmethod
     def _reduced(cls, A: int, B: int, q: int, D: int) -> "QuadScalar":

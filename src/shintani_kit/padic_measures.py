@@ -11,10 +11,15 @@ Stirling numbers of the second kind (Mahler, J. reine angew. Math. 199,
 a quadratic norm takes its Mahler coefficients from the same moments,
 through the Stirling numbers of the first kind.
 
+The measure criterion has two independent routes: line masses away from
+p (`test_functions.vanishing_check`), and each PseudoMeasure's verdict on
+the divisibility of its numerator, which amice_expand also enforces.
+
 The expansion multiplies no full boxes: each unit factor is inverted in
 its own variable and applied along that axis, every intermediate is cut
 at total degree tcap, and binomial sums are integer numerators over one
-denominator (the layout of FLINT's fmpq_poly).
+denominator (the layout of FLINT's fmpq_poly, built by
+`_linalg.common_denominator`).
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from ._linalg import (
     Matrix,
+    common_denominator,
     det,
     from_columns,
     inverse,
@@ -121,7 +128,12 @@ class PseudoMeasure:
     d_i are integer direction vectors already carrying the level p^m; the
     multipliers a_i must be p-units, otherwise the denominator cannot be
     regularized and construction is refused.  numerator holds (v, c)
-    pairs of Fractions, strictly sorted by v, and is stored as given."""
+    pairs of Fractions, strictly sorted by v, and is stored as given.
+
+    Computed once, on first use: the numerator's coordinates in the
+    completed direction basis D, their p-fractional pieces, and the
+    divisibility verdict on them.  is_measure reads the verdict as route
+    B; amice_expand refuses by it and expands the same pieces."""
 
     p: int
     m: int
@@ -143,6 +155,46 @@ class PseudoMeasure:
     @property
     def r(self) -> int:
         return len(self.denoms)
+
+    @cached_property
+    def _coordinates(self):
+        """The completed direction matrix D and the (coefficient, D^-1
+        exponent) pairs; D^-1 is the integer adjugate over det D, applied
+        to the exponents as integer numerators over one denominator."""
+        D = _complete_directions([d for _, d in self.denoms], self.n, self.p)
+        dd = int(det(D))
+        adj = [[int(dd * x) for x in row] for row in inverse(D)]
+        q, exps = common_denominator([e for e, _ in self.numerator])
+        return D, [
+            (c, tuple(Fraction(sum(a * x for a, x in zip(row, v)), q * dd) for row in adj))
+            for (_, c), v in zip(self.numerator, exps)
+        ]
+
+    @cached_property
+    def _pieces(self) -> dict:
+        """Numerator terms (c, mu) by the p-fractional part w of their D^-1
+        coordinates, mu = coordinates - w; none, and no basis, if empty."""
+        if not self.numerator:
+            return {}
+        pieces: dict = {}
+        for c, coords in self._coordinates[1]:
+            w = tuple(_pfrac(x, self.p) for x in coords)
+            pieces.setdefault(w, []).append((c, tuple(x - wx for x, wx in zip(coords, w))))
+        return pieces
+
+    @cached_property
+    def _divisible(self) -> bool:
+        """Whether each piece sum c * (1+T)^mu is divisible by every T_i,
+        i < r: at T_i = 0 the terms with equal mu off axis i must cancel."""
+        for terms in self._pieces.values():
+            for i in range(self.r):
+                rest: dict = {}
+                for c, mu in terms:
+                    key = mu[:i] + mu[i + 1 :]
+                    rest[key] = rest.get(key, 0) + c
+                if any(rest.values()):
+                    return False
+        return True
 
 
 def pseudo_from_cone(f: TestFunction, cone: OpenCone, U: PLevelSet) -> PseudoMeasure:
@@ -214,41 +266,8 @@ def _pfrac(x: Fraction, p: int) -> Fraction:
     return Fraction(residue(x * pj, p, j), pj)
 
 
-def _numerator_coordinates(pm: PseudoMeasure):
-    """(coefficient, D^{-1} exponent) pairs plus the completed matrix D;
-    D^{-1} is the integer adjugate over det D, applied to integer numerators."""
-    D = _complete_directions([d for _, d in pm.denoms], pm.n, pm.p)
-    dd = int(det(D))
-    adj = [[int(dd * x) for x in row] for row in inverse(D)]
-    monos = []
-    for e, c in pm.numerator:
-        q = math.lcm(*(x.denominator for x in e))
-        v = [x.numerator * (q // x.denominator) for x in e]
-        monos.append((c, tuple(Fraction(sum(a * x for a, x in zip(r, v)), q * dd) for r in adj)))
-    return D, monos
-
-
 # ---------------------------------------------------------------------------
 # measure criterion, two independent routes
-
-
-def _measure_by_grouping(pm: PseudoMeasure) -> bool:
-    """Exact divisibility of each piece of the transform by every T_i,
-    tested by grouping numerator coefficients; no series truncation."""
-    if not pm.numerator:
-        return True
-    _, monos = _numerator_coordinates(pm)
-    for i in range(pm.r):
-        groups: dict = {}
-        for c, mcoords in monos:
-            key = (
-                _pfrac(mcoords[i], pm.p),
-                tuple(x for j, x in enumerate(mcoords) if j != i),
-            )
-            groups[key] = groups.get(key, Fraction(0)) + c
-        if any(v != 0 for v in groups.values()):
-            return False
-    return True
 
 
 def is_measure(f: TestFunction, cone: OpenCone, pm: PseudoMeasure) -> bool:
@@ -257,13 +276,13 @@ def is_measure(f: TestFunction, cone: OpenCone, pm: PseudoMeasure) -> bool:
 
     Decided twice: once through the prime-to-p line-mass vanishing of f in
     the primitive generator directions, which reads only f and the cone,
-    once through exact coefficient grouping of the numerator of pm.  The
-    two verdicts are compared and a disagreement raises rather than
-    picking a side."""
+    once through the divisibility verdict pm keeps for its numerator, the
+    one amice_expand enforces.  The two verdicts are compared and a
+    disagreement raises rather than picking a side."""
     route_a = all(
         vanishing_check(f, primitive_direction(g)) for g in cone.generators
     )
-    route_b = _measure_by_grouping(pm)
+    route_b = pm._divisible
     if route_a != route_b:
         raise RouteDisagreement(
             f"direction-vanishing route says {route_a}, "
@@ -285,12 +304,9 @@ def _piece_numerator(terms: list, caps: tuple[int, ...], budget: int) -> dict:
     C(mu, k) = prod_{i<k} (mu*den - i*den) / (den^k * k!), so every
     exponent k collects one integer and is divided once, by
     cden * prod_j den^(k_j) * k_j!."""
-    cden, cnums = _common_denominator([c for c, _ in terms])
-    den = math.lcm(*(x.denominator for _, mu in terms for x in mu))
-    scaled = [
-        (c, [x.numerator * (den // x.denominator) for x in mu])
-        for c, (_, mu) in zip(cnums, terms)
-    ]
+    cden, (cnums,) = common_denominator([[c for c, _ in terms]])
+    den, mus = common_denominator([mu for _, mu in terms])
+    scaled = list(zip(cnums, mus))
     scale = [den ** k * math.factorial(k) for k in range(max(caps) + 1)]
     return {
         e: Fraction(v, cden * math.prod(scale[k] for k in e))
@@ -321,37 +337,17 @@ def _falling_sums(terms: list, caps: tuple[int, ...], budget: int, den: int) -> 
     return out
 
 
-def _common_denominator(values: list) -> tuple[int, list[int]]:
-    """The lcm of the denominators, and the values as numerators over it."""
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def _divide_by_t(coeffs: dict, r: int) -> dict:
     """Divide by T_1 * ... * T_r; the caller has checked divisibility."""
     return {tuple(x - 1 if i < r else x for i, x in enumerate(e)): c for e, c in coeffs.items()}
 
 
-def _divisible_by_axes(terms: list, r: int) -> bool:
-    """Whether sum c * (1+T)^mu over the (c, mu) terms is divisible by
-    each T_i, i < r: at T_i = 0 the terms with equal mu off axis i must
-    cancel."""
-    for i in range(r):
-        rest: dict = {}
-        for c, mu in terms:
-            key = mu[:i] + mu[i + 1 :]
-            rest[key] = rest.get(key, 0) + c
-        if any(rest.values()):
-            return False
-    return True
-
-
-def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, list[int]]:
+def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, list[list[int]]]:
     """Coefficients 0..tcap of the inverse of -sum_{j>=1} C(a, j) T^(j-1),
-    as integer numerators over one denominator."""
+    as one row of integer numerators over one denominator."""
     unit = {(j,): -c for j, c in enumerate(binomial_row(a, tcap + 1)[1:])}
     inv = TruncSeries((tcap,), unit).invert()
-    return _common_denominator([inv.coeff((t,)) for t in range(tcap + 1)])
+    return common_denominator([[inv.coeff((t,)) for t in range(tcap + 1)]])
 
 
 def _convolve_axis(coeffs: dict, i: int, row: list[int], tcap: int) -> dict:
@@ -385,40 +381,32 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
 
     caps are per-variable degree bounds in the standard coordinates S.
     A pseudo-measure that fails the criterion raises PoleDetected at any
-    caps: each piece's divisibility by the denominator support is tested
-    on its numerator terms, not on the truncation, which at small caps
-    can miss the obstruction.  Each p-fractional
-    piece w is expanded in T_i = prod_j (1+S_j)^(D_ji) - 1 and divided by
-    each unit factor along its own axis, all cut at total degree
-    tcap = sum(caps) since T^e has S-degree >= |e|; rewritten in powers of
-    1 + T, the piece times (1+S)^(D w) is a numerator sum with exponents
-    D (f + w)."""
+    caps: the verdict is the one is_measure reads, taken on the numerator
+    terms of the pieces, not on the truncation, which at small caps can
+    miss the obstruction.  Each p-fractional piece w is expanded in
+    T_i = prod_j (1+S_j)^(D_ji) - 1 and divided by each unit factor along
+    its own axis, all cut at total degree tcap = sum(caps) since T^e has
+    S-degree >= |e|; rewritten in powers of 1 + T, the piece times
+    (1+S)^(D w) is a numerator sum with exponents D (f + w)."""
     if len(caps) != pm.n:
         raise ValueError("caps dimension mismatch")
     if not pm.numerator:
         return TruncSeries(caps, {})
-    D, monos = _numerator_coordinates(pm)
+    if not pm._divisible:
+        raise PoleDetected("transform numerator is not divisible by its denominator support")
+    D, _ = pm._coordinates
     r, n = pm.r, pm.n
     tcap = sum(caps)
     build_caps = tuple(tcap + 1 if i < r else tcap for i in range(n))
 
-    # partition by p-fractional class of the coordinates
-    pieces: dict = {}
-    for c, mcoord in monos:
-        w = tuple(_pfrac(x, pm.p) for x in mcoord)
-        mu = tuple(x - wx for x, wx in zip(mcoord, w))
-        pieces.setdefault(w, []).append((c, mu))
-    if not all(_divisible_by_axes(terms, r) for terms in pieces.values()):
-        raise PoleDetected("transform numerator is not divisible by its denominator support")
-
     inverse_rows = [_unit_inverse_row(a, tcap) for a, _ in pm.denoms]
     Dint = [[int(x) for x in row] for row in D]
     total: dict = {}
-    for w in sorted(pieces):
-        G = _divide_by_t(_piece_numerator(pieces[w], build_caps, tcap + r), r)
-        den, nums = _common_denominator(list(G.values()))
+    for w, piece in sorted(pm._pieces.items()):
+        G = _divide_by_t(_piece_numerator(piece, build_caps, tcap + r), r)
+        den, (nums,) = common_denominator([list(G.values())])
         G = dict(zip(G, nums))
-        for i, (h, row) in enumerate(inverse_rows):
+        for i, (h, (row,)) in enumerate(inverse_rows):
             G = _convolve_axis(G, i, row, tcap)
             den *= h
         dw = mat_vec(D, vec(w))

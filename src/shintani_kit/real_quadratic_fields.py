@@ -629,30 +629,19 @@ def smoothed_class_series(
 def padic_partial_zeta(
     field: RealQuadraticField,
     aideal: IdealHNF,
-    cprime: IdealHNF,
+    series: TruncSeries,
     p: int,
-    m: int,
     k: int,
-    conductor: int = 1,
-    caps: tuple[int, int] | None = None,
     M: int = 6,
-    series: TruncSeries | None = None,
 ) -> PartialZetaValue:
-    """Norm moment of the smoothed class measure over the level-m set,
-    scaled by norm(a)^k: the p-adic side of one interpolation point.
+    """Norm moment of a smoothed class measure, scaled by norm(a)^k: the
+    p-adic side of one interpolation point.
 
-    The moment is an exact rational, reported together with its residue
-    mod p^M.  Pass a precomputed `series` (from smoothed_class_series with
-    caps of at least 2k) to share one transform across several k.
+    series is the measure's transform from smoothed_class_series, which
+    checks the prime data, with caps of at least 2k; one series serves
+    every k it reaches.  The moment is an exact rational, reported
+    together with its residue mod p^M.
     """
-    if series is None:
-        if caps is None:
-            caps = (2 * k + 2, 2 * k + 2)
-        series = smoothed_class_series(
-            field, aideal, cprime, p, m, conductor, caps
-        )
-    else:
-        _check_prime_setup(field, aideal, cprime, p, conductor)
     # norm^k is homogeneous of degree 2k, so caps (2k, 2k) never truncate
     norm = TruncSeries((2 * k, 2 * k), field.norm_form())
     norm_k = TruncSeries.constant(norm.caps, Fraction(1))

@@ -262,7 +262,7 @@ def check_interpolation_quick():
     ser = smoothed_class_series(F5, O, c11, 3, 1, caps=(2, 2))
     exact = exact_ray_class_zeta(F5, O, 3, [0, 1], smoothing=c11)
     for k, ex in enumerate(exact):
-        pv = padic_partial_zeta(F5, O, c11, 3, 1, k, series=ser).exact
+        pv = padic_partial_zeta(F5, O, ser, 3, k).exact
         if pv != ex:
             return False, f"moment k={k}: p-adic {pv} vs exact {ex}"
     return True, "D=5, p=3, ell=11, level 1, k = 0, 1"
@@ -277,7 +277,7 @@ def check_interpolation_full():
         ser = smoothed_class_series(F, O, c, p, 1, caps=(4, 4))
         exact = exact_ray_class_zeta(F, O, p, range(3), smoothing=c)
         for k, ex in enumerate(exact):
-            pv = padic_partial_zeta(F, O, c, p, 1, k, series=ser).exact
+            pv = padic_partial_zeta(F, O, ser, p, k).exact
             if pv != ex:
                 return False, f"(D,p,ell)=({D},{p},{ell}) k={k}: {pv} vs {ex}"
             rows.append((D, k))
@@ -285,7 +285,8 @@ def check_interpolation_full():
     F5 = RealQuadraticField(5)
     O = o_ideal(F5)
     c11 = prime_above(F5, 11)[0]
-    pv = padic_partial_zeta(F5, O, c11, 3, 0, 1).exact
+    ser = smoothed_class_series(F5, O, c11, 3, 0, caps=(4, 4))
+    pv = padic_partial_zeta(F5, O, ser, 3, 1).exact
     (ex,) = exact_ray_class_zeta(F5, O, 1, [1], smoothing=c11, star_at=3)
     if pv != ex:
         return False, f"level-zero moment: {pv} vs {ex}"

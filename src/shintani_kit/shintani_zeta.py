@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import Vector, minimal_multiplier, vec
+from ._linalg import Vector, common_denominator, minimal_multiplier, vec
 from ._rational_padics import is_squarefree
 from .cones import ConeFunction, OpenCone
 from .errors import (
@@ -165,8 +165,8 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
     integers over the common denominators d of the t_j and dv of the
     values; one pass over the points serves every N in Ns."""
     N = max(Ns)
-    d = math.lcm(*(c.denominator for _, t, _ in points for c in t))
-    dv = math.lcm(*(val.denominator for _, _, val in points))
+    d, T_rows = common_denominator([t for _, t, _ in points])
+    dv, (values,) = common_denominator([[val for _, _, val in points]])
     # every alpha with |alpha| <= N, each one multiplication away from its
     # parent: alpha = parent + e_j with j at or after parent's last nonzero
     exps = [(0,) * r]
@@ -181,9 +181,8 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
                 steps.append((pos, j))
         pos += 1
     sums = [0] * len(exps)
-    for _, t, val in points:
-        T = [c.numerator * (d // c.denominator) for c in t]
-        mono = [val.numerator * (dv // val.denominator)]
+    for T, v in zip(T_rows, values):
+        mono = [v]
         for parent, j in steps:
             mono.append(mono[parent] * T[j])
         sums = [a + b for a, b in zip(sums, mono)]

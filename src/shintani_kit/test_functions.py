@@ -17,6 +17,7 @@ from typing import Sequence
 from ._linalg import (
     Matrix,
     Vector,
+    common_denominator,
     coset_representatives,
     det,
     from_columns,
@@ -222,9 +223,7 @@ def _normalize_offset_away(a: Fraction, m: Fraction, p: int) -> Fraction:
 def _intersect_affine_away(a1, m1, a2, m2, p: int):
     """Intersection of a_i + m_i*Z[1/p]; offsets have p-free denominator and
     the steps are p-free positive.  Returns (offset, step) or None."""
-    q = math.lcm(a1.denominator, m1.denominator, a2.denominator, m2.denominator)
-    A1, M1 = int(a1 * q), int(m1 * q)
-    A2, M2 = int(a2 * q), int(m2 * q)
+    q, ((A1, M1, A2, M2),) = common_denominator([(a1, m1, a2, m2)])
     g = math.gcd(M1, M2)
     delta = A2 - A1
     if delta == 0:
@@ -394,10 +393,10 @@ def parallelepiped_support(
     ann = span_annihilator(gens)
     C = span_coordinate_rows(gens, ann)
 
-    W = from_columns(gens)
-    dw = math.lcm(*(w.denominator for row in W for w in row))
-    Wd = [[w.numerator * (dw // w.denominator) for w in row] for row in W]
-    points: dict[Vector, list] = {}
+    dw, Wd = common_denominator(from_columns(gens))
+    # each point x is keyed by its lowest-terms integers (den, *nums),
+    # x = nums / den, and holds [its q * t, q, its value]
+    points: dict[tuple[int, ...], list] = {}
     for t in f.terms:
         sols = _term_line_solutions(t, ann, f.n)
         if sols is None:
@@ -416,28 +415,30 @@ def parallelepiped_support(
         # integer arithmetic over common denominators: q * (tau0 + A z) is
         # an integer vector, reduced into (0, q]^r it is q * t, and
         # dw * q * x = (dw * W) (q * t)
-        q = math.lcm(*(c.denominator for c in tau0), *(a.denominator for row in A for a in row))
-        Q0 = [c.numerator * (q // c.denominator) for c in tau0]
-        Aq = [[a.numerator * (q // a.denominator) for a in row] for row in A]
+        q, (Q0, *Aq) = common_denominator([tau0, *A])
         wq = dw * q
         for z in coset_representatives(h):
             T = [
                 (c + sum(a * zi for a, zi in zip(row, z)) - 1) % q + 1
                 for c, row in zip(Q0, Aq)
             ]
-            x = tuple(
-                Fraction(sum(w * tj for w, tj in zip(row, T)), wq) for row in Wd
-            )
-            entry = points.get(x)
+            X = [sum(w * tj for w, tj in zip(row, T)) for row in Wd]
+            g = math.gcd(wq, *X)
+            key = (wq // g, *(x // g for x in X))
+            entry = points.get(key)
             if entry is None:
-                points[x] = [tuple(Fraction(tj, q) for tj in T), t.coeff]
+                points[key] = [T, q, t.coeff]
             else:
-                entry[1] += t.coeff
-    # sort on integer numerators over one denominator: same order as the
-    # Fraction tuples, without Fraction comparisons
-    den = math.lcm(1, *(c.denominator for x in points for c in x))
-    order = sorted(points, key=lambda x: [c.numerator * (den // c.denominator) for c in x])
-    return [(x, *points[x]) for x in order if points[x][1] != 0]
+                entry[2] += t.coeff
+    # sort on integer numerators over one denominator: the order of x
+    den = math.lcm(1, *(key[0] for key in points))
+    out = []
+    for key in sorted(points, key=lambda k: [x * (den // k[0]) for x in k[1:]]):
+        T, q, value = points[key]
+        if value != 0:
+            x = tuple(Fraction(xi, key[0]) for xi in key[1:])
+            out.append((x, tuple(Fraction(tj, q) for tj in T), value))
+    return out
 
 
 def _term_line_solutions(t: LatticeTerm, ann: list[Vector], n: int):
@@ -448,18 +449,13 @@ def _term_line_solutions(t: LatticeTerm, ann: list[Vector], n: int):
         m0 = vec((0,) * n)
         kern = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     else:
-        B = tuple(ann)
-        BL_rows = []
-        rhs = []
-        den = 1
-        for row in B:
-            coeffs = mat_vec(transpose(t.lattice), row)
-            b = -sum(ri * oi for ri, oi in zip(row, t.offset))
-            den = math.lcm(den, b.denominator, *[c.denominator for c in coeffs])
-            BL_rows.append(coeffs)
-            rhs.append(b)
-        BL_int = tuple(tuple(int(c * den) for c in row) for row in BL_rows)
-        rhs_int = tuple(int(b * den) for b in rhs)
+        # each row of ann: row . (o + L m) = 0 in m, as integers (rhs, *coefficients)
+        _, rows = common_denominator([
+            (-sum(ri * oi for ri, oi in zip(row, t.offset)), *mat_vec(transpose(t.lattice), row))
+            for row in ann
+        ])
+        BL_int = tuple(tuple(row[1:]) for row in rows)
+        rhs_int = tuple(row[0] for row in rows)
         m0_sol = solve_integer(BL_int, rhs_int)
         if m0_sol is None:
             return None

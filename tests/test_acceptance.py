@@ -146,7 +146,7 @@ def _interpolation_table():
             else:
                 exact = exact_ray_class_zeta(F, O, p, (0, 1, 2), smoothing=c)
             for k, ex in enumerate(exact):
-                pv = padic_partial_zeta(F, O, c, p, m, k, M=6, series=ser)
+                pv = padic_partial_zeta(F, O, ser, p, k, M=6)
                 rows.append((D, p, ell, m, k, pv, ex))
     return rows, series_pool
 

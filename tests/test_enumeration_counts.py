@@ -5,7 +5,10 @@ and the p-adic side in the `parallelepiped_support` call of
 `padic_measures.pseudo_from_cone`.  Counters on those two names pin how
 many enumerations a whole k-list, a measure check and a Kubota-Leopoldt
 construction make: one per (function, cone) on the exact side, and one
-pseudo-measure that `is_measure` judges and `amice_expand` expands.
+pseudo-measure that `is_measure` judges and `amice_expand` expands.  A
+counter on `padic_measures._complete_directions` pins that such a
+pseudo-measure completes its directions to a basis once, for the verdict
+and the expansion together.
 """
 
 import json
@@ -36,11 +39,13 @@ ACCEPTED_MEASURE = {
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call counters on the exact and the p-adic enumeration."""
-    seen = {"build_G": 0, "parallelepiped_support": 0}
+    """Call counters on the exact and the p-adic enumeration, and on the
+    completion of a pseudo-measure's directions."""
+    seen = {"build_G": 0, "parallelepiped_support": 0, "_complete_directions": 0}
     for module, name in (
         (shintani_zeta, "build_G"),
         (padic_measures, "parallelepiped_support"),
+        (padic_measures, "_complete_directions"),
     ):
         original = getattr(module, name)
 
@@ -73,9 +78,11 @@ def test_accepted_measure_enumerates_once(counts, tmp_path, capsys):
     assert code == 0
     assert rec["values"]["is_measure"] is True
     assert counts["parallelepiped_support"] == 1
+    assert counts["_complete_directions"] == 1
 
 
 def test_kubota_leopoldt_enumerates_once_per_level_set(counts):
     # the full level set, and the two unit residues mod 3
     kubota_leopoldt(3, 2, (32,))
     assert counts["parallelepiped_support"] == 3
+    assert counts["_complete_directions"] == 3

@@ -3,7 +3,10 @@ name a module imports is used in that module, every local a function
 assigns is read in it, every public function or method is referenced
 somewhere else in src/ unless it is library API kept on purpose
 (KEPT_API), and so is every private module-level function or class,
-every public module-level class and every UPPER_CASE constant."""
+every public module-level class and every UPPER_CASE constant.  And
+rationals are scaled to integers over one common denominator in one
+place only: no code takes an lcm over `.denominator`s outside
+`_linalg.common_denominator`."""
 
 import ast
 import re
@@ -243,3 +246,46 @@ def test_guard_sees_an_unreferenced_class_or_constant():
         "def f(n):\n    if n > LIMIT:\n        raise Used(n)\n    return n\n"
     )
     assert _unreferenced_named(_scan([src])) == ["STALE_LIMIT", "Stale", "_ROWS"]
+
+
+def _denominator_lcms(source: str) -> list[str]:
+    """Each call of lcm with a `.denominator` in its arguments, as
+    "function (line n)"; code outside any function is "<module>"."""
+    tree = ast.parse(source)
+    scopes = [("<module>", tree)] + [
+        (node.name, node) for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)
+    ]
+    found = []
+    for name, scope in scopes:
+        for node in _own_nodes(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "lcm":
+                continue
+            if any(
+                isinstance(n, ast.Attribute) and n.attr == "denominator"
+                for arg in node.args
+                for n in ast.walk(arg)
+            ):
+                found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_denominators_are_collected_only_in_common_denominator(path):
+    allowed = ["common_denominator"] if path.name == "_linalg.py" else []
+    assert [hit.split(" ")[0] for hit in _denominator_lcms(path.read_text())] == allowed
+
+
+def test_guard_sees_a_hand_rolled_common_denominator():
+    src = (
+        "import math\nfrom math import lcm\n\n"
+        "def scale(xs):\n"
+        "    q = math.lcm(*(x.denominator for x in xs))\n"
+        "    return [x.numerator * (q // x.denominator) for x in xs]\n\n"
+        "def period(ns):\n    return lcm(*ns)\n\n"
+        "class A:\n    def both(self, a, b):\n        return lcm(a.denominator, b.denominator)\n\n"
+        "D = lcm(*(f.denominator for f in ()))\n"
+    )
+    assert _denominator_lcms(src) == ["<module> (line 15)", "both (line 13)", "scale (line 5)"]

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shintani_kit._linalg import (
+    common_denominator,
     coset_representatives,
     det,
     from_columns,
@@ -35,6 +36,25 @@ from shintani_kit.errors import SingularMatrix, ZeroVector
 
 def _rand_int_matrix(rng, n, m, lo=-6, hi=7):
     return mat([[rng.randrange(lo, hi) for _ in range(m)] for _ in range(n)])
+
+
+_RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+)
+
+
+@given(st.lists(st.lists(_RATIONALS, max_size=4), max_size=4))
+@example([])
+@example([[], [Fraction(1, 6), 4], []])
+@settings(max_examples=200, deadline=None)
+def test_common_denominator(rows):
+    d, nums = common_denominator(rows)
+    assert d == lcm(1, *(Fraction(x).denominator for row in rows for x in row))
+    assert [len(row) for row in nums] == [len(row) for row in rows]
+    for row, nrow in zip(rows, nums):
+        for x, y in zip(row, nrow):
+            assert type(y) is int and y == x * d
 
 
 def test_det_inverse_solve():

@@ -644,7 +644,7 @@ class TestPadicInterpolation:
         for m, want in [(0, [0, 32, 0, 177632]), (1, [4, 16, 2368, 88816])]:
             ser = smoothed_class_series(F5, O, c11, 3, m, caps=(6, 6))
             got = [
-                padic_partial_zeta(F5, O, c11, 3, m, k, series=ser).exact
+                padic_partial_zeta(F5, O, ser, 3, k).exact
                 for k in range(4)
             ]
             assert got == want
@@ -653,14 +653,16 @@ class TestPadicInterpolation:
         O = o_ideal(F5)
         c11 = prime_above(F5, 11)[0]
         exact = exact_ray_class_zeta(F5, O, 3, range(3), smoothing=c11)
+        ser = smoothed_class_series(F5, O, c11, 3, 1, caps=(4, 4))
         for k, ex in enumerate(exact):
-            pv = padic_partial_zeta(F5, O, c11, 3, 1, k).exact
+            pv = padic_partial_zeta(F5, O, ser, 3, k).exact
             assert pv == ex
 
     def test_sqrt5_p3_matches_exact_level_zero(self):
         O = o_ideal(F5)
         c11 = prime_above(F5, 11)[0]
-        pv = padic_partial_zeta(F5, O, c11, 3, 0, 1).exact
+        ser = smoothed_class_series(F5, O, c11, 3, 0, caps=(4, 4))
+        pv = padic_partial_zeta(F5, O, ser, 3, 1).exact
         (ex,) = exact_ray_class_zeta(F5, O, 1, [1], smoothing=c11, star_at=3)
         assert pv == ex == 32
 
@@ -669,7 +671,7 @@ class TestPadicInterpolation:
         p5 = IdealHNF(F5, 5, 2, 1)
         ser = smoothed_class_series(F5, p5, c11, 3, 1, caps=(4, 4))
         got = [
-            padic_partial_zeta(F5, p5, c11, 3, 1, k, series=ser).exact
+            padic_partial_zeta(F5, p5, ser, 3, k).exact
             for k in range(3)
         ]
         assert got == [-4, 16, -2368]
@@ -681,9 +683,7 @@ class TestPadicInterpolation:
         c11 = prime_above(F5, 11)[0]
         ser = smoothed_class_series(F5, O, c11, 3, 1, conductor=2, caps=(4, 4))
         for k, want in [(0, 0), (1, -48)]:
-            pv = padic_partial_zeta(
-                F5, O, c11, 3, 1, k, conductor=2, series=ser
-            ).exact
+            pv = padic_partial_zeta(F5, O, ser, 3, k).exact
             assert pv == want
             assert [pv] == exact_ray_class_zeta(F5, O, 6, [k], smoothing=c11)
 
@@ -698,7 +698,7 @@ class TestPadicInterpolation:
             amice_of_cone_function(f, kappa, level, (2, 2))
             for kappa in (fan, domain_from_cocycle(F5, eps))
         ]
-        a, b = (padic_partial_zeta(F5, O, c11, 3, 1, 1, series=s).exact for s in series)
+        a, b = (padic_partial_zeta(F5, O, s, 3, 1).exact for s in series)
         assert a == b == 16
         # elsewhere the two fans share their 2-D cone and differ in the ray,
         # through 1 or through eps; the transform is a sum over the terms,
@@ -721,7 +721,7 @@ class TestPadicInterpolation:
                 ]
                 for k in range(3):
                     got, want = (
-                        padic_partial_zeta(F, O, c, p, m, k, conductor, series=s).exact
+                        padic_partial_zeta(F, O, s, p, k).exact
                         for s in rays
                     )
                     assert got == want
@@ -729,7 +729,8 @@ class TestPadicInterpolation:
     def test_padic_scalar_reporting(self):
         O = o_ideal(F5)
         c11 = prime_above(F5, 11)[0]
-        pz = padic_partial_zeta(F5, O, c11, 3, 1, 2, M=5)
+        ser = smoothed_class_series(F5, O, c11, 3, 1, caps=(6, 6))
+        pz = padic_partial_zeta(F5, O, ser, 3, 2, M=5)
         assert pz.exact == 2368
         assert pz.value.p == 3 and pz.value.M == 5
         assert pz.value.residue == residue(Fraction(2368), 3, 5)
@@ -738,17 +739,17 @@ class TestPadicInterpolation:
         O = o_ideal(F5)
         c11 = prime_above(F5, 11)[0]
         with pytest.raises(ValueError):
-            padic_partial_zeta(F5, O, c11, 2, 1, 1)  # p = 2
+            smoothed_class_series(F5, O, c11, 2, 1)  # p = 2
         with pytest.raises(ValueError):
-            padic_partial_zeta(F5, O, c11, 5, 1, 1)  # ramified
+            smoothed_class_series(F5, O, c11, 5, 1)  # ramified
         with pytest.raises(ValueError):
-            padic_partial_zeta(F5, rational_ideal(F5, 3), c11, 3, 1, 1)
+            smoothed_class_series(F5, rational_ideal(F5, 3), c11, 3, 1)
         with pytest.raises(BadSmoothingData):
             # smoothing prime must avoid the conductor
-            padic_partial_zeta(F5, O, c11, 3, 1, 1, conductor=11)
+            smoothed_class_series(F5, O, c11, 3, 1, conductor=11)
         with pytest.raises(BadSmoothingData):
             # smoothing prime must stay away from p
-            padic_partial_zeta(F5, O, prime_above(F5, 11)[0], 11, 1, 1)
+            smoothed_class_series(F5, O, prime_above(F5, 11)[0], 11, 1)
 
 
 class TestFieldPadicL:
