@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals and over the integers.
 
-Matrices are tuples of row-tuples of Fractions (or ints where noted).  The
-sizes involved here are tiny (n <= 4 in practice), so clarity beats
-asymptotics.  Over the rationals there is one Gauss-Jordan routine,
-``_rref``; solve, inverse, rank and rational_kernel are thin wrappers
-around it.  The two cone questions take one each: span_annihilator
-(whether a point lies in the span of independent generators) one
-rational_kernel, and span_coordinate_rows (its coordinates in them) one
-inverse.  Over the integers, integer_det is fraction-free (Bareiss)
-elimination, and det scales its rows to integers and calls it; the
-lattice routines go through hnf_with_transform.
-Integers over one common denominator, the layout of every hot loop in
-the package, are built in one place, common_denominator.
+Matrices are tuples of row-tuples of Fractions (or ints where noted); vec
+and mat keep each Fraction entry and send anything else through
+Fraction(x).  The sizes are tiny (n <= 4), so clarity beats asymptotics.
+Over the rationals there is one Gauss-Jordan routine, ``_rref``; solve,
+inverse, rank and rational_kernel are thin wrappers around it.  The two
+cone questions take one each: span_annihilator (whether a point lies in
+the span of independent generators) one rational_kernel, and
+span_coordinate_rows (its coordinates in them) one inverse.  Over the
+integers, integer_det is fraction-free (Bareiss) elimination, and det
+scales its rows to integers and calls it; the lattice routines go
+through hnf_with_transform.  common_denominator alone builds integers
+over one common denominator, the layout of every hot loop here.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ Vector = tuple[Fraction, ...]
 
 
 def mat(rows) -> Matrix:
-    """Normalize a nested iterable into a Fraction matrix."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Normalize a nested iterable into a Fraction matrix, each row by vec."""
+    return tuple(vec(row) for row in rows)
 
 
 def vec(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    """A Fraction vector: Fraction entries are kept, the rest go through Fraction(x)."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def identity(n: int) -> Matrix:

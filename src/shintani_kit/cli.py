@@ -56,7 +56,7 @@ from .shintani_zeta import quadratic_norm, special_value, std_norm
 from .test_functions import PLevelSet, TestFunction
 
 SCHEMA = "shintani-kit/1"
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MATH = 3
@@ -202,8 +202,10 @@ def _ints(cfg: dict, keys: dict, key: str, length: int | None = None) -> tuple |
 def _rational(key: str, x) -> Fraction:
     """An exact rational from a JSON integer or a "num/den" string; the
     ValueError otherwise names the key, for the caller's ConfigError."""
-    if _is_int(x) or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+    if _is_int(x):
         return Fraction(x)
+    if isinstance(x, str) and (match := _RATIONAL.fullmatch(x)):
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise ValueError(f'{key!r} must hold integers or "num/den" strings, got {x!r}')
 
 

@@ -79,11 +79,10 @@ def leading_sign(p: TruncSeries) -> int:
 
 def primitive_direction(g) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    g = vec(g)
-    if all(x == 0 for x in g):
+    _, (ints,) = common_denominator([vec(g)])
+    g0 = gcd(*ints)
+    if not g0:
         raise ZeroVector("zero vector has no direction")
-    _, (ints,) = common_denominator([g])
-    g0 = gcd(*(abs(x) for x in ints))
     return tuple(x // g0 for x in ints)
 
 
@@ -123,13 +122,11 @@ class OpenCone:
         return len(self.generators[0])
 
     def contains(self, v) -> bool:
-        """Whether v is a strictly positive combination of the generators."""
-        v = vec(v)
+        """Whether v is a strictly positive combination of the generators;
+        only signs are read, so v's integers over its denominator serve."""
+        _, (v,) = common_denominator([vec(v)])
         if len(v) != self.ambient:
             raise ValueError("point dimension mismatch")
-        if not any(v):
-            return False
-        v = primitive_direction(v)
 
         def dot(row):
             return sum(a * b for a, b in zip(row, v))

@@ -7,7 +7,9 @@ import io
 import json
 import os
 import subprocess
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -288,6 +290,46 @@ def test_padic_zeta_matches_golden_record(m, tmp_path, capsys):
     code, rec = run_cli(capsys, ["padic-zeta", "--config", str(path)])
     assert code == 0
     assert json.dumps(rec["values"], sort_keys=True, separators=(",", ":")) == golden[str(m)]
+
+
+HILL_GOLDEN = Path(__file__).resolve().parent / "golden" / "hill.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", ["readme", "n2_fractions", "n3", "n4"])
+def test_hill_matches_golden_record(name, tmp_path, capsys):
+    # the extraction's terms, the evaluations and the certificate, byte for
+    # byte as canonical JSON: a faster cones layer must not move them
+    golden = json.loads(HILL_GOLDEN.read_text())[name]
+    path = tmp_path / "hill.json"
+    path.write_text(json.dumps(golden["config"]))
+    code, rec = run_cli(capsys, ["hill", "--config", str(path)])
+    assert code == 0
+    assert _canonical(rec["values"]) == _canonical(golden["values"])
+    assert _canonical(rec["certificates"]) == _canonical(golden["certificates"])
+
+
+def test_readme_hill_config_is_the_golden_one():
+    block = re.search(r"A config for `hill`.*?```json\n(.*?)```", README.read_text(), re.S)
+    golden = json.loads(HILL_GOLDEN.read_text())["readme"]
+    assert json.loads(block[1]) == golden["config"]
+
+
+@given(st.from_regex(cli._RATIONAL, fullmatch=True))
+@settings(max_examples=200, deadline=None)
+def test_rational_strings_read_as_fraction_reads_them(s):
+    x = cli._rational("points", s)
+    assert type(x) is Fraction and x == Fraction(s)
+
+
+@pytest.mark.parametrize("s", ["1/0", "1/-2", "1.5", " 1", "1/", "/2", "1/2/3", "٣", True])
+def test_rational_refuses_other_values(s):
+    with pytest.raises(ValueError, match="'points' must hold integers"):
+        cli._rational("points", s)
 
 
 def test_padic_zeta_rejects_ell_equal_p(capsys):

@@ -336,6 +336,54 @@ def test_contains_matches_span_coordinates(data):
     assert OpenCone(tuple(gens)).contains(v) == expect
 
 
+positive_rational = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+@given(cones_and_points(), positive_rational)
+@settings(max_examples=100, deadline=None)
+def test_contains_ignores_positive_scaling(data, c):
+    gens, v = data
+    cone = OpenCone(tuple(gens))
+    assert cone.contains([c * x for x in v]) == cone.contains(v)
+
+
+def test_contains_refuses_the_origin():
+    for cone in (OpenCone(((1, 0), (1, 1))), OpenCone(((2, 3),))):
+        assert not cone.contains([0, Fraction(0)])
+
+
+@st.composite
+def cones_and_inner_points(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, n))
+    gens = [vec(draw(st.lists(small_rational, min_size=n, max_size=n))) for _ in range(d)]
+    assume(rank(from_columns(gens)) == d)
+    c = [draw(positive_rational) for _ in range(d)]
+    return gens, [sum(cj * g[k] for cj, g in zip(c, gens)) for k in range(n)]
+
+
+@given(cones_and_inner_points(), positive_rational)
+@settings(max_examples=100, deadline=None)
+def test_contains_refuses_negative_multiples_of_inner_points(data, c):
+    gens, v = data
+    cone = OpenCone(tuple(gens))
+    assert cone.contains(v)
+    assert not cone.contains([-c * x for x in v])
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_primitive_direction_keeps_a_primitive_vector(v):
+    assume(gcd(*v) == 1)
+    p = primitive_direction(tuple(v))
+    assert p == tuple(v) and all(type(x) is int for x in p)
+
+
+def test_primitive_direction_refuses_a_fraction_zero():
+    with pytest.raises(ZeroVector):
+        primitive_direction([0, Fraction(0)])
+
+
 @given(st.lists(small_rational, min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_primitive_direction_is_a_positive_multiple(v):

@@ -57,6 +57,38 @@ def test_common_denominator(rows):
             assert type(y) is int and y == x * d
 
 
+_ENTRIES = st.one_of(
+    _RATIONALS,
+    st.booleans(),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 60)),
+)
+
+
+@given(st.lists(_ENTRIES, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_vec_keeps_fractions_and_converts_the_rest(entries):
+    v = vec(entries)
+    assert v == tuple(Fraction(x) for x in entries)
+    assert all(type(y) is Fraction for y in v)
+    assert all(y is x for x, y in zip(entries, v) if type(x) is Fraction)
+
+
+def test_vec_converts_a_fraction_subclass():
+    class Half(Fraction):
+        pass
+
+    (x,) = vec([Half(1, 2)])
+    assert type(x) is Fraction and x == Fraction(1, 2)
+
+
+@given(st.lists(st.lists(_ENTRIES, max_size=4), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mat_matches_the_entrywise_build(rows):
+    m = mat(rows)
+    assert m == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert all(type(y) is Fraction for row in m for y in row)
+
+
 def test_det_inverse_solve():
     rng = random.Random(5)
     for _ in range(30):
