@@ -19,7 +19,8 @@ The expansion multiplies no full boxes: each unit factor is inverted in
 its own variable and applied along that axis, every intermediate is cut
 at total degree tcap, and binomial sums are integer numerators over one
 denominator (the layout of FLINT's fmpq_poly, built by
-`_linalg.common_denominator`).
+`_linalg.common_denominator`), as are the coordinates and pieces they
+start from, so no Fraction is built or hashed before the sums divide.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from ._linalg import (
     det,
     from_columns,
     inverse,
-    mat_vec,
     minimal_multiplier,
     vec,
 )
@@ -130,10 +130,11 @@ class PseudoMeasure:
     regularized and construction is refused.  numerator holds (v, c)
     pairs of Fractions, strictly sorted by v, and is stored as given.
 
-    Computed once, on first use: the numerator's coordinates in the
-    completed direction basis D, their p-fractional pieces, and the
-    divisibility verdict on them.  is_measure reads the verdict as route
-    B; amice_expand refuses by it and expands the same pieces."""
+    Computed once, on first use, in integers: the numerator's coordinates
+    in the completed direction basis D, over one denominator Q; their
+    p-fractional pieces, keyed by residue tuples; and the divisibility
+    verdict on them.  is_measure reads the verdict as route B;
+    amice_expand refuses by it and expands the same pieces."""
 
     p: int
     m: int
@@ -158,34 +159,40 @@ class PseudoMeasure:
 
     @cached_property
     def _coordinates(self):
-        """The completed direction matrix D and the (coefficient, D^-1
-        exponent) pairs; D^-1 is the integer adjugate over det D, applied
-        to the exponents as integer numerators over one denominator."""
+        """D, Q, cden and per term the integers (c, N): c/cden is the
+        coefficient and N/Q = D^-1 v, for the exponents v = u/q over one q,
+        Q = q |det D| and N = sign(det D) adj(D) u = |det D| D^-1 u."""
         D = _complete_directions([d for _, d in self.denoms], self.n, self.p)
         dd = int(det(D))
-        adj = [[int(dd * x) for x in row] for row in inverse(D)]
+        adj = [[int(abs(dd) * x) for x in row] for row in inverse(D)]
         q, exps = common_denominator([e for e, _ in self.numerator])
-        return D, [
-            (c, tuple(Fraction(sum(a * x for a, x in zip(row, v)), q * dd) for row in adj))
-            for (_, c), v in zip(self.numerator, exps)
+        cden, (cnums,) = common_denominator([[c for _, c in self.numerator]])
+        return D, q * abs(dd), cden, [
+            (c, tuple(sum(a * x for a, x in zip(row, v)) for row in adj))
+            for c, v in zip(cnums, exps)
         ]
 
     @cached_property
     def _pieces(self) -> dict:
-        """Numerator terms (c, mu) by the p-fractional part w of their D^-1
-        coordinates, mu = coordinates - w; none, and no basis, if empty."""
+        """Numerator terms (c, mu) by the residue tuple r = N Q'^-1 mod p^J,
+        Q = p^J Q' with Q' prime to p: r/p^J is the p-fractional part w of
+        N/Q and mu/Q = N/Q - w.  None, and no basis, if empty."""
         if not self.numerator:
             return {}
+        _, Q, _, terms = self._coordinates
+        pj = self.p ** vp_int(Q, self.p)
+        unit = Q // pj
+        inv = pow(unit, -1, pj)
         pieces: dict = {}
-        for c, coords in self._coordinates[1]:
-            w = tuple(_pfrac(x, self.p) for x in coords)
-            pieces.setdefault(w, []).append((c, tuple(x - wx for x, wx in zip(coords, w))))
+        for c, N in terms:
+            r = tuple(x * inv % pj for x in N)
+            pieces.setdefault(r, []).append((c, tuple(x - y * unit for x, y in zip(N, r))))
         return pieces
 
     @cached_property
     def _divisible(self) -> bool:
-        """Whether each piece sum c * (1+T)^mu is divisible by every T_i,
-        i < r: at T_i = 0 the terms with equal mu off axis i must cancel."""
+        """Whether each piece sum c * (1+T)^(mu/Q) is divisible by every
+        T_i, i < r: at T_i = 0 the terms with equal mu off axis i cancel."""
         for terms in self._pieces.values():
             for i in range(self.r):
                 rest: dict = {}
@@ -257,15 +264,6 @@ def _complete_directions(ds: Sequence[tuple[int, ...]], n: int, p: int) -> Matri
     return best[1]
 
 
-def _pfrac(x: Fraction, p: int) -> Fraction:
-    """Canonical representative of x modulo the p-integral rationals."""
-    j = vp_int(x.denominator, p)
-    if j == 0:
-        return Fraction(0)
-    pj = p ** j
-    return Fraction(residue(x * pj, p, j), pj)
-
-
 # ---------------------------------------------------------------------------
 # measure criterion, two independent routes
 
@@ -295,22 +293,17 @@ def is_measure(f: TestFunction, cone: OpenCone, pm: PseudoMeasure) -> bool:
 # Amice expansion
 
 
-def _piece_numerator(terms: list, caps: tuple[int, ...], budget: int) -> dict:
-    """Sum of c * prod_j (1+T_j)^(mu_j) over rational terms (c, mu),
+def _piece_numerator(terms: list, den: int, cden: int, caps: tuple[int, ...], budget: int) -> dict:
+    """Sum of c/cden * prod_j (1+T_j)^(a_j/den) over integer terms (c, a),
     truncated per variable to caps and by total degree to budget.
 
-    Held as integer numerators over one denominator: with cden the lcm of
-    the denominators of the c and den that of the mu_j,
-    C(mu, k) = prod_{i<k} (mu*den - i*den) / (den^k * k!), so every
+    Since C(a/den, k) = prod_{i<k} (a - i*den) / (den^k * k!), every
     exponent k collects one integer and is divided once, by
     cden * prod_j den^(k_j) * k_j!."""
-    cden, (cnums,) = common_denominator([[c for c, _ in terms]])
-    den, mus = common_denominator([mu for _, mu in terms])
-    scaled = list(zip(cnums, mus))
     scale = [den ** k * math.factorial(k) for k in range(max(caps) + 1)]
     return {
         e: Fraction(v, cden * math.prod(scale[k] for k in e))
-        for e, v in _falling_sums(scaled, caps, budget, den).items()
+        for e, v in _falling_sums(terms, caps, budget, den).items()
         if v
     }
 
@@ -394,29 +387,30 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
         return TruncSeries(caps, {})
     if not pm._divisible:
         raise PoleDetected("transform numerator is not divisible by its denominator support")
-    D, _ = pm._coordinates
+    D, Q, cden, _ = pm._coordinates
     r, n = pm.r, pm.n
     tcap = sum(caps)
     build_caps = tuple(tcap + 1 if i < r else tcap for i in range(n))
+    pj = pm.p ** vp_int(Q, pm.p)
 
     inverse_rows = [_unit_inverse_row(a, tcap) for a, _ in pm.denoms]
     Dint = [[int(x) for x in row] for row in D]
     total: dict = {}
-    for w, piece in sorted(pm._pieces.items()):
-        G = _divide_by_t(_piece_numerator(piece, build_caps, tcap + r), r)
+    for res, piece in sorted(pm._pieces.items()):
+        G = _divide_by_t(_piece_numerator(piece, Q, cden, build_caps, tcap + r), r)
         den, (nums,) = common_denominator([list(G.values())])
         G = dict(zip(G, nums))
         for i, (h, (row,)) in enumerate(inverse_rows):
             G = _convolve_axis(G, i, row, tcap)
             den *= h
-        dw = mat_vec(D, vec(w))
-        if any(not is_p_integral(x, pm.p) for x in dw):
+        dw, off = zip(*(divmod(sum(d * x for d, x in zip(dr, res)), pj) for dr in Dint))
+        if any(off):  # the offset D w = D r / p^J
             raise ArithmeticError("piece offset is not p-integral")
         terms = [
-            (Fraction(c, den), [x + sum(d * k for d, k in zip(dr, f)) for x, dr in zip(dw, Dint)])
+            (c, [x + sum(d * k for d, k in zip(dr, f)) for x, dr in zip(dw, Dint)])
             for f, c in _in_powers_of_one_plus_t(G, n).items()
         ]
-        for e, c in _piece_numerator(terms, caps, tcap).items():
+        for e, c in _piece_numerator(terms, 1, den, caps, tcap).items():
             total[e] = total.get(e, 0) + c
     return TruncSeries(caps, total)
 

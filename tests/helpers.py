@@ -10,9 +10,10 @@ the theta operator, independently of the Stirling-number sum in
 by full-box series products: the numerator in ``Fraction`` binomial rows,
 one product by the inverse of all unit factors over the whole (tcap+1)^n
 box, and a table of substituted monomials, with its numerator points
-mapped through a ``Fraction`` D^-1 by ``_numerator_coordinates``; it
-checks the axis-wise, integer-numerator route of
-``padic_measures.amice_expand`` and its integer-adjugate coordinates.
+mapped through a ``Fraction`` D^-1 by ``_numerator_coordinates`` and
+split by its own ``Fraction`` p-fractional part ``_pfrac``; it checks the
+axis-wise, integer-numerator route of ``padic_measures.amice_expand``,
+its integer-adjugate coordinates and its integer residue-tuple pieces.
 ``generator_by_box``, ``pell_unit_by_scan``, ``euler_phi_by_count`` and
 ``unit_order_by_walk`` are the brute-force searches and loops that
 ``real_quadratic_fields`` replaced by the reduced-ideal cycle and by
@@ -52,7 +53,6 @@ from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
     _complete_directions,
-    _pfrac,
     binomial_row,
 )
 from shintani_kit.real_quadratic_fields import (
@@ -273,6 +273,16 @@ def _numerator_coordinates(pm: PseudoMeasure):
     Dinv = inverse(D)
     monos = [(c, mat_vec(Dinv, e)) for e, c in pm.numerator]
     return D, monos
+
+
+def _pfrac(x: Fraction, p: int) -> Fraction:
+    """Canonical representative of x modulo the p-integral rationals: with
+    p^j the p-part of its denominator, (x p^j mod p^j) / p^j."""
+    pj = 1
+    while x.denominator % (pj * p) == 0:
+        pj *= p
+    y = x * pj
+    return Fraction(y.numerator * pow(y.denominator, -1, pj) % pj, pj)
 
 
 def _piece_vanishes_on_axes(terms: list[tuple[Fraction, Vector]], r: int) -> bool:

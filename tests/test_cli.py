@@ -313,6 +313,33 @@ def test_hill_matches_golden_record(name, tmp_path, capsys):
     assert _canonical(rec["certificates"]) == _canonical(golden["certificates"])
 
 
+PADIC_GOLDEN = Path(__file__).resolve().parent / "golden" / "padic.json"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["readme_measure", "measure_2d_fractional_m1", "measure_rejected", "kubota_leopoldt_p3_caps32"],
+)
+def test_padic_records_match_golden(name, tmp_path, capsys):
+    # whole measure and kubota-leopoldt records but timing, as canonical
+    # JSON: the 2-D config has exponents over 2 and 3, det D < 0 and m = 1
+    golden = json.loads(PADIC_GOLDEN.read_text())[name]
+    argv = list(golden["argv"])
+    if golden["config"] is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(golden["config"]))
+        argv += ["--config", str(path)]
+    code, rec = run_cli(capsys, argv)
+    assert code == golden["exit"]
+    rec.pop("timing")
+    assert _canonical(rec) == _canonical(golden["record"])
+
+
+def test_readme_measure_config_is_the_golden_one():
+    block = re.search(r"A config for `measure`.*?```json\n(.*?)```", README.read_text(), re.S)
+    assert json.loads(block[1]) == json.loads(PADIC_GOLDEN.read_text())["readme_measure"]["config"]
+
+
 def test_readme_hill_config_is_the_golden_one():
     block = re.search(r"A config for `hill`.*?```json\n(.*?)```", README.read_text(), re.S)
     golden = json.loads(HILL_GOLDEN.read_text())["readme"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shintani_kit._linalg import det
 from shintani_kit.cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from shintani_kit.errors import (
     DegenerateTuple,
@@ -45,6 +46,7 @@ from shintani_kit.test_functions import (
 )
 
 from helpers import _numerator_coordinates as numerator_coordinates_by_inverse
+from helpers import _pfrac, _piece_vanishes_on_axes
 from helpers import amice_reference, congruent_to, pushforward_by_newton_box, theta_moment
 from oracles import hurwitz_special_value
 
@@ -148,6 +150,27 @@ def test_dirac_amice_expansion():
     assert sorted(A.coeffs.items()) == [
         ((0,), F(1)), ((1,), F(3)), ((2,), F(3)), ((3,), F(1)),
     ]
+
+
+@pytest.mark.parametrize(
+    "pm",
+    [
+        PseudoMeasure(p=5, m=0, n=1, numerator=(((F(1, 5),), F(1)),), denoms=()),
+        PseudoMeasure(
+            p=3,
+            m=1,
+            n=2,
+            numerator=(((F(1), F(2, 3)), F(1)), ((F(4), F(11, 3)), F(-1))),
+            denoms=((F(1), (3, 3)),),
+        ),
+    ],
+)
+def test_amice_expand_refuses_an_offset_off_the_p_integers(pm):
+    # an exponent that is not p-integral leaves D w = D r / p^J off the
+    # integers; both routes refuse it rather than drop its fractional part
+    for expand in (amice_expand, amice_reference):
+        with pytest.raises(ArithmeticError, match="not p-integral"):
+            expand(pm, (2,) * pm.n)
 
 
 def test_dirac_second_moment():
@@ -347,7 +370,79 @@ def test_integer_adjugate_coordinates_match_inverse(U):
     f = lattice_indicator(((2, 1), (0, 3)), offset=(F(1, 2), F(1, 3)), away_from=5)
     pm = pseudo_from_cone(f, cone_of((2, 1), (1, 3)), U)
     assert any(x.denominator > 1 for e, _ in pm.numerator for x in e)
-    assert pm._coordinates == numerator_coordinates_by_inverse(pm)
+    D, Q, cden, terms = pm._coordinates
+    want_D, want = numerator_coordinates_by_inverse(pm)
+    assert D == want_D
+    assert [(F(c, cden), tuple(F(x, Q) for x in N)) for c, N in terms] == want
+
+
+def _reference_pieces(pm):
+    """The pieces by the Fraction p-fractional part w of D^-1 v, mu = D^-1 v - w."""
+    pieces: dict = {}
+    for c, coords in numerator_coordinates_by_inverse(pm)[1]:
+        w = tuple(_pfrac(x, pm.p) for x in coords)
+        pieces.setdefault(w, []).append((c, tuple(x - wx for x, wx in zip(coords, w))))
+    return pieces
+
+
+def _check_integer_pieces(pm):
+    _, Q, cden, _ = pm._coordinates
+    pj = pm.p ** next(j for j in itertools.count() if Q % pm.p ** (j + 1))
+    read = {
+        tuple(F(x, pj) for x in res): [(F(c, cden), tuple(F(x, Q) for x in mu)) for c, mu in terms]
+        for res, terms in pm._pieces.items()
+    }
+    want = _reference_pieces(pm)
+    assert read == want
+    assert [tuple(F(x, pj) for x in r) for r in sorted(pm._pieces)] == sorted(want)
+    assert pm._divisible == all(_piece_vanishes_on_axes(t, pm.r) for t in want.values())
+
+
+@st.composite
+def fractional_pseudo_measures(draw):
+    """pseudo_from_cone of [Z^n] + c[L + a] with a random lattice L of
+    p-unit index, offsets over 1, 2 or 3 (prime to p), a random cone of
+    one or n generators in either order, and a level set at m = 0 or 1."""
+    n = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((3, 5, 7)))
+    # lower triangular, with p-unit diagonal entries
+    diag = st.sampled_from([x for x in (1, -1, 2, -2, 3, 4) if x % p])
+    L = [[draw(diag) if i == j else draw(st.integers(-2, 2)) if i > j else 0 for j in range(n)]
+         for i in range(n)]
+    dens = [d for d in (1, 2, 3) if d != p]
+    offset = tuple(F(draw(st.integers(0, 5)), draw(st.sampled_from(dens))) for _ in range(n))
+    weight = draw(st.sampled_from((-abs(det(L)), -abs(det(L)) - 1, 1)))
+    f = zn_indicator(n, away_from=p) + lattice_indicator(L, offset, away_from=p).scale(weight)
+    gen = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    gens = draw(st.lists(gen, min_size=1, max_size=n, unique=True))
+    if len(gens) == 2 and gens[0][0] * gens[1][1] == gens[0][1] * gens[1][0]:
+        gens = gens[:1]
+    m = draw(st.sampled_from((0, 1)))
+    point = st.tuples(*[st.integers(0, p**m - 1)] * n)
+    U = PLevelSet(p, m, n, tuple(draw(st.lists(point, min_size=1, max_size=2, unique=True))))
+    return pseudo_from_cone(f, cone_of(*gens), U)
+
+
+@given(fractional_pseudo_measures())
+@settings(max_examples=60, deadline=None)
+def test_integer_pieces_match_fraction_pieces(pm):
+    # the residue tuples r and integer mu over Q, read as r/p^J and mu/Q,
+    # are the reference's Fraction pieces, in the same order, and the
+    # integer divisibility verdict is the reference's on every piece
+    _check_integer_pieces(pm)
+
+
+def test_integer_pieces_with_negative_determinant_and_fractional_exponents():
+    # the 2-D golden measure config: exponents over 2 and 3, det D = -125
+    a = (F(1, 2), F(1, 3))
+    f = lattice_indicator(((1, 0), (0, 1)), a, away_from=5) - lattice_indicator(
+        ((1, 0), (0, 2)), a, away_from=5
+    ).scale(2)
+    pm = pseudo_from_cone(f, cone_of((1, 3), (2, 1)), PLevelSet(5, 1, 2, ((1, 2), (3, 4))))
+    assert det(pm._coordinates[0]) < 0
+    assert {x.denominator for e, _ in pm.numerator for x in e} == {2, 3}
+    assert len(pm._pieces) > 1 and pm._divisible
+    _check_integer_pieces(pm)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

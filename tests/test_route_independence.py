@@ -1,4 +1,4 @@
-"""Two checks that their routes stay apart.
+"""Three checks that their routes stay apart.
 
 hill_eval is the second route that checks hill_cone_function's
 extraction, so it must not run the extraction's perturbation code.  The
@@ -8,7 +8,9 @@ compute anything from them.  The guard follows, inside one module, every
 reference to a module-level function, every attribute named like a method
 or property of a class there (so ``t._sign`` reaches ``GLTuple._sign``),
 and the constructor hooks of every class named, from the entry points
-onward."""
+onward.  And the reference expansion in tests/helpers.py imports from
+padic_measures only the data types and the shared set-up it checks the
+fast path with, never the fast path's own steps."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shintani_kit"
 CONES = PACKAGE / "cones.py"
 PADIC = PACKAGE / "padic_measures.py"
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 # entry points of the p-adic side, and the exact side it must not use
 PADIC_ENTRIES = (
@@ -23,6 +26,9 @@ PADIC_ENTRIES = (
     "pushforward_norm",
 )
 EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
+
+# what helpers.py may import from padic_measures
+HELPERS_MAY_IMPORT = {"PadicScalar", "PseudoMeasure", "_complete_directions", "binomial_row"}
 
 EXTRACTION_ONLY = {
     "_functionals",
@@ -168,3 +174,37 @@ def test_guard_sees_exact_side_references():
     assert _exact_side_references(src, ["moment"]) == {"sv", "shintani_zeta"}
     assert _exact_side_references(src, ["bernoulli"]) == {"bernoulli_number"}
     assert _exact_side_references(src, ["clean"]) == set()
+
+
+def _padic_imports(source: str) -> set[str]:
+    """Names imported from padic_measures; importing the module itself
+    reaches all of it and counts as its own name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("padic_measures"):
+                names.update(alias.name for alias in node.names)
+            else:
+                names.update(alias.name for alias in node.names if alias.name == "padic_measures")
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names if alias.name.endswith("padic_measures"))
+    return names
+
+
+def test_reference_imports_no_fast_path_code():
+    assert _padic_imports(HELPERS.read_text()) <= HELPERS_MAY_IMPORT
+
+
+def test_guard_sees_fast_path_imports():
+    src = (
+        "from shintani_kit.padic_measures import PseudoMeasure, _pieces\n"
+        "from shintani_kit import padic_measures\n"
+        "import shintani_kit.padic_measures as pm\n"
+        "from shintani_kit.cones import OpenCone\n"
+        "\n"
+        "def f():\n"
+        "    from shintani_kit.padic_measures import _falling_sums\n"
+    )
+    assert _padic_imports(src) - HELPERS_MAY_IMPORT == {
+        "_pieces", "padic_measures", "shintani_kit.padic_measures", "_falling_sums",
+    }
