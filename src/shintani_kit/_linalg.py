@@ -8,10 +8,11 @@ inverse, rank and rational_kernel are thin wrappers around it.  The two
 cone questions take one each: span_annihilator (whether a point lies in
 the span of independent generators) one rational_kernel, and
 span_coordinate_rows (its coordinates in them) one inverse.  Over the
-integers, integer_det is fraction-free (Bareiss) elimination, and det
-scales its rows to integers and calls it; the lattice routines go
-through hnf_with_transform.  common_denominator alone builds integers
-over one common denominator, the layout of every hot loop here.
+integers, integer_det is fraction-free (Bareiss) elimination, det
+scales its rows to integers and calls it, and integer_adjugate takes its
+cofactors; the lattice routines go through hnf_with_transform.
+common_denominator alone builds integers over one common denominator,
+the layout of every hot loop here.
 """
 
 from __future__ import annotations
@@ -176,10 +177,12 @@ def _as_int_matrix(a) -> IntMatrix:
     for row in a:
         new = []
         for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("integer matrix expected")
-            new.append(f.numerator)
+            if type(x) is not int:
+                f = Fraction(x)
+                if f.denominator != 1:
+                    raise ValueError("integer matrix expected")
+                x = f.numerator
+            new.append(x)
         out.append(tuple(new))
     return tuple(out)
 
@@ -205,6 +208,16 @@ def integer_det(a) -> int:
                 ri[j] = (ri[j] * pivot - lead * pk[j]) // prev
         prev = pivot
     return sign * rows[-1][-1] if n else 1
+
+
+def integer_adjugate(a) -> IntMatrix:
+    """Adjugate of a square integer matrix by cofactors: a adj(a) = det(a) I."""
+    n = len(a)
+    return tuple(
+        tuple((-1) ** (i + j) * integer_det([row[:i] + row[i + 1:] for row in a[:j] + a[j + 1:]])
+              for j in range(n))
+        for i in range(n)
+    )
 
 
 def hnf_with_transform(a) -> tuple[IntMatrix, IntMatrix]:

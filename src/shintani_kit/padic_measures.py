@@ -229,7 +229,7 @@ def pseudo_from_cone(f: TestFunction, cone: OpenCone, U: PLevelSet) -> PseudoMea
         p=U.p,
         m=U.m,
         n=f.n,
-        numerator=tuple((x, val) for x, _, val in pts),
+        numerator=tuple((tuple(Fraction(v, x[0]) for v in x[1:]), val) for x, _, val in pts),
         denoms=tuple(denoms),
     )
 

@@ -15,8 +15,10 @@ slice forms lambda_j(y) = L_i(w_j) + sum_{m != i} L_m(w_j) y_m,
 
 Shintani's closed form (Shintani 1976, J. Fac. Sci. Univ. Tokyo 23,
 Prop. 1), from e^(tz)/(e^z - 1) = sum_m B_m(t) z^(m-1)/m!.
-`special_value` evaluates it: the points enter only through integer power
-sums of d*t over one common denominator d, so the field arithmetic scales
+`special_value` evaluates it: the points arrive as integers, t = T/q, and
+enter only through integer power sums of d*t over the lcm d of their q;
+with the values over dv and the Bernoulli numbers over bd, each sum over
+x is one integer over dv * d^N * bd^r.  So the field arithmetic scales
 with k and not with the number of points, and the y-coefficients come from
 the binomial theorem (also for the exponent -1).
 
@@ -31,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import Vector, common_denominator, minimal_multiplier, vec
+from ._linalg import Vector, common_denominator, identity, minimal_multiplier, vec
 from ._rational_padics import is_squarefree
 from .cones import ConeFunction, OpenCone
 from .errors import (
@@ -80,10 +83,7 @@ class NormStructure:
 
 
 def std_norm(n: int) -> NormStructure:
-    forms = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
-    return NormStructure("coordinate", forms)
+    return NormStructure("coordinate", identity(n))
 
 
 def quadratic_norm(D: int) -> NormStructure:
@@ -104,13 +104,15 @@ def quadratic_norm(D: int) -> NormStructure:
 class GeneratingFunction:
     """Parallelepiped points and scaled generator forms for one cone.
 
-    points holds (x, t, f(x)) with x = sum t_j * scaled_gens[j] and
-    t in (0,1]^r; gen_forms[j] are the n form values of scaled_gens[j]."""
+    points holds the integer triples (x, t, f(x)) of
+    `parallelepiped_support`: x = sum t_j * scaled_gens[j] as (den, *nums)
+    and t in (0,1]^r as (q, *T); gen_forms[j] are the n form values of
+    scaled_gens[j]."""
 
     ns: NormStructure
     r: int
     gen_forms: tuple[tuple, ...]
-    points: tuple[tuple[Vector, Vector, Fraction], ...]
+    points: tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
     scaled_gens: tuple[Vector, ...]
 
 
@@ -162,10 +164,12 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
 
     Expanding B_m(t) = sum_a C(m, a) B_{m-a} t^a reduces the point loop
     to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N = max(Ns), in
-    integers over the common denominators d of the t_j and dv of the
-    values; one pass over the points serves every N in Ns."""
+    integers over the lcm d of the points' t denominators q and the common
+    denominator dv of the values; one pass over the points serves every N
+    in Ns.  Each moment is lifted to dv * d^N and the Bernoulli numbers to
+    one denominator bd, so each mu is one integer over dv * d^N * bd^r."""
     N = max(Ns)
-    d, T_rows = common_denominator([t for _, t, _ in points])
+    d = math.lcm(*(t[0] for _, t, _ in points))
     dv, (values,) = common_denominator([[val for _, _, val in points]])
     # every alpha with |alpha| <= N, each one multiplication away from its
     # parent: alpha = parent + e_j with j at or after parent's last nonzero
@@ -181,20 +185,20 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
                 steps.append((pos, j))
         pos += 1
     sums = [0] * len(exps)
-    for T, v in zip(T_rows, values):
+    for (_, (q, *T), _), v in zip(points, values):
+        T = [tj * (d // q) for tj in T]
         mono = [v]
         for parent, j in steps:
             mono.append(mono[parent] * T[j])
-        sums = [a + b for a, b in zip(sums, mono)]
-    moment = {
-        alpha: Fraction(s, dv * d ** sum(alpha)) for alpha, s in zip(exps, sums)
-    }
-    # row[m][a] = C(m, a) * B_{m-a}, the coefficients of B_m(t)
-    B = [bernoulli_number(m) for m in range(N + 1)]
+        sums = list(map(operator.add, sums, mono))
+    moment = {alpha: s * d ** (N - sum(alpha)) for alpha, s in zip(exps, sums)}
+    # row[m][a] = C(m, a) * B_{m-a}, the coefficients of B_m(t), over bd
+    bd, (B,) = common_denominator([[bernoulli_number(m) for m in range(N + 1)]])
     row = [[math.comb(m, a) * B[m - a] for a in range(m + 1)] for m in range(N + 1)]
+    den = dv * d ** N * bd ** r
     out = {}
     for mu in (mu for total in set(Ns) for mu in _compositions(total, r)):
-        acc = Fraction(0)
+        acc = 0
         for alpha in itertools.product(*(range(m + 1) for m in mu)):
             c = moment[alpha]
             for m, a in zip(mu, alpha):
@@ -202,7 +206,7 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
                     break
                 c *= row[m][a]
             acc += c
-        out[mu] = acc
+        out[mu] = Fraction(acc, den)
     return out
 
 
@@ -288,21 +292,14 @@ def _slice_series(G: GeneratingFunction, i: int, k: int) -> TruncSeries:
 
     # numerator: sum over points of exp(u * (c0 + sum c_m x_m))
     num: dict = {}
-    for x, _, val in G.points:
-        forms = G.ns.form_values(x)
+    for (den, *nums), _, val in G.points:
+        forms = G.ns.form_values(tuple(Fraction(x, den) for x in nums))
         c0 = forms[i]
         cs = [forms[m] for m in others]
-        c0_pow = [None] * (ucap + 1)
-        c0_pow[0] = Fraction(1)
-        for a in range(ucap):
-            c0_pow[a + 1] = c0_pow[a] * c0
-        cs_pow = []
-        for c in cs:
-            row = [None] * (xcap + 1)
-            row[0] = Fraction(1)
-            for b in range(xcap):
-                row[b + 1] = row[b] * c
-            cs_pow.append(row)
+        c0_pow = list(itertools.accumulate([c0] * ucap, operator.mul, initial=Fraction(1)))
+        cs_pow = [
+            list(itertools.accumulate([c] * xcap, operator.mul, initial=Fraction(1))) for c in cs
+        ]
 
         def emit(j, beta, prod):
             if j == len(cs):
@@ -380,6 +377,8 @@ def _cone_value(route, slices, f, cone, ks, ns, conjugate_shortcut) -> list[Frac
     if not isinstance(cone, OpenCone):
         raise TypeError("cone must be an OpenCone or ConeFunction")
 
+    if not ks:
+        return []
     G = build_G(f, cone, ns)
     if not G.points:
         return [Fraction(0)] * len(ks)

@@ -4,7 +4,8 @@ A term (c, o, L) stands for c times the indicator of o + L*Z^n, where the
 columns of L are a basis of a full-rank lattice in Q^n.  Sums of such terms
 are closed under translation, GL_n(Q) pullback and multiplication by
 level-set indicators at a prime p, which is everything the rest of the
-package needs.
+package needs.  `parallelepiped_support` gives its points in integers, x
+over one denominator and t over its term's, from integer set-up work.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from ._linalg import (
@@ -22,6 +24,9 @@ from ._linalg import (
     det,
     from_columns,
     hnf_with_transform,
+    identity,
+    integer_adjugate,
+    integer_det,
     integer_kernel,
     inverse,
     lattice_intersection,
@@ -30,8 +35,6 @@ from ._linalg import (
     mat_vec,
     solve,
     solve_integer,
-    span_annihilator,
-    span_coordinate_rows,
     transpose,
     vec,
 )
@@ -131,8 +134,7 @@ def lattice_indicator(lattice, offset=None, away_from: int | None = None) -> Tes
 
 
 def zn_indicator(n: int, away_from: int | None = None) -> TestFunction:
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return lattice_indicator(eye, away_from=away_from)
+    return lattice_indicator(identity(n), away_from=away_from)
 
 
 def _certify_term(t: LatticeTerm, p: int) -> None:
@@ -156,7 +158,7 @@ def periodicity_lattice(f: TestFunction) -> Matrix:
     """Largest lattice under whose translations f is invariant (the
     intersection of all term lattices).  Identity for the empty function."""
     if not f.terms:
-        return tuple(tuple(Fraction(int(i == j)) for j in range(f.n)) for i in range(f.n))
+        return identity(f.n)
     cur = f.terms[0].lattice
     for t in f.terms[1:]:
         cur = lattice_intersection(cur, t.lattice)
@@ -168,27 +170,20 @@ def support_class_representatives(f: TestFunction) -> list[Vector]:
     support.  Deduplicated across terms."""
     Lf = periodicity_lattice(f)
     Lf_inv = inverse(Lf)
-    seen: dict[Vector, Vector] = {}
+    seen: set[Vector] = set()
     total = 0
     for t in f.terms:
         h, _ = hnf_with_transform(mat_mul(inverse(t.lattice), Lf))
-        count = 1
-        for i in range(f.n):
-            count *= h[i][i]
-        total += abs(count)
+        total += math.prod(h[i][i] for i in range(f.n))
         if total > ENUMERATION_GUARD:
             raise UnboundedEnumeration("too many support cosets")
         for z in coset_representatives(h):
-            v = tuple(
-                o + x for o, x in zip(t.offset, mat_vec(t.lattice, vec(z)))
-            )
+            v = tuple(o + x for o, x in zip(t.offset, mat_vec(t.lattice, z)))
             coords = mat_vec(Lf_inv, v)
-            canon = tuple(
+            seen.add(tuple(
                 a - b for a, b in zip(v, mat_vec(Lf, tuple(Fraction(math.floor(c)) for c in coords)))
-            )
-            if canon not in seen:
-                seen[canon] = canon
-    return sorted(seen.values())
+            ))
+    return sorted(seen)
 
 
 def haar(f: TestFunction) -> Fraction:
@@ -372,95 +367,97 @@ def gl_act_test(f: TestFunction, gamma) -> TestFunction:
 
 def parallelepiped_support(
     f: TestFunction, gens: Sequence[Sequence]
-) -> list[tuple[Vector, Vector, Fraction]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """Points of supp(f) inside {sum t_j g_j : 0 < t_j <= 1}, for
     generators g_j lying in the periodicity lattice of f, as triples
-    (x, t, f(x)) with x = sum t_j g_j.
+    (x, t, f(x)) with x = sum t_j g_j, both in integers: x as its
+    lowest-terms (den, *nums), x = nums / den, and t as (q, *T), t = T / q
+    with T in [1, q]^r over the denominator q of the first term reaching x.
 
     Each term's coset meets the parallelepiped in exactly one point per
     coset of its direction lattice modulo the generators, so the value at
     x is the sum of the coefficients of the terms whose enumeration
     reaches x.  Returned sorted by x, zero values dropped."""
-    gens = [vec(g) for g in gens]
     r = len(gens)
     if r == 0:
         raise ValueError("no generators")
     if any(len(g) != f.n for g in gens):
         raise ValueError("generator dimension mismatch")
-    # one reduction of the generators for every term: coordinate rows C, and
-    # rows ann that vanish exactly on the span; dependent generators are
-    # refused here, before any term is looked at
-    ann = span_annihilator(gens)
-    C = span_coordinate_rows(gens, ann)
+    # one reduction of the integer generator columns W (over dw) for all
+    # terms: rows ann vanishing exactly on the span and rows P with
+    # P W = delta I; dependent generators are refused before any term
+    dw, W = common_denominator(from_columns(gens))
+    ann, P, delta = _span_rows(W)
 
-    dw, Wd = common_denominator(from_columns(gens))
     # each point x is keyed by its lowest-terms integers (den, *nums),
-    # x = nums / den, and holds [its q * t, q, its value]
+    # x = nums / den, and holds [(q, *T), its value]
     points: dict[tuple[int, ...], list] = {}
     for t in f.terms:
-        sols = _term_line_solutions(t, ann, f.n)
+        sols = _term_line_solutions(t, ann)
         if sols is None:
             continue
-        x0, dirs = sols
-        # x0 and the directions lie in the span, where C reads off their
-        # generator coordinates
-        tau0 = mat_vec(C, x0)
-        A = from_columns([mat_vec(C, d) for d in dirs])
-        h, _ = hnf_with_transform(inverse(A))
-        count = 1
-        for i in range(r):
-            count *= abs(h[i][i])
-        if len(points) + count > ENUMERATION_GUARD:
+        e, cols = sols
+        # generator coordinates tau = dw P x / delta of x0 and the
+        # directions (cols / e), as integers Q0 and A over their denominator q
+        rows = [[dw * sum(map(mul, prow, col)) for col in cols] for prow in P]
+        red = math.gcd(delta * e, *(y for row in rows for y in row))
+        q = delta * e // red
+        Q0 = [row[0] // red for row in rows]
+        A = [[y // red for y in row[1:]] for row in rows]
+        # the generators' coordinates in the directions, the integer
+        # matrix (A / q)^-1 = q adj(A) / det(A), span the cosets to visit
+        dA = integer_det(A)
+        h, _ = hnf_with_transform([[q * a // dA for a in row] for row in integer_adjugate(A)])
+        if len(points) + math.prod(h[i][i] for i in range(r)) > ENUMERATION_GUARD:
             raise UnboundedEnumeration("too many parallelepiped points")
-        # integer arithmetic over common denominators: q * (tau0 + A z) is
-        # an integer vector, reduced into (0, q]^r it is q * t, and
-        # dw * q * x = (dw * W) (q * t)
-        q, (Q0, *Aq) = common_denominator([tau0, *A])
+        # q * tau0 + A z reduced into (0, q]^r is T, and dw * q * x = W T
         wq = dw * q
         for z in coset_representatives(h):
-            T = [
-                (c + sum(a * zi for a, zi in zip(row, z)) - 1) % q + 1
-                for c, row in zip(Q0, Aq)
-            ]
-            X = [sum(w * tj for w, tj in zip(row, T)) for row in Wd]
+            T = [(c + sum(map(mul, row, z)) - 1) % q + 1 for c, row in zip(Q0, A)]
+            X = [sum(map(mul, row, T)) for row in W]
             g = math.gcd(wq, *X)
             key = (wq // g, *(x // g for x in X))
             entry = points.get(key)
             if entry is None:
-                points[key] = [T, q, t.coeff]
+                points[key] = [(q, *T), t.coeff]
             else:
-                entry[2] += t.coeff
+                entry[1] += t.coeff
     # sort on integer numerators over one denominator: the order of x
     den = math.lcm(1, *(key[0] for key in points))
-    out = []
-    for key in sorted(points, key=lambda k: [x * (den // k[0]) for x in k[1:]]):
-        T, q, value = points[key]
-        if value != 0:
-            x = tuple(Fraction(xi, key[0]) for xi in key[1:])
-            out.append((x, tuple(Fraction(tj, q) for tj in T), value))
-    return out
+    return [
+        (key, *points[key])
+        for key in sorted(points, key=lambda k: [x * (den // k[0]) for x in k[1:]])
+        if points[key][1] != 0
+    ]
 
 
-def _term_line_solutions(t: LatticeTerm, ann: list[Vector], n: int):
-    """Solve for supp-term points in the span cut out by the rows ann: a
-    particular point and Z-basis directions, or None when the span misses
-    the coset."""
+def _span_rows(W) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """From one column HNF W^T U = (H | 0) of the integer n x r matrix W:
+    the last n - r columns of U, a Z-basis of the integer rows orthogonal
+    to W, and rows P = adj(H)^T U_r^T with P W = delta I, delta = det H."""
+    n, r = len(W), len(W[0])
+    h, u = hnf_with_transform(transpose(W))
+    if r > n or not all(h[i][i] for i in range(r)):
+        raise SingularMatrix("generators are linearly dependent")
+    adj = integer_adjugate([row[:r] for row in h])
+    P = [[sum(map(mul, col, urow)) for urow in u] for col in zip(*adj)]
+    ann = [tuple(row[j] for row in u) for j in range(r, n)]
+    return ann, P, math.prod(h[i][i] for i in range(r))
+
+
+def _term_line_solutions(t: LatticeTerm, ann: list[tuple[int, ...]]):
+    """Points of the term's coset o + L Z^n in the span cut out by the
+    integer rows ann, over the common denominator e of o and L: (e, cols)
+    with cols[0] / e one point and cols[1:] / e a Z-basis of the
+    directions, or None when the span misses the coset."""
+    e, (O, *L) = common_denominator([t.offset, *t.lattice])
     if not ann:
-        m0 = vec((0,) * n)
-        kern = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    else:
-        # each row of ann: row . (o + L m) = 0 in m, as integers (rhs, *coefficients)
-        _, rows = common_denominator([
-            (-sum(ri * oi for ri, oi in zip(row, t.offset)), *mat_vec(transpose(t.lattice), row))
-            for row in ann
-        ])
-        BL_int = tuple(tuple(row[1:]) for row in rows)
-        rhs_int = tuple(row[0] for row in rows)
-        m0_sol = solve_integer(BL_int, rhs_int)
-        if m0_sol is None:
-            return None
-        m0 = vec(m0_sol)
-        kern = integer_kernel(BL_int)
-    x0 = tuple(o + x for o, x in zip(t.offset, mat_vec(t.lattice, m0)))
-    dirs = [mat_vec(t.lattice, vec(k)) for k in kern]
-    return x0, dirs
+        return e, [O, *zip(*L)]
+    # each row a of ann: a . (O + L m) = 0 in m
+    BL = [[sum(map(mul, a, col)) for col in zip(*L)] for a in ann]
+    m0 = solve_integer(BL, [-sum(map(mul, a, O)) for a in ann])
+    if m0 is None:
+        return None
+    X0 = [o + sum(map(mul, row, m0)) for o, row in zip(O, L)]
+    kern = integer_kernel(BL)
+    return e, [X0, *([sum(map(mul, row, kv)) for row in L] for kv in kern)]

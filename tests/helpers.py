@@ -4,7 +4,12 @@ Each one answers a question the package itself never asks on any path
 (membership, traces, translates, congruences), so it lives here rather
 than in ``src/``.  ``span_coordinates`` solves for span coordinates by its
 own reduction of [G | v], independently of
-``_linalg.span_coordinate_rows``, and ``theta_moment`` takes moments by
+``_linalg.span_coordinate_rows``; ``support_by_box`` finds the support
+points of a half-open parallelepiped by scanning a grid with it, the
+brute-force count behind ``test_functions.parallelepiped_support``.
+``bernoulli_sums_reference`` is the ``Fraction`` loop over the
+Bernoulli-polynomial moments that ``shintani_zeta._bernoulli_sums`` runs
+in integers over one denominator.  ``theta_moment`` takes moments by
 the theta operator, independently of the Stirling-number sum in
 ``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure
 by full-box series products: the numerator in ``Fraction`` binomial rows,
@@ -48,7 +53,7 @@ from shintani_kit.errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from shintani_kit.exact_core import QuadScalar, Rational, TruncSeries, quad_sign
+from shintani_kit.exact_core import QuadScalar, Rational, TruncSeries, bernoulli_number, quad_sign
 from shintani_kit.padic_measures import (
     PadicScalar,
     PseudoMeasure,
@@ -78,6 +83,67 @@ def span_coordinates(gens, v) -> Vector | None:
     if any(row[r] for row in aug[r:]):
         return None
     return tuple(row[r] for row in aug[:r])
+
+
+def support_by_box(f: TestFunction, gens, limit: int = 1500) -> dict | None:
+    """{x: f(x)} for the support points of f in {sum t_j g_j : 0 < t_j <= 1},
+    by scanning the grid of the common denominator of f's offsets and
+    lattices over the parallelepiped's bounding box; None when the grid
+    holds more than `limit` points."""
+    n = f.n
+    den = math.lcm(
+        *(x.denominator for t in f.terms for row in t.lattice for x in row),
+        *(x.denominator for t in f.terms for x in t.offset),
+    )
+    lo = [sum(min(0, g[i]) for g in gens) for i in range(n)]
+    hi = [sum(max(0, g[i]) for g in gens) for i in range(n)]
+    axes = [
+        [Fraction(a, den) for a in range(math.floor(l * den), math.ceil(h * den) + 1)]
+        for l, h in zip(lo, hi)
+    ]
+    if math.prod(len(a) for a in axes) > limit:
+        return None
+    found = {}
+    for x in itertools.product(*axes):
+        t = span_coordinates(gens, x)
+        if t is None or not all(0 < c <= 1 for c in t):
+            continue
+        val = f.evaluate(x)
+        if val:
+            found[x] = val
+    return found
+
+
+def bernoulli_sums_reference(points, r: int, Ns) -> dict:
+    """sum_x f(x) prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns, from
+    the integer triples (x, (q, *T), f(x)) of parallelepiped_support: the
+    expansion B_m(t) = sum_a C(m, a) B_{m-a} t^a with every moment, row
+    entry and product a Fraction."""
+    N = max(Ns)
+    ts = [tuple(Fraction(T, t[0]) for T in t[1:]) for _, t, _ in points]
+    vals = [val for _, _, val in points]
+    moment = {
+        alpha: sum(
+            (v * math.prod(tj ** a for tj, a in zip(t, alpha)) for t, v in zip(ts, vals)),
+            Fraction(0),
+        )
+        for alpha in itertools.product(range(N + 1), repeat=r)
+        if sum(alpha) <= N
+    }
+    B = [bernoulli_number(m) for m in range(N + 1)]
+    row = [[math.comb(m, a) * B[m - a] for a in range(m + 1)] for m in range(N + 1)]
+    out = {}
+    for mu in itertools.product(range(N + 1), repeat=r):
+        if sum(mu) not in Ns:
+            continue
+        acc = Fraction(0)
+        for alpha in itertools.product(*(range(m + 1) for m in mu)):
+            c = moment[alpha]
+            for m, a in zip(mu, alpha):
+                c *= row[m][a]
+            acc += c
+        out[mu] = acc
+    return out
 
 
 def ideal_contains(ideal: IdealHNF, v) -> bool:

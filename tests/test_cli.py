@@ -335,6 +335,26 @@ def test_padic_records_match_golden(name, tmp_path, capsys):
     assert _canonical(rec) == _canonical(golden["record"])
 
 
+ZETA_GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta.json"
+
+
+@pytest.mark.parametrize("name", sorted(json.loads(ZETA_GOLDEN.read_text())))
+def test_zeta_records_match_golden(name, tmp_path, capsys):
+    # whole zeta records but timing, as canonical JSON: rq-field at five D
+    # and custom configs in dims 1-3 with fractional offsets, rays and
+    # full cones
+    golden = json.loads(ZETA_GOLDEN.read_text())[name]
+    argv = list(golden["argv"])
+    if golden["config"] is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(golden["config"]))
+        argv += ["--config", str(path)]
+    code, rec = run_cli(capsys, argv)
+    assert code == golden["exit"]
+    rec.pop("timing")
+    assert _canonical(rec) == _canonical(golden["record"])
+
+
 def test_readme_measure_config_is_the_golden_one():
     block = re.search(r"A config for `measure`.*?```json\n(.*?)```", README.read_text(), re.S)
     assert json.loads(block[1]) == json.loads(PADIC_GOLDEN.read_text())["readme_measure"]["config"]

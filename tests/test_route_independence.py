@@ -1,4 +1,4 @@
-"""Three checks that their routes stay apart.
+"""Four checks that their routes stay apart.
 
 hill_eval is the second route that checks hill_cone_function's
 extraction, so it must not run the extraction's perturbation code.  The
@@ -10,7 +10,9 @@ or property of a class there (so ``t._sign`` reaches ``GLTuple._sign``),
 and the constructor hooks of every class named, from the entry points
 onward.  And the reference expansion in tests/helpers.py imports from
 padic_measures only the data types and the shared set-up it checks the
-fast path with, never the fast path's own steps."""
+fast path with, never the fast path's own steps.  And the series route
+of shintani_zeta, the check of Shintani's closed form, reaches none of
+the closed form's code and reads no Bernoulli number."""
 
 import ast
 from pathlib import Path
@@ -19,6 +21,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shintani_kit"
 CONES = PACKAGE / "cones.py"
 PADIC = PACKAGE / "padic_measures.py"
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
+SHINTANI = PACKAGE / "shintani_zeta.py"
 
 # entry points of the p-adic side, and the exact side it must not use
 PADIC_ENTRIES = (
@@ -26,6 +29,12 @@ PADIC_ENTRIES = (
     "pushforward_norm",
 )
 EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
+
+# the closed form's own code, which the series route must not reach
+CLOSED_FORM = {
+    "_bernoulli_sums", "_closed_form_coefficient", "_closed_form_slices", "_power_table",
+    "bernoulli_number",
+}
 
 # what helpers.py may import from padic_measures
 HELPERS_MAY_IMPORT = {"PadicScalar", "PseudoMeasure", "_complete_directions", "binomial_row"}
@@ -208,3 +217,48 @@ def test_guard_sees_fast_path_imports():
     assert _padic_imports(src) - HELPERS_MAY_IMPORT == {
         "_pieces", "padic_measures", "shintani_kit.padic_measures", "_falling_sums",
     }
+
+
+def _reached_names(source: str, start: str) -> set[str]:
+    """The definitions reached from start, and every name and attribute
+    that the reached code refers to (imported names included)."""
+    defs, _ = _definitions(ast.parse(source))
+    reached = _reached(source, start)
+    names = set(reached)
+    for name in reached:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_series_route_reaches_no_closed_form_code():
+    names = _reached_names(SHINTANI.read_text(), "_special_value_series")
+    assert {"_series_slices", "_slice_series", "_cone_value", "build_G"} <= names
+    assert names & CLOSED_FORM == set()
+
+
+def test_guard_sees_closed_form_code():
+    src = (
+        "from .exact_core import bernoulli_number\n"
+        "\n"
+        "def _power_table(x):\n"
+        "    return [x]\n"
+        "\n"
+        "def _slices(x):\n"
+        "    return _power_table(x)\n"
+        "\n"
+        "def _series(x):\n"
+        "    return _slices(x)\n"
+        "\n"
+        "def _reads_b(k):\n"
+        "    return bernoulli_number(k)\n"
+        "\n"
+        "def _clean(k):\n"
+        "    return k\n"
+    )
+    assert _reached_names(src, "_series") & CLOSED_FORM == {"_power_table"}
+    assert _reached_names(src, "_reads_b") & CLOSED_FORM == {"bernoulli_number"}
+    assert _reached_names(src, "_clean") & CLOSED_FORM == set()

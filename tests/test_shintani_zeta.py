@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import translate
+from helpers import bernoulli_sums_reference, translate
 from oracles import (
     bernoulli_oracle,
     hurwitz_special_value,
     siegel_zeta_minus_one,
     siegel_zeta_minus_three,
 )
-from shintani_kit import exact_core, selftest
+from shintani_kit import exact_core, selftest, shintani_zeta
 from shintani_kit._linalg import rank
 from shintani_kit.cones import ConeFunction, OpenCone
 from shintani_kit.errors import IrrationalResidue, NotInPositiveOrthant
@@ -26,6 +26,7 @@ from shintani_kit.real_quadratic_fields import (
 )
 from shintani_kit.shintani_zeta import (
     NormStructure,
+    _bernoulli_sums,
     _special_value_series,
     build_G,
     quadratic_norm,
@@ -240,7 +241,8 @@ def test_build_g_point_collection():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     G = build_G(f, OpenCone(((F(1),),)), std_norm(1))
     assert G.scaled_gens == ((F(2),),)
-    assert G.points == (((F(1),), (F(1, 2),), F(1)), ((F(2),), (F(1),), F(-1)))
+    # x as (den, *nums) and t as (q, *T): x = 1, t = 1/2 and x = 2, t = 2/2
+    assert G.points == (((1, 1), (2, 1), F(1)), ((1, 2), (2, 2), F(-1)))
 
 
 def _random_cone(rng, ns, r):
@@ -345,3 +347,38 @@ def test_two_route_selftest_reads_live_bernoulli_numbers():
     finally:
         exact_core._BERNOULLI_CACHE[:] = saved
     assert bernoulli_number(12) == F(-691, 2730)
+
+
+@pytest.mark.parametrize("route", [special_value, _special_value_series])
+@pytest.mark.parametrize("cone", sorted(K_LIST_CASES))
+def test_empty_k_list_gives_no_values(route, cone, monkeypatch):
+    # one value per k: none for no k, and no cone is enumerated for it
+    f, kappa, ns = K_LIST_CASES[cone]
+
+    def refuse(*args):
+        raise AssertionError("enumerated a cone for an empty k-list")
+
+    monkeypatch.setattr(shintani_zeta, "build_G", refuse)
+    assert route(f, kappa, [], ns) == []
+
+
+@st.composite
+def bernoulli_sums_cases(draw):
+    """Integer triples (x, (q, *T), f(x)) with mixed denominators q, values
+    of both signs, r = 1-3, and a list of |mu| with repeats."""
+    r = draw(st.integers(1, 3))
+    points = []
+    for i in range(draw(st.integers(1, 6))):
+        q = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        T = tuple(draw(st.integers(1, q)) for _ in range(r))
+        val = F(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+        points.append(((1, i + 1), (q, *T), val))
+    Ns = draw(st.lists(st.integers(r, r + 6), min_size=1, max_size=4))
+    return points, r, Ns
+
+
+@given(bernoulli_sums_cases())
+@settings(max_examples=60, deadline=None)
+def test_bernoulli_sums_match_fraction_reference(case):
+    points, r, Ns = case
+    assert _bernoulli_sums(points, r, Ns) == bernoulli_sums_reference(points, r, Ns)

@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -25,7 +23,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
-from helpers import level_set_contains, span_coordinates, translate
+from helpers import level_set_contains, support_by_box, translate
 
 F = Fraction
 
@@ -244,37 +242,42 @@ def test_vanishing_invariant_under_unimodular_action():
         assert vanishing_check(g, mat_vec(ginv, w)) == vanishing_check(f, w)
 
 
+def _over_den(v):
+    """An integer tuple (den, *nums) as the Fractions nums / den."""
+    return tuple(F(x, v[0]) for x in v[1:])
+
+
 def test_parallelepiped_support_basic():
+    # x as (den, *nums) and t as (q, *T), both integers
     f = zn_indicator(1)
-    assert parallelepiped_support(f, [(1,)]) == [((F(1),), (F(1),), F(1))]
+    assert parallelepiped_support(f, [(1,)]) == [((1, 1), (1, 1), F(1))]
     f2 = zn_indicator(2)
-    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [
-        ((F(1), F(1)), (F(1), F(1)), F(1))
-    ]
+    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [((1, 1, 1), (1, 1, 1), F(1))]
     pts = parallelepiped_support(f2, [(1, 0), (1, 2)])
     assert pts == [
-        ((F(1), F(1)), (F(1, 2), F(1, 2)), F(1)),
-        ((F(2), F(2)), (F(1), F(1)), F(1)),
+        ((1, 1, 1), (2, 1, 1), F(1)),
+        ((1, 2, 2), (2, 2, 2), F(1)),
     ]
 
 
 def test_parallelepiped_support_weighted():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     pts = parallelepiped_support(f, [(2,)])
-    assert pts == [((F(1),), (F(1, 2),), F(1)), ((F(2),), (F(1),), F(-1))]
+    # t = 1 at x = 2 keeps the denominator q = 2 of the first term
+    assert pts == [((1, 1), (2, 1), F(1)), ((1, 2), (2, 2), F(-1))]
 
 
 def test_parallelepiped_support_lower_rank():
     f = zn_indicator(2)
-    assert parallelepiped_support(f, [(1, 1)]) == [((F(1), F(1)), (F(1),), F(1))]
+    assert parallelepiped_support(f, [(1, 1)]) == [((1, 1, 1), (1, 1), F(1))]
     shifted = translate(f, (F(1, 2), 0))
     assert parallelepiped_support(shifted, [(1, 1)]) == []
     # a diagonal line through a finer lattice picks up interior points
     fine = lattice_indicator(((F(1, 2), 0), (0, F(1, 2))))
     pts = parallelepiped_support(fine, [(1, 1)])
     assert pts == [
-        ((F(1, 2), F(1, 2)), (F(1, 2),), F(1)),
-        ((F(1), F(1)), (F(1),), F(1)),
+        ((2, 1, 1), (2, 1), F(1)),
+        ((1, 1, 1), (2, 2), F(1)),
     ]
 
 
@@ -297,8 +300,32 @@ def test_parallelepiped_support_counts():
         gens = [mat_vec(mat(L), col) for col in zip(*M)]
         pts = parallelepiped_support(f, gens)
         assert len(pts) == abs(det(mat(M)))
-        for v, _, val in pts:
-            assert val == 1 and f.evaluate(v) == 1
+        for x, _, val in pts:
+            assert val == 1 and f.evaluate(_over_den(x)) == 1
+
+
+# (lattice matrix with the basis as its columns, offset, generators in the
+# lattice): r = n and r < n, in dims 2 and 3
+BOX_CASES = [
+    (((1, 0), (0, 1)), (0, 0), [(2, 0), (0, 3)]),
+    (((2, 1), (0, 3)), (F(1, 2), 0), [(2, 0), (2, 3)]),
+    (((F(1, 2), 0), (0, F(1, 3))), (0, 0), [(1, 1)]),
+    (((2, 0), (1, 1)), (1, 0), [(4, 4)]),
+    (((1, 0, 0), (0, 2, 0), (0, 0, 1)), (0, 0, 0), [(1, 2, 1), (0, 2, 2)]),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 2)), (0, 1, 0), [(2, 0, 0), (0, 1, 0), (0, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BOX_CASES)), ids=lambda i: f"case{i}")
+def test_parallelepiped_support_length_matches_box_count(case):
+    # perfbench reads len(parallelepiped_support(...)) as its point count
+    L, o, gens = BOX_CASES[case]
+    f = lattice_indicator(L, offset=o).scale(F(1, 2))
+    g = f + lattice_indicator(L).scale(3)
+    for h in (f, g):
+        brute = support_by_box(h, gens)
+        assert brute
+        assert len(parallelepiped_support(h, gens)) == len(brute)
 
 
 @st.composite
@@ -332,33 +359,6 @@ def functions_and_generators(draw):
     return f, gens
 
 
-def _brute_force_support(f, gens):
-    """Scan the grid of the common denominator over the bounding box of the
-    parallelepiped; None when the grid is too large to scan."""
-    n = f.n
-    den = math.lcm(
-        *(x.denominator for t in f.terms for row in t.lattice for x in row),
-        *(x.denominator for t in f.terms for x in t.offset),
-    )
-    lo = [sum(min(0, g[i]) for g in gens) for i in range(n)]
-    hi = [sum(max(0, g[i]) for g in gens) for i in range(n)]
-    axes = [
-        [F(a, den) for a in range(math.floor(l * den), math.ceil(h * den) + 1)]
-        for l, h in zip(lo, hi)
-    ]
-    if math.prod(len(a) for a in axes) > 1500:
-        return None
-    found = {}
-    for x in itertools.product(*axes):
-        t = span_coordinates(gens, x)
-        if t is None or not all(0 < c <= 1 for c in t):
-            continue
-        val = f.evaluate(x)
-        if val:
-            found[x] = val
-    return found
-
-
 @given(functions_and_generators())
 @settings(max_examples=60, deadline=None)
 def test_parallelepiped_support_matches_evaluate(case):
@@ -366,9 +366,10 @@ def test_parallelepiped_support_matches_evaluate(case):
     W = from_columns([tuple(F(c) for c in g) for g in gens])
     triples = parallelepiped_support(f, gens)
     for x, t, val in triples:
+        x, t = _over_den(x), _over_den(t)
         assert val != 0 and val == f.evaluate(x)
         assert mat_vec(W, t) == x
         assert all(0 < c <= 1 for c in t)
-    brute = _brute_force_support(f, gens)
+    brute = support_by_box(f, gens)
     if brute is not None:
-        assert {x: val for x, _, val in triples} == brute
+        assert {_over_den(x): val for x, _, val in triples} == brute
