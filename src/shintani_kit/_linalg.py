@@ -4,13 +4,14 @@ Matrices are tuples of row-tuples of Fractions (or ints where noted); vec
 and mat keep each Fraction entry and send anything else through
 Fraction(x).  The sizes are tiny (n <= 4), so clarity beats asymptotics.
 Over the rationals there is one Gauss-Jordan routine, ``_rref``; solve,
-inverse, rank and rational_kernel are thin wrappers around it.  The two
-cone questions take one each: span_annihilator (whether a point lies in
-the span of independent generators) one rational_kernel, and
-span_coordinate_rows (its coordinates in them) one inverse.  Over the
+inverse, rank and rational_kernel are thin wrappers around it.  Over the
 integers, integer_det is fraction-free (Bareiss) elimination, det
 scales its rows to integers and calls it, and integer_adjugate takes its
-cofactors; the lattice routines go through hnf_with_transform.
+cofactors; the lattice routines go through hnf_with_transform, once per
+question: span_rows answers whether a point lies in the span of
+independent generators and with what coordinates (the question of cone
+membership and of parallelepiped points alike), and integer_solutions
+gives a particular solution and the kernel of an integer system.
 common_denominator alone builds integers over one common denominator,
 the layout of every hot loop here.
 """
@@ -18,7 +19,8 @@ the layout of every hot loop here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import SingularMatrix, ZeroVector
 
@@ -54,10 +56,6 @@ def mat_vec(a: Matrix, v) -> Vector:
     v = vec(v)
     assert len(a[0]) == len(v)
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def columns(a: Matrix) -> list[Vector]:
@@ -147,24 +145,6 @@ def rational_kernel(a: Matrix) -> list[Vector]:
             v[pcol] = -rows[i][fcol]
         basis.append(tuple(v))
     return basis
-
-
-def span_annihilator(gens) -> list[Vector]:
-    """Rows K for independent generators g_1..g_r: K*v = 0 exactly when v
-    lies in their span.  K is a basis of the vectors orthogonal to every
-    g_j; dependent generators raise SingularMatrix."""
-    gens = [vec(g) for g in gens]
-    ann = rational_kernel(gens)
-    if len(ann) != len(gens[0]) - len(gens):
-        raise SingularMatrix("generators are linearly dependent")
-    return ann
-
-
-def span_coordinate_rows(gens, ann: list[Vector]) -> Matrix:
-    """Rows C with C*v = c for every v = sum c_j g_j, given
-    ann = span_annihilator(gens): the g_j with the rows of ann complete to
-    a basis, and C is the first r rows of that basis's inverse."""
-    return inverse(from_columns(list(gens) + list(ann)))[: len(gens)]
 
 
 # --- integer-lattice routines -------------------------------------------
@@ -273,47 +253,47 @@ def hnf_with_transform(a) -> tuple[IntMatrix, IntMatrix]:
     return h, u
 
 
-def integer_kernel(a) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x in Z^m : a*x = 0}."""
-    a = _as_int_matrix(a)
-    m = len(a[0]) if a else 0
-    h, u = hnf_with_transform(a)
-    basis = []
-    for j in range(m):
-        if all(h[i][j] == 0 for i in range(len(a))):
-            basis.append(tuple(u[i][j] for i in range(m)))
-    return basis
+def span_rows(W) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """From one column HNF W^T U = (H | 0) of the integer n x r matrix W
+    of generator columns: the last n - r columns of U, a Z-basis of the
+    integer rows orthogonal to W (they vanish exactly on the span), and
+    rows P = adj(H)^T U_r^T with P W = delta I, delta = det H > 0.
+    Dependent generators raise SingularMatrix."""
+    n, r = len(W), len(W[0])
+    h, u = hnf_with_transform(tuple(zip(*W)))
+    if r > n or not all(h[i][i] for i in range(r)):
+        raise SingularMatrix("generators are linearly dependent")
+    adj = integer_adjugate([row[:r] for row in h])
+    P = [[sum(map(mul, col, urow)) for urow in u] for col in zip(*adj)]
+    ann = [tuple(row[j] for row in u) for j in range(r, n)]
+    return ann, P, prod(h[i][i] for i in range(r))
 
 
-def solve_integer(a, b) -> tuple[int, ...] | None:
-    """One integer solution x of a*x = b, or None if none exists."""
-    a = _as_int_matrix(a)
-    n = len(a)
-    m = len(a[0]) if n else 0
-    b = [int(Fraction(x)) if Fraction(x).denominator == 1 else None
-         for x in b]
-    if any(x is None for x in b):
-        return None
+def integer_solutions(a, b) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """From one column HNF a*u = h of the integer matrix a: (x0, kernel)
+    with x0 one integer solution of a*x = b (b integer) and kernel a basis
+    of {x in Z^m : a*x = 0}, or None when a*x = b has no integer solution."""
     h, u = hnf_with_transform(a)
-    # forward-substitute through the staircase columns of h
-    x_h = [0] * m
+    m = len(u)
+    # forward-substitute through the staircase columns of h; the columns
+    # past them are zero, and the same columns of u span the kernel
+    y = [0] * m
     resid = list(b)
     col = 0
-    for row in range(n):
+    for row in range(len(h)):
         if col < m and h[row][col] != 0:
-            if resid[row] % h[row][col] != 0:
+            q, rem = divmod(resid[row], h[row][col])
+            if rem:
                 return None
-            q = resid[row] // h[row][col]
-            x_h[col] = q
-            for i in range(n):
-                resid[i] -= q * h[i][col]
+            y[col] = q
+            for i, hrow in enumerate(h):
+                resid[i] -= q * hrow[col]
             col += 1
         elif resid[row] != 0:
             # zero row in the staircase with a nonzero target
             return None
-    if any(resid):
-        return None
-    return tuple(sum(u[i][j] * x_h[j] for j in range(m)) for i in range(m))
+    x0 = tuple(sum(map(mul, urow, y)) for urow in u)
+    return x0, [tuple(urow[j] for urow in u) for j in range(col, m)]
 
 
 def lattice_intersection(a, b) -> IntMatrix:
@@ -326,7 +306,7 @@ def lattice_intersection(a, b) -> IntMatrix:
     s, rows = common_denominator(a + mat(b))
     sa, sb = rows[:n], rows[n:]
     stacked = tuple(tuple(sa[i] + [-x for x in sb[i]]) for i in range(n))
-    kern = integer_kernel(stacked)
+    _, kern = integer_solutions(stacked, [0] * n)
     if len(kern) != n:
         raise SingularMatrix("lattices are not full rank")
     cols = [[Fraction(sum(c * x for c, x in zip(row, k)), s) for row in sa] for k in kern]

@@ -36,11 +36,11 @@ from ._linalg import (
     columns,
     common_denominator,
     det,
+    from_columns,
     integer_det,
     mat,
     mat_vec,
-    span_annihilator,
-    span_coordinate_rows,
+    span_rows,
     vec,
 )
 from .errors import (
@@ -98,20 +98,15 @@ class OpenCone:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ShintaniKitError("cone needs at least one generator")
+        # integer rows from one reduction of the generator columns: ann
+        # vanishes exactly on the span, and P v is a positive multiple of
+        # v's coordinates in the generators
         try:
-            off_span = span_annihilator(gens)
+            ann, P, _ = span_rows(common_denominator(from_columns(gens))[1])
         except SingularMatrix:
             raise ShintaniKitError("cone generators must be independent") from None
-        object.__setattr__(self, "_off_span", [primitive_direction(r) for r in off_span])
-
-    @cached_property
-    def _coordinate_rows(self) -> list[Vector]:
-        """Integer generator-coordinate rows for contains, positive multiples
-        of span_coordinate_rows, built on the first contains since most cones
-        never ask.  The annihilator rows enter already scaled, which moves
-        only the rows of the inverse past the first r."""
-        rows = span_coordinate_rows(self.generators, self._off_span)
-        return [primitive_direction(r) for r in rows]
+        object.__setattr__(self, "_off_span", ann)
+        object.__setattr__(self, "_coordinate_rows", P)
 
     @property
     def dim(self) -> int:
@@ -122,9 +117,13 @@ class OpenCone:
         return len(self.generators[0])
 
     def contains(self, v) -> bool:
-        """Whether v is a strictly positive combination of the generators;
-        only signs are read, so v's integers over its denominator serve."""
+        """Whether v is a strictly positive combination of the generators."""
         _, (v,) = common_denominator([vec(v)])
+        return self._contains_integers(v)
+
+    def _contains_integers(self, v) -> bool:
+        """contains for the integers of a point over its denominator, or of
+        any positive multiple of it: only signs are read."""
         if len(v) != self.ambient:
             raise ValueError("point dimension mismatch")
 
@@ -147,12 +146,13 @@ class ConeFunction:
     constant: Fraction = Fraction(0)
 
     def evaluate(self, v) -> Fraction:
-        v = vec(v)
-        if all(x == 0 for x in v):
+        # the point's integers over its common denominator, once for all terms
+        _, (v,) = common_denominator([vec(v)])
+        if not any(v):
             raise ZeroVector("cone functions live on V minus the origin")
         acc = Fraction(self.constant)
         for w, cone in self.terms:
-            if cone.contains(v):
+            if cone._contains_integers(v):
                 acc += w
         return acc
 

@@ -37,7 +37,8 @@ from ._linalg import (
     common_denominator,
     det,
     from_columns,
-    inverse,
+    integer_adjugate,
+    integer_det,
     minimal_multiplier,
     vec,
 )
@@ -163,8 +164,9 @@ class PseudoMeasure:
         coefficient and N/Q = D^-1 v, for the exponents v = u/q over one q,
         Q = q |det D| and N = sign(det D) adj(D) u = |det D| D^-1 u."""
         D = _complete_directions([d for _, d in self.denoms], self.n, self.p)
-        dd = int(det(D))
-        adj = [[int(abs(dd) * x) for x in row] for row in inverse(D)]
+        _, Dz = common_denominator(D)
+        dd = integer_det(Dz)
+        adj = [[x if dd > 0 else -x for x in row] for row in integer_adjugate(Dz)]
         q, exps = common_denominator([e for e, _ in self.numerator])
         cden, (cnums,) = common_denominator([[c for _, c in self.numerator]])
         return D, q * abs(dd), cden, [

@@ -27,15 +27,14 @@ from ._linalg import (
     identity,
     integer_adjugate,
     integer_det,
-    integer_kernel,
+    integer_solutions,
     inverse,
     lattice_intersection,
     mat,
     mat_mul,
     mat_vec,
     solve,
-    solve_integer,
-    transpose,
+    span_rows,
     vec,
 )
 from ._rational_padics import is_p_integral, pfree_part, residue, vp_int
@@ -387,7 +386,7 @@ def parallelepiped_support(
     # terms: rows ann vanishing exactly on the span and rows P with
     # P W = delta I; dependent generators are refused before any term
     dw, W = common_denominator(from_columns(gens))
-    ann, P, delta = _span_rows(W)
+    ann, P, delta = span_rows(W)
 
     # each point x is keyed by its lowest-terms integers (den, *nums),
     # x = nums / den, and holds [(q, *T), its value]
@@ -431,20 +430,6 @@ def parallelepiped_support(
     ]
 
 
-def _span_rows(W) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
-    """From one column HNF W^T U = (H | 0) of the integer n x r matrix W:
-    the last n - r columns of U, a Z-basis of the integer rows orthogonal
-    to W, and rows P = adj(H)^T U_r^T with P W = delta I, delta = det H."""
-    n, r = len(W), len(W[0])
-    h, u = hnf_with_transform(transpose(W))
-    if r > n or not all(h[i][i] for i in range(r)):
-        raise SingularMatrix("generators are linearly dependent")
-    adj = integer_adjugate([row[:r] for row in h])
-    P = [[sum(map(mul, col, urow)) for urow in u] for col in zip(*adj)]
-    ann = [tuple(row[j] for row in u) for j in range(r, n)]
-    return ann, P, math.prod(h[i][i] for i in range(r))
-
-
 def _term_line_solutions(t: LatticeTerm, ann: list[tuple[int, ...]]):
     """Points of the term's coset o + L Z^n in the span cut out by the
     integer rows ann, over the common denominator e of o and L: (e, cols)
@@ -455,9 +440,9 @@ def _term_line_solutions(t: LatticeTerm, ann: list[tuple[int, ...]]):
         return e, [O, *zip(*L)]
     # each row a of ann: a . (O + L m) = 0 in m
     BL = [[sum(map(mul, a, col)) for col in zip(*L)] for a in ann]
-    m0 = solve_integer(BL, [-sum(map(mul, a, O)) for a in ann])
-    if m0 is None:
+    sols = integer_solutions(BL, [-sum(map(mul, a, O)) for a in ann])
+    if sols is None:
         return None
+    m0, kern = sols
     X0 = [o + sum(map(mul, row, m0)) for o, row in zip(O, L)]
-    kern = integer_kernel(BL)
     return e, [X0, *([sum(map(mul, row, kv)) for row in L] for kv in kern)]

@@ -3,10 +3,12 @@
 Each one answers a question the package itself never asks on any path
 (membership, traces, translates, congruences), so it lives here rather
 than in ``src/``.  ``span_coordinates`` solves for span coordinates by its
-own reduction of [G | v], independently of
-``_linalg.span_coordinate_rows``; ``support_by_box`` finds the support
-points of a half-open parallelepiped by scanning a grid with it, the
-brute-force count behind ``test_functions.parallelepiped_support``.
+own rational reduction of [G | v], independently of the integer HNF of
+``_linalg.span_rows`` behind cone membership and the parallelepiped
+points (tests/test_route_independence.py keeps its ``_linalg`` imports
+rational); ``support_by_box`` finds the support points of a half-open
+parallelepiped by scanning a grid with it, the brute-force count behind
+``test_functions.parallelepiped_support``.
 ``bernoulli_sums_reference`` is the ``Fraction`` loop over the
 Bernoulli-polynomial moments that ``shintani_zeta._bernoulli_sums`` runs
 in integers over one denominator.  ``theta_moment`` takes moments by

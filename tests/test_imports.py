@@ -121,6 +121,8 @@ KEPT_API = {
     "rational_ideal": "the ideal nO, a constructor beside o_ideal",
     "principal_ideal": "the ideal uO of a field element, a constructor beside o_ideal",
     "full_level_set": "the level set Z_p^n, the m = 0 case of PLevelSet",
+    "contains": "OpenCone membership of one point; ConeFunction.evaluate runs its integer form",
+    "rational_kernel": "wrapped by perfbench/layers.TRACED, which tests/test_perfbench_names requires",
 }
 
 

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from shintani_kit._linalg import (
     hnf_with_transform,
     identity,
     integer_det,
-    integer_kernel,
+    integer_solutions,
     inverse,
     lattice_intersection,
     mat,
@@ -25,13 +26,12 @@ from shintani_kit._linalg import (
     rank,
     rational_kernel,
     solve,
-    solve_integer,
-    span_annihilator,
-    span_coordinate_rows,
-    transpose,
+    span_rows,
     vec,
 )
 from shintani_kit.errors import SingularMatrix, ZeroVector
+
+from helpers import span_coordinates
 
 
 def _rand_int_matrix(rng, n, m, lo=-6, hi=7):
@@ -121,32 +121,35 @@ def test_hnf_properties():
             assert all(h[i][j] == 0 for i in range(n))
 
 
-def test_integer_kernel():
-    rng = random.Random(13)
-    for _ in range(30):
-        a = _rand_int_matrix(rng, 2, 4)
-        kern = integer_kernel(a)
-        for v in kern:
-            assert all(x == 0 for x in mat_vec(a, vec(v)))
-            assert all(isinstance(x, int) for x in v)
-        # kernel dimension matches rank-nullity
-        assert len(kern) == 4 - rank(a)
+@given(st.integers(1, 3).flatmap(lambda n: st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+))))
+@example(([[2]], [1]))
+@example(([[2, 4]], [1]))
+@example(([[0, 0], [0, 0]], [0, 1]))
+@example(([[1, 2], [2, 4]], [1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_integer_solutions(ab):
+    """One HNF gives a particular solution and the kernel: x0 solves
+    a*x = b, each kernel vector solves a*x = 0 and there are m - rank(a)
+    of them; when it reports no solution, a brute-force search of a box
+    finds none either."""
+    a, b = ab
+    m = len(a[0])
+    sols = integer_solutions(a, b)
 
+    def image(x):
+        return [sum(map(mul, row, x)) for row in a]
 
-def test_solve_integer():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randrange(1, 4)
-        m = rng.randrange(1, 4)
-        a = _rand_int_matrix(rng, n, m)
-        x0 = vec([rng.randrange(-5, 6) for _ in range(m)])
-        b = mat_vec(a, x0)
-        x = solve_integer(a, b)
-        assert x is not None
-        assert mat_vec(a, x) == b
-        assert all(xi.denominator == 1 for xi in x)
-    # insolvable case
-    assert solve_integer(mat([[2]]), vec([1])) is None
+    if sols is None:
+        assert all(image(x) != b for x in product(range(-8, 9), repeat=m))
+        return
+    x0, kern = sols
+    assert image(x0) == b and all(type(x) is int for x in x0)
+    for k in kern:
+        assert image(k) == [0] * len(a) and all(type(x) is int for x in k)
+    assert len(kern) == m - rank(mat(a))
 
 
 def test_lattice_intersection_membership():
@@ -255,7 +258,7 @@ def test_rank_nullity_and_kernel(a):
     m = len(a[0])
     kern = rational_kernel(a)
     assert rank(a) + len(kern) == m
-    assert rank(transpose(a)) == rank(a)
+    assert rank(tuple(zip(*a))) == rank(a)
     for k in kern:
         assert all(x == 0 for x in mat_vec(a, k))
     if kern:
@@ -284,43 +287,33 @@ def _vanishes(ann, x):
 
 
 @given(generators_and_points())
-@settings(max_examples=120, deadline=None)
-def test_span_coordinates(data):
-    """The rows of span_coordinate_rows recover c on the span, and those
-    of span_annihilator vanish exactly on the span."""
+@settings(max_examples=150, deadline=None)
+def test_span_rows(data):
+    """On the integer generator columns W: P W = delta I with delta > 0 and
+    ann W = 0, ann with the generators has rank n, and the rows agree
+    with the independent reduction of helpers.span_coordinates: on the
+    span P recovers the coordinates, and ann vanishes exactly there."""
     gens, c, w = data
-    r = len(gens)
-    g = from_columns(gens)
-    if rank(g) < r:
-        with pytest.raises(SingularMatrix, match="linearly dependent"):
-            span_annihilator(gens)
-        return
-    ann = span_annihilator(gens)
-    coords = span_coordinate_rows(gens, ann)
-    assert len(coords) == r
-    v = mat_vec(g, c)
-    assert mat_vec(coords, v) == c and _vanishes(ann, v)
-    assert _vanishes(ann, w) == (rank(from_columns(gens + [w])) == r)
-
-
-@given(generators_and_points())
-@settings(max_examples=80, deadline=None)
-def test_unit_completion_gives_a_basis(data):
-    """The rows of span_annihilator complete the generators to a basis of
-    Q^n, and the coordinate rows are the first rows of the inverse of that
-    basis."""
-    gens, _, _ = data
     n, r = len(gens[0]), len(gens)
+    dw, W = common_denominator(from_columns(gens))
     if rank(from_columns(gens)) < r:
         with pytest.raises(SingularMatrix, match="linearly dependent"):
-            span_annihilator(gens)
+            span_rows(W)
         return
-    ann = span_annihilator(gens)
-    coords = span_coordinate_rows(gens, ann)
-    assert len(ann) == n - r
-    basis = from_columns(gens + list(ann))
-    assert rank(basis) == n
-    assert mat_mul(coords, basis) == identity(n)[:r]
+    ann, P, delta = span_rows(W)
+    assert delta > 0 and len(ann) == n - r
+    assert mat_mul(mat(P), mat(W)) == tuple(
+        tuple(Fraction(delta if i == j else 0) for j in range(r)) for i in range(r)
+    )
+    assert all(x == 0 for row in mat_mul(mat(ann), mat(W)) for x in row)
+    assert rank(mat([*zip(*W), *ann])) == n
+    v = mat_vec(from_columns(gens), c)
+    assert tuple(y * dw / delta for y in mat_vec(mat(P), v)) == c
+    for x in (v, w):
+        coords = span_coordinates(gens, x)
+        assert _vanishes(ann, x) == (coords is not None)
+        if coords is not None:
+            assert tuple(y * dw / delta for y in mat_vec(mat(P), x)) == coords
 
 
 def _leibniz_det(rows):

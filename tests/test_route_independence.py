@@ -10,9 +10,11 @@ or property of a class there (so ``t._sign`` reaches ``GLTuple._sign``),
 and the constructor hooks of every class named, from the entry points
 onward.  And the reference expansion in tests/helpers.py imports from
 padic_measures only the data types and the shared set-up it checks the
-fast path with, never the fast path's own steps.  And the series route
-of shintani_zeta, the check of Shintani's closed form, reaches none of
-the closed form's code and reads no Bernoulli number."""
+fast path with, never the fast path's own steps, and from _linalg only
+the rational routines, so that its span_coordinates stays a second route
+to span_rows.  And the series route of shintani_zeta, the check of
+Shintani's closed form, reaches none of the closed form's code and reads
+no Bernoulli number."""
 
 import ast
 from pathlib import Path
@@ -39,12 +41,15 @@ CLOSED_FORM = {
 # what helpers.py may import from padic_measures
 HELPERS_MAY_IMPORT = {"PadicScalar", "PseudoMeasure", "_complete_directions", "binomial_row"}
 
+# what helpers.py may import from _linalg: types and rational routines
+HELPERS_MAY_IMPORT_LINALG = {"Matrix", "Vector", "_rref", "identity", "inverse", "mat_vec", "vec"}
+
 EXTRACTION_ONLY = {
     "_functionals",
     "_eps_det",
     "_perturbed_columns",
     "leading_sign",
-    "OpenCone.contains",
+    "OpenCone._contains_integers",
 }
 
 
@@ -185,23 +190,23 @@ def test_guard_sees_exact_side_references():
     assert _exact_side_references(src, ["clean"]) == set()
 
 
-def _padic_imports(source: str) -> set[str]:
-    """Names imported from padic_measures; importing the module itself
+def _imports(source: str, module: str) -> set[str]:
+    """Names imported from the package module; importing the module itself
     reaches all of it and counts as its own name."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            if (node.module or "").endswith("padic_measures"):
+            if (node.module or "").endswith(module):
                 names.update(alias.name for alias in node.names)
             else:
-                names.update(alias.name for alias in node.names if alias.name == "padic_measures")
+                names.update(alias.name for alias in node.names if alias.name == module)
         elif isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names if alias.name.endswith("padic_measures"))
+            names.update(alias.name for alias in node.names if alias.name.endswith(module))
     return names
 
 
 def test_reference_imports_no_fast_path_code():
-    assert _padic_imports(HELPERS.read_text()) <= HELPERS_MAY_IMPORT
+    assert _imports(HELPERS.read_text(), "padic_measures") <= HELPERS_MAY_IMPORT
 
 
 def test_guard_sees_fast_path_imports():
@@ -214,8 +219,27 @@ def test_guard_sees_fast_path_imports():
         "def f():\n"
         "    from shintani_kit.padic_measures import _falling_sums\n"
     )
-    assert _padic_imports(src) - HELPERS_MAY_IMPORT == {
+    assert _imports(src, "padic_measures") - HELPERS_MAY_IMPORT == {
         "_pieces", "padic_measures", "shintani_kit.padic_measures", "_falling_sums",
+    }
+
+
+def test_reference_imports_only_rational_linalg():
+    assert _imports(HELPERS.read_text(), "_linalg") <= HELPERS_MAY_IMPORT_LINALG
+
+
+def test_guard_sees_integer_linalg_imports():
+    src = (
+        "from shintani_kit._linalg import _rref, span_rows, vec\n"
+        "from shintani_kit import _linalg\n"
+        "import shintani_kit._linalg as la\n"
+        "from shintani_kit.test_functions import parallelepiped_support\n"
+        "\n"
+        "def f():\n"
+        "    from shintani_kit._linalg import hnf_with_transform\n"
+    )
+    assert _imports(src, "_linalg") - HELPERS_MAY_IMPORT_LINALG == {
+        "span_rows", "_linalg", "shintani_kit._linalg", "hnf_with_transform",
     }
 
 
