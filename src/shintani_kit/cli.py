@@ -487,6 +487,10 @@ def cmd_kubota_leopoldt(cfg: dict, keys: dict, args: argparse.Namespace) -> tupl
     caps = _ints(cfg, keys, "caps") or (max(2 * max(ks), 8),)
     _check_k_within(ks, caps, 1)
     cutoff = _int(cfg, keys, "cutoff")
+    if cutoff is not None and cutoff > caps[0] + 1:
+        raise ConfigError(
+            f"config key 'cutoff' must stay within caps[0] + 1 = {caps[0] + 1}, got cutoff = {cutoff}"
+        )
     p = _int(cfg, keys, "p")
     if p < 3 or not is_prime(p):
         raise ConfigError(f"p must be an odd prime, got p={p}")

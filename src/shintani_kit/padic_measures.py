@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from ._linalg import (
@@ -337,15 +337,18 @@ def _divide_by_t(coeffs: dict, r: int) -> dict:
     return {tuple(x - 1 if i < r else x for i, x in enumerate(e)): c for e, c in coeffs.items()}
 
 
-def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, list[list[int]]]:
+@lru_cache(maxsize=256)
+def _unit_inverse_row(a: Fraction, tcap: int) -> tuple[int, tuple[int, ...]]:
     """Coefficients 0..tcap of the inverse of -sum_{j>=1} C(a, j) T^(j-1),
-    as one row of integer numerators over one denominator."""
+    as one row of integer numerators over one denominator.  Cached by
+    value: the series and the components of one measure share a."""
     unit = {(j,): -c for j, c in enumerate(binomial_row(a, tcap + 1)[1:])}
     inv = TruncSeries((tcap,), unit).invert()
-    return common_denominator([[inv.coeff((t,)) for t in range(tcap + 1)]])
+    den, (row,) = common_denominator([[inv.coeff((t,)) for t in range(tcap + 1)]])
+    return den, tuple(row)
 
 
-def _convolve_axis(coeffs: dict, i: int, row: list[int], tcap: int) -> dict:
+def _convolve_axis(coeffs: dict, i: int, row: Sequence[int], tcap: int) -> dict:
     """Multiply by sum_t row[t] T_i^t, a series in T_i alone.  Every
     exponent is nonnegative, so dropping total degree above tcap here loses
     nothing of what survives the final truncation."""
@@ -402,7 +405,7 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
         G = _divide_by_t(_piece_numerator(piece, Q, cden, build_caps, tcap + r), r)
         den, (nums,) = common_denominator([list(G.values())])
         G = dict(zip(G, nums))
-        for i, (h, (row,)) in enumerate(inverse_rows):
+        for i, (h, row) in enumerate(inverse_rows):
             G = _convolve_axis(G, i, row, tcap)
             den *= h
         dw, off = zip(*(divmod(sum(d * x for d, x in zip(dr, res)), pj) for dr in Dint))
@@ -491,6 +494,27 @@ def pushforward_norm(series: TruncSeries, norm_poly: dict, count: int) -> TruncS
 # evaluation at p-adic arguments
 
 
+@lru_cache(maxsize=256)
+def _component_rows(coeffs: tuple, b: int, p: int, M: int) -> tuple[int, tuple[int, ...]]:
+    """w(b) and the row inner[j], j < J, of integrals of (t w(b)^-1 - 1)^j
+    mod p^M against the component whose first J Mahler coefficients are
+    coeffs.  Free of s and the twist, so cached by value across both."""
+    mod = p ** M
+    wb = teichmuller(b, p, M)
+    wb_inv = pow(wb, -1, mod)
+    # moments 0..J-1 of t against the component, as residues, from
+    # successive Stirling rows (the sum in moment, one row at a time)
+    tmom = [
+        residue(sum(w * c for w, c in zip(row, coeffs)), p, M)
+        for row in _stirling_rows(len(coeffs))
+    ]
+    return wb, tuple(
+        sum((-1) ** (j - l) * math.comb(j, l) * pow(wb_inv, l, mod) * tmom[l] for l in range(j + 1))
+        % mod
+        for j in range(len(coeffs))
+    )
+
+
 def evaluate_at_s(
     components: dict[int, TruncSeries],
     p: int,
@@ -500,8 +524,10 @@ def evaluate_at_s(
     count: int | None = None,
 ) -> PadicScalar:
     """Sum over unit residues b of w(b)^twist times the binomial series of
-    the component measures at argument -s.
+    the component measures at argument -s: sum_j C(-s, j) inner_b[j].
 
+    The rows w(b) and inner_b depend on neither s nor the twist; they are
+    built once per component (`_component_rows`) and reused across both.
     The truncation after `count` binomial terms is rigorous to p^-count, so
     the effective precision is min(M, count)."""
     s = Fraction(s)
@@ -518,27 +544,9 @@ def evaluate_at_s(
     bin_s = [residue(c, p, M) for c in binomial_row(-s, J - 1)]
     for b in sorted(components):
         ser = components[b]
-        wb = teichmuller(b, p, M)
-        wb_inv = pow(wb, -1, mod)
-        tw = pow(wb, twist % (p - 1), mod)
-        # moments 0..J-1 of t against the component, as residues, from
-        # successive Stirling rows (the sum in moment, one row at a time)
-        coeffs = [ser.coeff((b,)) for b in range(J)]
-        tmom = [
-            residue(sum(w * c for w, c in zip(row, coeffs)), p, M)
-            for row in _stirling_rows(J)
-        ]
-        part = 0
-        for j in range(J):
-            # integral of (t * w(b)^{-1} - 1)^j
-            inner = 0
-            for l in range(j + 1):
-                term = math.comb(j, l) * pow(wb_inv, l, mod) % mod * tmom[l] % mod
-                if (j - l) % 2:
-                    term = -term
-                inner = (inner + term) % mod
-            part = (part + bin_s[j] * inner) % mod
-        total = (total + tw * part) % mod
+        wb, inner = _component_rows(tuple(ser.coeff((j,)) for j in range(J)), b, p, M)
+        part = sum(x * y for x, y in zip(bin_s, inner))
+        total = (total + pow(wb, twist % (p - 1), mod) * part) % mod
     guard = max(0, M - J)
     return PadicScalar(p=p, M=M, guard=guard, residue=total % p ** (M - guard))
 

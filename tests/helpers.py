@@ -29,10 +29,13 @@ multiples of one generator through twice the unit period, against the
 unit-image lookup of ``real_quadratic_fields.is_equivalent``, and
 ``pushforward_by_newton_box`` sums the Newton expansion of C(N(x), j) over
 the box, against the Stirling-number moments of
-``padic_measures.pushforward_norm``.  ``domain_from_cocycle`` reads the
-Shintani domain off Hill's cocycle at (1, eps), the paper's construction,
-and checks it on sample points; it is the reference for the
-``shintani_fan`` that both sides of ``real_quadratic_fields`` use.
+``padic_measures.pushforward_norm``.  ``evaluate_at_s_reference`` is the
+per-s loop that ``padic_measures.evaluate_at_s`` replaced by rows built
+once per component, with its own Teichmuller lift and Stirling rows.
+``domain_from_cocycle`` reads the Shintani domain off Hill's cocycle at
+(1, eps), the paper's construction, and checks it on sample points; it is
+the reference for the ``shintani_fan`` that both sides of
+``real_quadratic_fields`` use.
 ``PairQuadScalar`` and ``pair_quad_sign`` are the quadratic scalar as a
 pair of ``Fraction`` coordinates, the reference for the integer
 (A + B*sqrt(D))/q representation of ``exact_core.QuadScalar``.
@@ -617,6 +620,52 @@ def pushforward_by_newton_box(series: TruncSeries, norm_poly: dict, count: int) 
         if acc:
             out[(j,)] = acc
     return TruncSeries((count - 1,), out)
+
+
+def _stirling_row_by_sum(a: int) -> list[int]:
+    """b! S(a, b) for b = 0..a, the surjections of an a-set onto a b-set,
+    by inclusion-exclusion."""
+    return [
+        sum((-1) ** (b - i) * math.comb(b, i) * i ** a for i in range(b + 1))
+        for b in range(a + 1)
+    ]
+
+
+def evaluate_at_s_reference(components: dict, p: int, M: int, s, twist: int = 0,
+                            count: int | None = None) -> PadicScalar:
+    """The per-s loop of ``padic_measures.evaluate_at_s``: for each s, each
+    component's moments and its integrals of (t w(b)^-1 - 1)^j are taken
+    anew, with the Teichmuller lift b^(p^(M-1)) mod p^M and Stirling rows
+    by inclusion-exclusion; of the package it shares only binomial_row,
+    for the C(-s, j)."""
+    s = Fraction(s)
+    if not is_p_integral(s, p):
+        raise ValueError("s must be p-integral")
+    if count is None:
+        count = min(M, 1 + min(min(ser.caps) for ser in components.values()))
+    if any(ser.caps[0] < count - 1 for ser in components.values()):
+        raise PrecisionExhausted("component caps too small for requested count")
+    mod = p ** M
+    bin_s = [residue(c, p, M) for c in binomial_row(-s, count - 1)]
+    total = 0
+    for b in sorted(components):
+        ser = components[b]
+        wb = pow(b, p ** (M - 1), mod)
+        wb_inv = pow(wb, -1, mod)
+        tmom = [
+            residue(sum(w * ser.coeff((e,)) for e, w in enumerate(_stirling_row_by_sum(a))), p, M)
+            for a in range(count)
+        ]
+        part = 0
+        for j in range(count):
+            inner = 0
+            for l in range(j + 1):
+                term = math.comb(j, l) * pow(wb_inv, l, mod) * tmom[l]
+                inner += -term if (j - l) % 2 else term
+            part += bin_s[j] * inner
+        total += pow(wb, twist % (p - 1), mod) * part
+    guard = max(0, M - count)
+    return PadicScalar(p=p, M=M, guard=guard, residue=total % p ** (M - guard))
 
 
 # interior points on which domain_from_cocycle checks the cocycle fan

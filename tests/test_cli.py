@@ -180,6 +180,8 @@ def test_config_errors(tmp_path, capsys):
         ("selftest", {"level": "full"}, "'level'"),
         # moments beyond the smallest cap are refused, not dropped
         ("measure", dict(measure, k=[0, 1, 5, 9], caps=[4]), "'k' must stay within min(caps) = 4"),
+        # a cutoff needs Mahler coefficients up to cutoff - 1 under the cap
+        ("kubota-leopoldt", dict(kl, caps=[4], cutoff=9), "'cutoff' must stay within caps[0] + 1 = 5"),
     ]
     for command, cfg, key in malformed:
         path = tmp_path / "malformed.json"

@@ -6,7 +6,9 @@ somewhere else in src/ unless it is library API kept on purpose
 every public module-level class and every UPPER_CASE constant.  And
 rationals are scaled to integers over one common denominator in one
 place only: no code takes an lcm over `.denominator`s outside
-`_linalg.common_denominator`."""
+`_linalg.common_denominator`.  And a module-level function cached by
+`functools.cache` or `lru_cache` says what it returns and returns no list,
+dict or set: the cached object is shared by every caller."""
 
 import ast
 import re
@@ -291,3 +293,50 @@ def test_guard_sees_a_hand_rolled_common_denominator():
         "D = lcm(*(f.denominator for f in ()))\n"
     )
     assert _denominator_lcms(src) == ["<module> (line 15)", "both (line 13)", "scale (line 5)"]
+
+
+_CACHES = {"cache", "lru_cache"}
+_MUTABLE = {"list", "dict", "set", "List", "Dict", "Set"}
+
+
+def _cached_mutable_returns(source: str) -> list[str]:
+    """Module-level functions under functools.cache or lru_cache whose
+    return annotation is missing or names a mutable container anywhere in
+    it, as "function (line n)"."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(t, "id", getattr(t, "attr", None)) in _CACHES for t in targets):
+            continue
+        ann = node.returns
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            ann = ast.parse(ann.value, mode="eval")
+        names = set() if ann is None else {
+            getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(ann)
+        }
+        if ann is None or names & _MUTABLE:
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_cached_functions_return_no_mutable_container(path):
+    assert _cached_mutable_returns(path.read_text()) == []
+
+
+def test_guard_sees_a_cached_mutable_return():
+    src = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=8)\ndef rows(n) -> list[int]:\n    return [n]\n\n"
+        "@functools.cache\ndef table(n) -> 'dict[int, int]':\n    return {n: n}\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef pair(n) -> tuple[int, set]:\n    return n, {n}\n\n"
+        "@cache\ndef bare(n):\n    return n\n\n"
+        "@cache\ndef fine(n) -> tuple[int, ...]:\n    return (n,)\n\n"
+        "def uncached(n) -> list[int]:\n    return [n]\n\n"
+        "class A:\n    @functools.cache\n    def method(self) -> list:\n        return []\n"
+    )
+    assert _cached_mutable_returns(src) == [
+        "rows (line 5)", "table (line 9)", "pair (line 13)", "bare (line 17)",
+    ]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -36,6 +37,12 @@ from shintani_kit.padic_measures import (
     pushforward_norm,
     teichmuller,
 )
+from shintani_kit.real_quadratic_fields import (
+    RealQuadraticField,
+    field_padic_L,
+    o_ideal,
+    prime_above,
+)
 from shintani_kit.shintani_zeta import special_value
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -47,7 +54,8 @@ from shintani_kit.test_functions import (
 
 from helpers import _numerator_coordinates as numerator_coordinates_by_inverse
 from helpers import _pfrac, _piece_vanishes_on_axes
-from helpers import amice_reference, congruent_to, pushforward_by_newton_box, theta_moment
+from helpers import amice_reference, congruent_to, evaluate_at_s_reference
+from helpers import pushforward_by_newton_box, theta_moment
 from oracles import hurwitz_special_value
 
 
@@ -630,6 +638,52 @@ def test_evaluate_at_s_rejects_non_integral_argument():
     kl = kubota_leopoldt(3, 2, caps=(8,))
     with pytest.raises(ValueError):
         kl.value_at(F(1, 3))
+
+
+@functools.cache
+def _measure(name):
+    """The measures the cached rows are checked on, built once."""
+    if name == "field5":
+        F5 = RealQuadraticField(5)
+        return field_padic_L(F5, o_ideal(F5), prime_above(F5, 11)[0], 3, count=5)
+    return kubota_leopoldt(int(name[2:]), 2, caps=(12,))
+
+
+# largest count each measure's component caps allow
+_MAX_COUNT = {"kl3": 13, "kl5": 13, "kl7": 13, "field5": 5}
+
+_CALL = st.tuples(
+    st.integers(0, 1),  # which measure of the pair
+    st.integers(-40, 40),  # s = a / d, with d prime to p
+    st.integers(1, 12),
+    st.integers(-3, 13),  # twist
+    st.integers(1, 10),  # M
+    st.none() | st.integers(0, 13),  # count, cut to the measure's caps
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from([("kl3", "kl5"), ("kl7", "field5"), ("field5", "kl3"), ("kl5", "kl7")]),
+    calls=st.lists(_CALL, min_size=2, max_size=6),
+)
+def test_value_at_matches_the_per_s_reference(pair, calls):
+    # calls on two measures interleave over the shared row caches, and the
+    # first s comes back at another M and count
+    which, a, d, twist, M, count = calls[0]
+    again = 1 if count is None else (min(count, _MAX_COUNT[pair[which]]) + 1) % 6
+    for which, a, d, twist, M, count in calls + [(which, a, d, twist, M % 10 + 1, again)]:
+        meas = _measure(pair[which])
+        s = F(a, d if d % meas.p else 1)
+        if count is not None:
+            count = min(count, _MAX_COUNT[pair[which]])
+        if isinstance(meas, KubotaLeopoldt):
+            got = meas.value_at(s, twist=twist, M=M, count=count)
+        elif count is None:
+            got, count = meas.value_at(s, twist=twist, M=M), meas.count
+        else:
+            got = evaluate_at_s(meas.components, meas.p, M, s, twist, count)
+        assert got == evaluate_at_s_reference(meas.components, meas.p, M, s, twist, count)
 
 
 def test_padic_scalar_congruences():
