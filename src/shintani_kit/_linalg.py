@@ -337,9 +337,13 @@ def coset_representatives(h: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def minimal_multiplier(g, basis: Matrix) -> Fraction:
-    """Smallest positive rational a with a*g inside the column lattice."""
-    d, (numers,) = common_denominator([solve(basis, g)])
-    g0 = gcd(*numers) if any(numers) else 0
+    """Smallest positive rational a with a*g inside the column lattice: over
+    one denominator, basis = L/c and g = v/c, a = |det L| / gcd(adj(L) v)."""
+    _, (v, *L) = common_denominator([vec(g), *mat(basis)])
+    det_L = integer_det(L)
+    if not det_L:
+        raise SingularMatrix("singular system")
+    g0 = gcd(*(sum(map(mul, row, v)) for row in integer_adjugate(L)))
     if g0 == 0:
         raise ZeroVector("zero vector has no minimal multiplier")
-    return Fraction(d, g0)
+    return Fraction(abs(det_L), g0)

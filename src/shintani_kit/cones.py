@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations, product
 from math import gcd
+from operator import mul
 
 from ._linalg import (
     Matrix,
@@ -47,7 +48,6 @@ from .errors import (
     DegenerateTuple,
     GuardTripped,
     ShintaniKitError,
-    SingularMatrix,
     ZeroVector,
 )
 from .exact_core import TruncSeries
@@ -98,15 +98,20 @@ class OpenCone:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ShintaniKitError("cone needs at least one generator")
-        # integer rows from one reduction of the generator columns: ann
-        # vanishes exactly on the span, and P v is a positive multiple of
-        # v's coordinates in the generators
-        try:
-            ann, P, _ = span_rows(common_denominator(from_columns(gens))[1])
-        except SingularMatrix:
-            raise ShintaniKitError("cone generators must be independent") from None
-        object.__setattr__(self, "_off_span", ann)
-        object.__setattr__(self, "_coordinate_rows", P)
+        # independence of the integer generator columns W by det W, or by
+        # det(W^T W) when r < n; the membership rows wait for contains
+        W = common_denominator(from_columns(gens))[1]
+        cols = list(zip(*W))
+        gram = W if len(cols) == len(W) else [[sum(map(mul, a, b)) for b in cols] for a in cols]
+        if not integer_det(gram):
+            raise ShintaniKitError("cone generators must be independent")
+        object.__setattr__(self, "_integer_gens", W)
+
+    @cached_property
+    def _span(self) -> tuple[list, list]:
+        """(ann, P) of `span_rows`: ann vanishes exactly on the span, and
+        P v is a positive multiple of v's coordinates in the generators."""
+        return span_rows(self._integer_gens)[:2]
 
     @property
     def dim(self) -> int:
@@ -130,9 +135,8 @@ class OpenCone:
         def dot(row):
             return sum(a * b for a, b in zip(row, v))
 
-        return all(dot(r) == 0 for r in self._off_span) and all(
-            dot(r) > 0 for r in self._coordinate_rows
-        )
+        ann, P = self._span
+        return all(dot(r) == 0 for r in ann) and all(dot(r) > 0 for r in P)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .errors import ZeroConstantTerm
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 
 Rational = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -243,7 +244,7 @@ class TruncSeries:
         return cls(caps, {zero: value} if value else {})
 
     def coeff(self, exp: tuple[int, ...]):
-        return self.coeffs.get(tuple(exp), Fraction(0))
+        return self.coeffs.get(tuple(exp), _ZERO)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         assert self.caps == other.caps

@@ -252,9 +252,9 @@ class IdealHNF:
         return from_columns([vec(c) for c in cols])
 
     def conjugate(self) -> "IdealHNF":
-        return _ideal_from_vectors(
-            self.field, [self.field.conj(v) for v in self.basis()]
-        )
+        # conj(b + d omega) = b + d tr(omega) - d omega, so -b - d tr(omega) mod a
+        b = (-self.b - self.d * self.field.omega_trace) % self.a
+        return IdealHNF(self.field, self.a, b, self.d)
 
     def __mul__(self, other: "IdealHNF") -> "IdealHNF":
         if not isinstance(other, IdealHNF):

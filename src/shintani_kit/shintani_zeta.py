@@ -15,12 +15,12 @@ slice forms lambda_j(y) = L_i(w_j) + sum_{m != i} L_m(w_j) y_m,
 
 Shintani's closed form (Shintani 1976, J. Fac. Sci. Univ. Tokyo 23,
 Prop. 1), from e^(tz)/(e^z - 1) = sum_m B_m(t) z^(m-1)/m!.
-`special_value` evaluates it: the points arrive as integers, t = T/q, and
-enter only through integer power sums of d*t over the lcm d of their q;
-with the values over dv and the Bernoulli numbers over bd, each sum over
-x is one integer over dv * d^N * bd^r.  So the field arithmetic scales
-with k and not with the number of points, and the y-coefficients come from
-the binomial theorem (also for the exponent -1).
+`special_value` evaluates it in integers.  The points, t = T/q, enter only
+through integer power sums of d*t, so each sum over x is one integer over
+one denominator; the y-coefficients come from the binomial theorem (also
+for the exponent -1) as integer pairs A + B sqrt D over one denominator per
+generator, tabled once per cone for the largest k.  So the cost scales with
+k and not with the number of points, and each value is reduced once.
 
 `_special_value_series` is the independent check.  It expands the same
 generating function as a truncated multivariate series, inverts the
@@ -31,6 +31,7 @@ the final normalization with the closed form.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,15 +72,9 @@ class NormStructure:
     def n(self) -> int:
         return len(self.forms)
 
-    def apply(self, i: int, v: Sequence):
-        acc = None
-        for c, x in zip(self.forms[i], v):
-            term = c * Fraction(x)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
     def form_values(self, v: Sequence) -> tuple:
-        return tuple(self.apply(i, v) for i in range(self.n))
+        v = vec(v)
+        return tuple(sum(map(operator.mul, c[1:], v[1:]), c[0] * v[0]) for c in self.forms)
 
 
 def std_norm(n: int) -> NormStructure:
@@ -125,21 +120,20 @@ def build_G(f: TestFunction, cone: OpenCone, ns: NormStructure) -> GeneratingFun
     """
     if ns.n != f.n or cone.ambient != f.n:
         raise ValueError("dimension mismatch")
-    for g in cone.generators:
-        for i in range(ns.n):
-            if quad_sign(ns.apply(i, g)) <= 0:
+    forms = [ns.form_values(g) for g in cone.generators]
+    for g, values in zip(cone.generators, forms):
+        for i, x in enumerate(values):
+            if quad_sign(x) <= 0:
                 raise NotInPositiveOrthant(
                     f"generator {g} has nonpositive form value at index {i}"
                 )
     Lf = periodicity_lattice(f)
-    scaled = []
-    for g in cone.generators:
-        a = minimal_multiplier(vec(g), Lf)
-        scaled.append(tuple(a * c for c in vec(g)))
+    mults = [minimal_multiplier(g, Lf) for g in cone.generators]
+    scaled = [tuple(a * c for c in g) for a, g in zip(mults, cone.generators)]
     return GeneratingFunction(
         ns=ns,
         r=len(scaled),
-        gen_forms=tuple(ns.form_values(w) for w in scaled),
+        gen_forms=tuple(tuple(a * x for x in values) for a, values in zip(mults, forms)),
         points=tuple(parallelepiped_support(f, scaled)),
         scaled_gens=tuple(scaled),
     )
@@ -159,15 +153,16 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
-    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns.
+def _bernoulli_sums(points, r: int, Ns) -> tuple[int, dict[tuple, int]]:
+    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns, as
+    one denominator and the integer numerator of each mu over it.
 
     Expanding B_m(t) = sum_a C(m, a) B_{m-a} t^a reduces the point loop
     to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N = max(Ns), in
     integers over the lcm d of the points' t denominators q and the common
     denominator dv of the values; one pass over the points serves every N
     in Ns.  Each moment is lifted to dv * d^N and the Bernoulli numbers to
-    one denominator bd, so each mu is one integer over dv * d^N * bd^r."""
+    one denominator bd, so every mu is an integer over dv * d^N * bd^r."""
     N = max(Ns)
     d = math.lcm(*(t[0] for _, t, _ in points))
     dv, (values,) = common_denominator([[val for _, _, val in points]])
@@ -206,72 +201,77 @@ def _bernoulli_sums(points, r: int, Ns) -> dict[tuple, Fraction]:
                     break
                 c *= row[m][a]
             acc += c
-        out[mu] = Fraction(acc, den)
-    return out
+        out[mu] = acc
+    return den, out
 
 
-def _power_table(x, lo: int, hi: int) -> dict:
-    """x^e for lo <= e <= hi, with lo <= 0 <= hi; x may be a QuadScalar."""
-    table = {0: Fraction(1)}
-    for e in range(1, hi + 1):
-        table[e] = table[e - 1] * x
-    inv = 1 / x
-    for e in range(-1, lo - 1, -1):
-        table[e] = table[e + 1] * inv
-    return table
-
-
-def _closed_form_coefficient(G: GeneratingFunction, i: int, k: int, S: dict):
-    """C_i(k) = sum_mu S[mu] / prod mu_j! * [y^(k..k)] prod lambda_j^(mu_j - 1).
+def _closed_form_coefficient(G: GeneratingFunction, i: int, ks, S) -> list:
+    """C_i(k) = sum_mu S[mu] / prod mu_j! * [y^(k..k)] prod lambda_j^(mu_j - 1)
+    for each k in ks, with S = (den, numerators) from `_bernoulli_sums`.
 
     lambda_j = a_j + sum_m b_jm y_m with a_j = L_i(w_j) > 0, and the
     y^beta coefficient of lambda^e is, for every integer e (e = -1 too),
-    e(e-1)...(e-|beta|+1) / prod beta_m! * a^(e-|beta|) * prod b_m^beta_m."""
+    e(e-1)...(e-|beta|+1) / prod beta_m! * a^(e-|beta|) * prod b_m^beta_m.
+    With w_j's form values as integer pairs (A + B sqrt D)/q_j, it is an
+    integer pair over q_j^top (q_j a_j)^H (top = nK + r - 1, H = 1 + K(n-1),
+    K = max(ks)), so one table per generator serves every k, products stay
+    unreduced, and prod_j q_j^top (q_j a_j)^H is divided out once per k."""
+    sden, S = S
     n, r = G.ns.n, G.r
-    N = n * k + r
-    others = [m for m in range(n) if m != i]
-    shares = list(itertools.product(range(k + 1), repeat=n - 1))
-    target = (k,) * (n - 1)
-    # lam[j][e] maps beta to the y^beta coefficient of lambda_j^e
-    lam = []
+    K = max(ks)
+    H, top = 1 + K * (n - 1), n * K + r - 1
+    D = next((x.D for forms in G.gen_forms for x in forms if isinstance(x, QuadScalar)), 0)
+
+    def mul(x, y):
+        return x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def powers(x, count):
+        return list(itertools.accumulate([x] * count, mul, initial=(1, 0)))
+
+    shares = list(itertools.product(range(K + 1), repeat=n - 1))
+    lam, P, Q = [], (1, 0), 1
     for forms in G.gen_forms:
-        a_pow = _power_table(forms[i], -1 - k * (n - 1), N - 1)
-        b_pows = [_power_table(forms[m], 0, k) for m in others]
-        by_e = {}
-        for e in range(-1, N):
-            coeffs = {}
-            for beta in shares:
+        xy = [(x.a, x.b) if isinstance(x, QuadScalar) else (x, 0) for x in forms]
+        q, (flat,) = common_denominator([[c for pair in xy for c in pair]])
+        pairs = list(zip(flat[::2], flat[1::2]))
+        P, Q = mul(P, pairs[i]), Q * q
+        a_pow = powers(pairs[i], top + H)
+        b_pows = [powers(b, K) for b in pairs[:i] + pairs[i + 1:]]
+        b_prod = [functools.reduce(mul, xs, (1, 0)) for xs in itertools.product(*b_pows)]
+        # lam[j][e + 1] maps beta to the numerator of lambda_j^e's y^beta coefficient
+        lam.append([{} for _ in range(top + 2)])
+        for e, coeffs in enumerate(lam[-1], -1):
+            for beta, x in zip(shares, b_prod):
                 s = sum(beta)
-                falling = math.prod(e - q for q in range(s))
-                if not falling:
-                    continue
-                c = a_pow[e - s] * Fraction(
-                    falling, math.prod(math.factorial(b) for b in beta)
-                )
-                for bp, b in zip(b_pows, beta):
-                    c = c * bp[b]
-                coeffs[beta] = c
-            by_e[e] = coeffs
-        lam.append(by_e)
+                c = math.prod(range(e, e - s, -1)) // math.prod(map(math.factorial, beta))
+                if c:
+                    x, c = mul(a_pow[e - s + H], x), c * q ** (top - e)
+                    coeffs[beta] = (c * x[0], c * x[1])
+    PA, PB = powers(P, H)[H]
 
-    def product(p, q):
-        out = {}
-        for b1, c1 in p.items():
-            for b2, c2 in q.items():
-                b = tuple(x + y for x, y in zip(b1, b2))
-                if all(x <= k for x in b):
-                    out[b] = out.get(b, 0) + c1 * c2
-        return out
-
-    total = Fraction(0)
-    for mu in _compositions(N, r):
-        poly = {(0,) * (n - 1): Fraction(1)}
-        for by_e, m in zip(lam, mu):
-            poly = product(poly, by_e[m - 1])
-        coeff = poly.get(target)
-        if coeff:
-            total = total + coeff * S[mu] / math.prod(math.factorial(m) for m in mu)
-    return total
+    out = []
+    for k in ks:
+        N = n * k + r
+        X = Y = 0
+        for mu in _compositions(N, r):
+            poly = lam[0][mu[0]]
+            for by_e, m in zip(lam[1:], mu[1:]):
+                nxt = {}
+                for b1, c1 in poly.items():
+                    for b2, c2 in by_e[m].items():
+                        b = tuple(map(operator.add, b1, b2))
+                        if max(b, default=0) <= k:
+                            x, y = mul(c1, c2), nxt.get(b, (0, 0))
+                            nxt[b] = (x[0] + y[0], x[1] + y[1])
+                poly = nxt
+            vx, vy = poly.get((k,) * (n - 1), (0, 0))
+            w = S[mu] * math.factorial(N) // math.prod(map(math.factorial, mu))
+            X, Y = X + w * vx, Y + w * vy
+        # 1/(PA + PB sqrt D) = 1/prod_j (q_j a_j)^H through the conjugate
+        den = sden * math.factorial(N) * Q ** top * (PA * PA - D * PB * PB)
+        X, Y = X * PA - D * Y * PB, Y * PA - X * PB
+        out.append(QuadScalar(Fraction(X, den), Fraction(Y, den), D) if D else Fraction(X, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,8 @@ def _slice_series(G: GeneratingFunction, i: int, k: int) -> TruncSeries:
 
 def _closed_form_slices(G: GeneratingFunction, ks, indices) -> dict:
     S = _bernoulli_sums(G.points, G.r, [G.ns.n * k + G.r for k in ks])
-    return {k: [_closed_form_coefficient(G, i, k, S) for i in indices] for k in ks}
+    rows = [_closed_form_coefficient(G, i, ks, S) for i in indices]
+    return {k: list(cs) for k, *cs in zip(ks, *rows)}
 
 
 def _series_slices(G: GeneratingFunction, ks, indices) -> dict:

@@ -11,7 +11,11 @@ parallelepiped by scanning a grid with it, the brute-force count behind
 ``test_functions.parallelepiped_support``.
 ``bernoulli_sums_reference`` is the ``Fraction`` loop over the
 Bernoulli-polynomial moments that ``shintani_zeta._bernoulli_sums`` runs
-in integers over one denominator.  ``theta_moment`` takes moments by
+in integers over one denominator.  ``closed_form_reference`` is Shintani's
+closed form for one slice and one k on reduced ``QuadScalar``s and
+``Fraction``s, with power tables rebuilt for every k, against the integer
+tables that ``shintani_zeta._closed_form_coefficient`` builds once per
+cone for every k.  ``theta_moment`` takes moments by
 the theta operator, independently of the Stirling-number sum in
 ``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure
 by full-box series products: the numerator in ``Fraction`` binomial rows,
@@ -149,6 +153,71 @@ def bernoulli_sums_reference(points, r: int, Ns) -> dict:
             acc += c
         out[mu] = acc
     return out
+
+
+def _power_table(x, lo: int, hi: int) -> dict:
+    """x^e for lo <= e <= hi, with lo <= 0 <= hi; x may be a QuadScalar."""
+    table = {0: Fraction(1)}
+    for e in range(1, hi + 1):
+        table[e] = table[e - 1] * x
+    inv = 1 / x
+    for e in range(-1, lo - 1, -1):
+        table[e] = table[e + 1] * inv
+    return table
+
+
+def closed_form_reference(G, i: int, k: int, S: dict):
+    """C_i(k) = sum_mu S[mu] / prod mu_j! * [y^(k..k)] prod lambda_j^(mu_j - 1)
+    for one k, with S[mu] a Fraction: lambda_j = a_j + sum_m b_jm y_m with
+    a_j = L_i(w_j), and the y^beta coefficient of lambda^e is
+    e(e-1)...(e-|beta|+1) / prod beta_m! * a^(e-|beta|) * prod b_m^beta_m,
+    every coefficient a reduced QuadScalar or Fraction from power tables
+    built for this k alone."""
+    n, r = G.ns.n, G.r
+    N = n * k + r
+    others = [m for m in range(n) if m != i]
+    shares = list(itertools.product(range(k + 1), repeat=n - 1))
+    target = (k,) * (n - 1)
+    # lam[j][e] maps beta to the y^beta coefficient of lambda_j^e
+    lam = []
+    for forms in G.gen_forms:
+        a_pow = _power_table(forms[i], -1 - k * (n - 1), N - 1)
+        b_pows = [_power_table(forms[m], 0, k) for m in others]
+        by_e = {}
+        for e in range(-1, N):
+            coeffs = {}
+            for beta in shares:
+                s = sum(beta)
+                falling = math.prod(e - q for q in range(s))
+                if not falling:
+                    continue
+                c = a_pow[e - s] * Fraction(falling, math.prod(math.factorial(b) for b in beta))
+                for bp, b in zip(b_pows, beta):
+                    c = c * bp[b]
+                coeffs[beta] = c
+            by_e[e] = coeffs
+        lam.append(by_e)
+
+    def product(p, q):
+        out = {}
+        for b1, c1 in p.items():
+            for b2, c2 in q.items():
+                b = tuple(x + y for x, y in zip(b1, b2))
+                if all(x <= k for x in b):
+                    out[b] = out.get(b, 0) + c1 * c2
+        return out
+
+    total = Fraction(0)
+    for mu in itertools.product(range(N + 1), repeat=r):
+        if sum(mu) != N:
+            continue
+        poly = {(0,) * (n - 1): Fraction(1)}
+        for by_e, m in zip(lam, mu):
+            poly = product(poly, by_e[m - 1])
+        coeff = poly.get(target)
+        if coeff:
+            total = total + coeff * S[mu] / math.prod(math.factorial(m) for m in mu)
+    return total
 
 
 def ideal_contains(ideal: IdealHNF, v) -> bool:

@@ -336,6 +336,37 @@ def test_contains_matches_span_coordinates(data):
     assert OpenCone(tuple(gens)).contains(v) == expect
 
 
+def test_dependent_generators_are_refused_at_construction():
+    # r = n by the determinant, r < n by the Gram determinant, r > n too;
+    # membership is never asked
+    for gens in (
+        ((1, 2), (2, 4)),
+        ((1, 0, 2), (0, 1, 1), (1, 1, 3)),
+        ((1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2))),
+        ((1, 0, 0), (0, 0, 0)),
+        ((0, 0),),
+        ((1, 0), (0, 1), (1, 1)),
+    ):
+        with pytest.raises(ShintaniKitError, match="must be independent"):
+            OpenCone(gens)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_construction_refuses_exactly_the_dependent_generators(data):
+    n = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(1, n + 1))
+    gens = [vec(data.draw(st.lists(small_rational, min_size=n, max_size=n))) for _ in range(r)]
+    if r > 1 and data.draw(st.booleans()):
+        mix = data.draw(st.lists(small_rational, min_size=r - 1, max_size=r - 1))
+        gens[-1] = vec(sum(m * g[i] for m, g in zip(mix, gens)) for i in range(n))
+    if rank(from_columns(gens)) < r:
+        with pytest.raises(ShintaniKitError, match="must be independent"):
+            OpenCone(tuple(gens))
+    else:
+        assert OpenCone(tuple(gens)).dim == r
+
+
 positive_rational = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -203,6 +203,35 @@ def test_minimal_multiplier():
     assert minimal_multiplier(vec([Fraction(1, 2), 0]), basis) == 4
     with pytest.raises(ZeroVector):
         minimal_multiplier(vec([0, 0]), basis)
+
+
+def _minimal_multiplier_by_solve(g, basis) -> Fraction:
+    """The lcm of the denominators of g's Fraction coordinates in the basis
+    over the gcd of their numerators."""
+    coords = solve(basis, g)
+    return Fraction(lcm(*(c.denominator for c in coords)), gcd(*(c.numerator for c in coords)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_minimal_multiplier_matches_fraction_solve(data):
+    """The integer adjugate route against a Fraction solve, for n = 1..4,
+    Fraction entries with mixed denominators and singular bases."""
+    n = data.draw(st.integers(1, 4))
+    entry = st.fractions(-6, 6, max_denominator=4)
+    basis = mat(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
+                                   max_size=n)))
+    g = vec(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    if det(basis) == 0:
+        with pytest.raises(SingularMatrix):
+            minimal_multiplier(g, basis)
+    elif not any(g):
+        with pytest.raises(ZeroVector):
+            minimal_multiplier(g, basis)
+    else:
+        a = minimal_multiplier(g, basis)
+        assert a == _minimal_multiplier_by_solve(g, basis)
+        assert all(x.denominator == 1 for x in solve(basis, [a * x for x in g]))
 
 
 def test_rational_kernel():

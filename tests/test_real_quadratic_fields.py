@@ -22,6 +22,7 @@ from shintani_kit.real_quadratic_fields import (
     IdealHNF,
     RealQuadraticField,
     _generator_of,
+    _ideal_from_vectors,
     _ideals_of_norm,
     _smoothed_class_function,
     eps_plus,
@@ -271,6 +272,20 @@ class TestIdeals:
         (p5,) = prime_above(F5, 5)
         assert p5.conjugate() == p5
         assert p5 * p5 == rational_ideal(F5, 5)
+
+    def test_conjugate_matches_hermite_form_of_conjugate_basis(self):
+        # the closed form (a, (-b - d tr omega) mod a, d) against the HNF of
+        # the conjugated basis vectors, on every ideal of norm < 40
+        checked = 0
+        for D in (d for d in range(2, 60) if is_squarefree(d)):
+            field = RealQuadraticField(D)
+            for n in range(1, 40):
+                for ideal in _ideals_of_norm(field, n):
+                    conj = [field.conj(v) for v in ideal.basis()]
+                    assert ideal.conjugate() == _ideal_from_vectors(field, conj)
+                    assert ideal.conjugate().conjugate() == ideal
+                    checked += 1
+        assert checked > 1000
 
     def test_principal_ideal(self):
         assert principal_ideal(F5, (3, 1)) == IdealHNF(F5, 11, 3, 1)

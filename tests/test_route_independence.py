@@ -34,7 +34,7 @@ EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
 
 # the closed form's own code, which the series route must not reach
 CLOSED_FORM = {
-    "_bernoulli_sums", "_closed_form_coefficient", "_closed_form_slices", "_power_table",
+    "_bernoulli_sums", "_closed_form_coefficient", "_closed_form_slices", "_compositions",
     "bernoulli_number",
 }
 
@@ -268,11 +268,11 @@ def test_guard_sees_closed_form_code():
     src = (
         "from .exact_core import bernoulli_number\n"
         "\n"
-        "def _power_table(x):\n"
+        "def _compositions(x):\n"
         "    return [x]\n"
         "\n"
         "def _slices(x):\n"
-        "    return _power_table(x)\n"
+        "    return _compositions(x)\n"
         "\n"
         "def _series(x):\n"
         "    return _slices(x)\n"
@@ -283,6 +283,6 @@ def test_guard_sees_closed_form_code():
         "def _clean(k):\n"
         "    return k\n"
     )
-    assert _reached_names(src, "_series") & CLOSED_FORM == {"_power_table"}
+    assert _reached_names(src, "_series") & CLOSED_FORM == {"_compositions"}
     assert _reached_names(src, "_reads_b") & CLOSED_FORM == {"bernoulli_number"}
     assert _reached_names(src, "_clean") & CLOSED_FORM == set()

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import bernoulli_sums_reference, translate
+from helpers import bernoulli_sums_reference, closed_form_reference, translate
 from oracles import (
     bernoulli_oracle,
     hurwitz_special_value,
@@ -27,6 +27,7 @@ from shintani_kit.real_quadratic_fields import (
 from shintani_kit.shintani_zeta import (
     NormStructure,
     _bernoulli_sums,
+    _closed_form_slices,
     _special_value_series,
     build_G,
     quadratic_norm,
@@ -252,7 +253,7 @@ def _random_cone(rng, ns, r):
         gens = [tuple(F(rng.randint(0, 4)) for _ in range(n)) for _ in range(r)]
         if rank(gens) < r:
             continue
-        if all(quad_sign(ns.apply(i, g)) > 0 for g in gens for i in range(n)):
+        if all(quad_sign(x) > 0 for g in gens for x in ns.form_values(g)):
             return OpenCone(tuple(gens))
 
 
@@ -292,6 +293,32 @@ def test_closed_form_matches_series_route():
 
 # k-lists in any order, with repeats
 K_LISTS = st.lists(st.integers(0, 3), min_size=1, max_size=5)
+
+CLOSED_FORM_NORMS = [std_norm(1), std_norm(2), std_norm(3)] + [
+    quadratic_norm(D) for D in (2, 3, 5, 13)
+]
+
+
+@given(
+    ns=st.sampled_from(CLOSED_FORM_NORMS),
+    seed=st.integers(0, 2**16),
+    ks=K_LISTS,
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_fraction_reference(ns, seed, ks, data):
+    # the integer tables, built once at max(ks), against the reduced
+    # QuadScalar closed form of helpers with its own Bernoulli sums, for
+    # every slice i and every k of an unsorted k-list with repeats
+    n = ns.n
+    r = data.draw(st.integers(1, n), label="r")
+    rng = random.Random(seed)
+    f, cone = _random_function(rng, n), _random_cone(rng, ns, r)
+    G = build_G(f, cone, ns)
+    assume(G.points)
+    S = bernoulli_sums_reference(G.points, r, [n * k + r for k in ks])
+    want = {k: [closed_form_reference(G, i, k, S) for i in range(n)] for k in ks}
+    assert _closed_form_slices(G, ks, range(n)) == want
 
 K_LIST_CASES = {
     "1-D ray": (lattice_indicator(((3,),), offset=(1,)), RAY, None),
@@ -381,4 +408,5 @@ def bernoulli_sums_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_bernoulli_sums_match_fraction_reference(case):
     points, r, Ns = case
-    assert _bernoulli_sums(points, r, Ns) == bernoulli_sums_reference(points, r, Ns)
+    den, sums = _bernoulli_sums(points, r, Ns)
+    assert {mu: F(s, den) for mu, s in sums.items()} == bernoulli_sums_reference(points, r, Ns)
