@@ -2,7 +2,7 @@
 
 Everything an interpolation run needs in one place: fundamental and ray
 units, integral ideals in Hermite form, narrow ray class enumeration,
-the Shintani fan of a totally positive unit, and the exact and p-adic
+the Shintani fan of a ray unit eps_plus^t, and the exact and p-adic
 sides of smoothed partial zeta values, both summed over that one fan.
 Principal-ideal tests and the fundamental unit come from the rho-cycle of
 reduced ideals (Cohen, GTM 138, 5.7-5.8; Buchmann-Vollmer, Binary
@@ -437,17 +437,22 @@ def narrow_ray_class_reps(
 
 
 def shintani_fan(field: RealQuadraticField, eps) -> ConeFunction:
-    """Fundamental domain of the action of eps on the totally positive
-    quadrant: the open cone on (1, eps) plus the ray through 1."""
+    """Fundamental domain of the action of eps = eps_plus^t (t >= 1) on the
+    totally positive quadrant: for each u = eps_plus^j with j < t, the open
+    cone on (u, u*eps_plus) and the ray through u.  Together these are the
+    open cone on (1, eps) plus the ray through 1, cut into t translates of
+    eps_plus's own cone, so no parallelepiped grows with t."""
     if field.norm(eps) != 1 or not field.is_totally_positive(eps):
         raise ValueError("eps must be a totally positive unit")
-    e1 = (1, 0)
-    return ConeFunction(
-        [
-            (Fraction(1), OpenCone((e1, tuple(eps)))),
-            (Fraction(1), OpenCone((e1,))),
-        ]
-    )
+    # the omega-coordinate of eps_plus^j grows with j >= 1 and is <= 0 below
+    base, eps, u, terms = eps_plus(field), tuple(eps), (1, 0), []
+    while not terms or u != eps:
+        if u[1] > eps[1]:
+            raise ValueError("eps must be a power eps_plus^t with t >= 1")
+        nxt = field.mul(u, base)
+        terms += [(Fraction(1), OpenCone((u, nxt))), (Fraction(1), OpenCone((u,)))]
+        u = nxt
+    return ConeFunction(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +480,19 @@ def smoothed_ray_function(
     cprime: IdealHNF | None,
     lattice_modulus: int,
     c: int,
-    translates,
     away: int | None = None,
 ) -> TestFunction:
     """Indicator of the ray coset 1 + Q a^-1 minus ell times the branch
-    shifted into the smoothing prime, summed over the given unit
-    translates (Q = lattice_modulus)."""
+    shifted by c into the smoothing prime (Q = lattice_modulus)."""
     Q = lattice_modulus
-    na = aideal.norm
-    ainv = aideal.inverse_basis_matrix()
-    lat1 = from_columns([tuple(Q * x for x in col) for col in columns(ainv)])
-    terms = []
+    ainv = columns(aideal.inverse_basis_matrix())
+    terms = [(Fraction(1), (1, 0), from_columns([tuple(Q * x for x in col) for col in ainv]))]
     if cprime is not None:
         prod = cprime * aideal.conjugate()
         lat2 = from_columns(
-            [
-                tuple(Fraction(Q) * x / na for x in vec(v))
-                for v in prod.basis()
-            ]
+            [tuple(Fraction(Q, aideal.norm) * x for x in vec(v)) for v in prod.basis()]
         )
-        ell = cprime.norm
-    for u in translates:
-        terms.append((Fraction(1), tuple(u), lat1))
-        if cprime is not None:
-            terms.append((Fraction(-ell), (c * u[0], c * u[1]), lat2))
+        terms.append((Fraction(-cprime.norm), (c, 0), lat2))
     return TestFunction(2, tuple(terms), away)
 
 
@@ -514,23 +508,23 @@ def exact_ray_class_zeta(
     ray class of aideal mod (modulus), optionally smoothed by a degree-one
     prime and with the p-divisible part of the sum removed (star_at = p).
 
-    The sum over the class is folded onto the fixed fan of eps_plus by
-    translating the ray coset through eps_plus^j for j below the order of
-    eps_plus mod (modulus); this avoids fan generators of exponential size.
+    The ray coset 1 + Q a^-1 is summed over the Shintani fan of the ray
+    unit eps_plus^t mod (modulus), the fan the p-adic side uses.  aideal
+    must be prime to the modulus: a ray class holds no other ideal.
     """
     Q = modulus
-    base = eps_plus(field)
-    t = unit_order_mod(field, base, Q)
-    translates = [field.pow(base, j) for j in range(t)]
+    if math.gcd(aideal.norm, Q) > 1:
+        raise ValueError(f"class ideal must be prime to the modulus {Q}")
+    eps, _ = ray_unit(field, Q)
     if smoothing is not None:
         _check_smoothing(field, aideal, smoothing, Q * (star_at or 1))
         c = _crt_offset(smoothing.norm, Q)
     else:
         c = 0
-    f = smoothed_ray_function(field, aideal, smoothing, Q, c, translates, star_at)
+    f = smoothed_ray_function(field, aideal, smoothing, Q, c, star_at)
     if star_at is not None:
-        f = tensor_at_p(f, x_level_set(field, base, star_at, 0))
-    values = special_value(f, shintani_fan(field, base), ks, quadratic_norm(field.D))
+        f = tensor_at_p(f, x_level_set(field, eps, star_at, 0))
+    values = special_value(f, shintani_fan(field, eps), ks, quadratic_norm(field.D))
     return [Fraction(aideal.norm) ** k * v for k, v in zip(ks, values)]
 
 
@@ -572,8 +566,8 @@ def _check_prime_setup(field, aideal, cprime, p, conductor):
         raise ValueError("p must be an odd prime")
     if math.gcd(p, field.disc * conductor) > 1:
         raise ValueError("p must be unramified and prime to the conductor")
-    if math.gcd(p, aideal.norm) > 1:
-        raise ValueError("class representative must be coprime to p")
+    if math.gcd(p * conductor, aideal.norm) > 1:
+        raise ValueError("class ideal must be prime to p and the conductor")
     _check_smoothing(field, aideal, cprime, p * conductor)
 
 
@@ -590,16 +584,15 @@ def _smoothed_class_function(field, aideal, cprime, p, conductor, offset_modulus
     checked: the ray unit eps mod the conductor, the smoothed test function
     (certified away from p) whose smoothed branch sits at 1 mod
     offset_modulus, and the Shintani fan of eps, the one the exact side
-    uses.  Hill's cocycle at (1, eps) gives the same cone with its ray
-    through eps instead of 1; the norm is eps-invariant, so no moment
-    depends on which edge carries the ray."""
+    uses.  Hill's cocycle at (1, eps) gives one open cone on (1, eps) and
+    its ray through eps, where the fan cuts that cone into eps_plus
+    translates and puts its ray through 1; the norm is eps-invariant, so
+    no moment depends on which edge carries the ray."""
     _check_prime_setup(field, aideal, cprime, p, conductor)
     eps_f, _ = ray_unit(field, conductor)
     fan = shintani_fan(field, eps_f)
     c = _crt_offset(cprime.norm, offset_modulus)
-    f = smoothed_ray_function(
-        field, aideal, cprime, conductor, c, [(1, 0)], away=p
-    )
+    f = smoothed_ray_function(field, aideal, cprime, conductor, c, away=p)
     return eps_f, f, fan
 
 

@@ -231,9 +231,13 @@ def _closed_form_coefficient(G: GeneratingFunction, i: int, ks, S) -> list:
     shares = list(itertools.product(range(K + 1), repeat=n - 1))
     lam, P, Q = [], (1, 0), 1
     for forms in G.gen_forms:
-        xy = [(x.a, x.b) if isinstance(x, QuadScalar) else (x, 0) for x in forms]
-        q, (flat,) = common_denominator([[c for pair in xy for c in pair]])
-        pairs = list(zip(flat[::2], flat[1::2]))
+        # a quadratic norm gives QuadScalars (A + B sqrt D)/q, read as they are
+        if D:
+            q = math.lcm(*(x.q for x in forms))
+            pairs = [(x.A * (q // x.q), x.B * (q // x.q)) for x in forms]
+        else:
+            q, (flat,) = common_denominator([forms])
+            pairs = [(a, 0) for a in flat]
         P, Q = mul(P, pairs[i]), Q * q
         a_pow = powers(pairs[i], top + H)
         b_pows = [powers(b, K) for b in pairs[:i] + pairs[i + 1:]]

@@ -165,6 +165,8 @@ def test_config_errors(tmp_path, capsys):
         ("padic-zeta", dict(padic, ell=4), "'ell'"),
         ("padic-zeta", dict(padic, conductor=11), "'ell'"),
         ("padic-zeta", dict(padic, **{"class": [11, 3, 1]}), "'ell'"),
+        # a ray class mod the conductor holds only ideals prime to it
+        ("padic-zeta", dict(padic, conductor=2, **{"class": [2, 0, 2]}), "class ideal"),
         # keys the subcommand does not read, at the top level and nested
         ("zeta", dict(custom, p=3), "'p'"),
         ("zeta", {"preset": "riemann", "k": [1], "a": 2}, "'a'"),
@@ -277,6 +279,24 @@ def test_padic_zeta_interpolation(capsys):
     assert all(r["interpolation_ok"] for r in rows)
     v = rows[2]["padic"]
     assert v["p"] == 3 and v["M"] == 6 and v["residue"] == 2368 % 3**6
+
+
+# conductors whose ray unit eps_plus^t has a cone too large to enumerate
+# whole (D = 5 at conductor 5 used to refuse with UnboundedEnumeration, the
+# others took over 14 s); the fan sums t translates of eps_plus's cone instead
+REACH_CASES = [(5, 3, 11, 5), (5, 3, 11, 7), (13, 3, 17, 2), (2, 5, 7, 3)]
+
+
+@pytest.mark.parametrize("D, p, ell, conductor", REACH_CASES)
+def test_padic_zeta_reaches_large_ray_units(D, p, ell, conductor, tmp_path, capsys):
+    cfg = {"D": D, "p": p, "ell": ell, "k": [0, 1], "caps": [2, 2], "m": [0, 1],
+           "conductor": conductor}
+    path = tmp_path / "reach.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = run_cli(capsys, ["padic-zeta", "--config", str(path)])
+    assert code == 0
+    assert rec["certificates"] == {"integral_coefficients": True, "interpolation_ok": True}
+    assert sorted((r["m"], r["k"]) for r in rec["values"]["table"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "rq_interpolation.json"
@@ -570,9 +590,11 @@ _FUZZ_BASES = [
     ("kubota-leopoldt", {"p": 3, "ell": 2, "k": [0, 1], "caps": [4], "M": 4, "cutoff": 3}),
 ]
 # Valid large values of these padic-zeta keys are legitimate but slow (the
-# level m costs p^m residues, the conductor the order of the ray unit,
-# caps the square of the Amice expansion), so their integers stay small.
-_SLOW_PADIC_KEYS = {"m", "conductor", "caps"}
+# level m costs p^m residues, caps the square of the Amice expansion), so
+# their integers stay small.  The conductor draws at full size: the fan of
+# the ray unit eps_plus^t is t translates of eps_plus's cone, each as cheap
+# as the cone itself.
+_SLOW_PADIC_KEYS = {"m", "caps"}
 
 
 def _key_paths(obj, prefix=()):

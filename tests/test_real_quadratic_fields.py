@@ -8,6 +8,7 @@ Euler factors for smoothed and starred values at inert primes).
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -463,11 +464,28 @@ class TestFans:
             (Fraction(1), OpenCone(((1, 0),))),
         ]
 
+    def test_fan_of_a_power_is_the_translates_of_the_unit_cone(self):
+        # eps_plus = 1 + omega at D = 5, with powers w, w2, w3
+        w, w2, w3 = (1, 1), (2, 3), (5, 8)
+        assert [F5.pow(w, j) for j in (2, 3)] == [w2, w3]
+        assert shintani_fan(F5, w3).terms == [
+            (Fraction(1), OpenCone(((1, 0), w))),
+            (Fraction(1), OpenCone(((1, 0),))),
+            (Fraction(1), OpenCone((w, w2))),
+            (Fraction(1), OpenCone((w,))),
+            (Fraction(1), OpenCone((w2, w3))),
+            (Fraction(1), OpenCone((w2,))),
+        ]
+
     def test_geometric_fan_rejects_bad_unit(self):
         with pytest.raises(ValueError):
             shintani_fan(F5, fundamental_unit(F5))  # norm -1
         with pytest.raises(ValueError):
             shintani_fan(F5, tuple(-c for c in eps_plus(F5)))
+        for D, F in FIELDS.items():
+            for j in (-2, -1, 0):  # eps_plus^t needs t >= 1
+                with pytest.raises(ValueError, match="t >= 1"):
+                    shintani_fan(F, F.pow(eps_plus(F), j))
 
     def test_cocycle_domain_all_fields(self):
         for F in FIELDS.values():
@@ -715,24 +733,40 @@ class TestPadicInterpolation:
         ]
         a, b = (padic_partial_zeta(F5, O, s, 3, 1).exact for s in series)
         assert a == b == 16
-        # elsewhere the two fans share their 2-D cone and differ in the ray,
-        # through 1 or through eps; the transform is a sum over the terms,
-        # so comparing the rays compares the fans without the 2-D cone,
-        # whose parallelepiped grows with eps (eps = 469 + 360w at D = 13
-        # and conductor 2)
+        # elsewhere the fan cuts the cocycle's open cone on (1, eps) into the
+        # t translates of eps_plus's cone, eps = eps_plus^t, and the two put
+        # their ray through 1 or through eps.  Without those rays they agree
+        # pointwise, checked on seeded rational points and on the powers of
+        # eps_plus; the transform is a sum over the terms, so comparing the
+        # ray moments then compares the fans without evaluating the
+        # cocycle's cone, whose parallelepiped grows with eps (eps =
+        # 469 + 360w at D = 13 and conductor 2)
+        rng = Random(8071)
         for D, p, ell in ((5, 3, 11), (2, 5, 7), (13, 3, 17)):
             F, O = FIELDS[D], o_ideal(FIELDS[D])
             c = prime_above(F, ell)[0]
             for conductor, m in ((1, 0), (1, 1), (2, 0), (2, 1)):
                 Q = conductor * p**m
                 eps, f, fan = _smoothed_class_function(F, O, c, p, conductor, Q)
+                _, t = ray_unit(F, conductor)
                 reference = domain_from_cocycle(F, eps)
                 assert fan.terms == shintani_fan(F, eps).terms
-                assert fan.terms[0] == reference.terms[0]
+                one, through_eps = OpenCone(((1, 0),)), OpenCone((eps,))
+                (ray,) = [term for term in fan.terms if term[1] == one]
+                (ref_ray,) = [term for term in reference.terms if term[1] == through_eps]
+                cut = ConeFunction([term for term in fan.terms if term[1] != one])
+                ref_cut = ConeFunction([term for term in reference.terms if term[1] != through_eps])
+                points = [F.pow(eps_plus(F), j) for j in range(t + 1)]
+                for _ in range(200):
+                    x = Fraction(rng.randrange(-50, 400), rng.randrange(1, 60))
+                    y = Fraction(rng.randrange(-20, 300), rng.randrange(1, 60))
+                    points += [(x, y), (x + y * eps[0], y * eps[1])]
+                for v in points:
+                    assert cut.evaluate(v) == ref_cut.evaluate(v), (D, conductor, m, v)
                 level = x_level_set(F, eps, p, m)
                 rays = [
-                    amice_of_cone_function(f, ConeFunction([kappa.terms[1]]), level, (4, 4))
-                    for kappa in (fan, reference)
+                    amice_of_cone_function(f, ConeFunction([term]), level, (4, 4))
+                    for term in (ray, ref_ray)
                 ]
                 for k in range(3):
                     got, want = (
@@ -765,6 +799,15 @@ class TestPadicInterpolation:
         with pytest.raises(BadSmoothingData):
             # smoothing prime must stay away from p
             smoothed_class_series(F5, O, prime_above(F5, 11)[0], 11, 1)
+        # a ray class mod f holds only ideals prime to f, on both sides
+        (p5,) = prime_above(F5, 5)
+        for ideal, conductor in ((rational_ideal(F5, 2), 2), (p5, 5), (p5, 10)):
+            with pytest.raises(ValueError, match="class ideal"):
+                smoothed_class_series(F5, ideal, c11, 3, 0, conductor=conductor)
+            with pytest.raises(ValueError, match="class ideal"):
+                exact_ray_class_zeta(F5, ideal, conductor, [0], smoothing=c11)
+        with pytest.raises(ValueError, match="class ideal"):
+            exact_ray_class_zeta(F5, rational_ideal(F5, 3), 3, [0])
 
 
 class TestFieldPadicL:
