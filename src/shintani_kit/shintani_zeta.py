@@ -124,9 +124,9 @@ def build_G(f: TestFunction, cone: OpenCone, ns: NormStructure) -> GeneratingFun
     for g, values in zip(cone.generators, forms):
         for i, x in enumerate(values):
             if quad_sign(x) <= 0:
-                raise NotInPositiveOrthant(
-                    f"generator {g} has nonpositive form value at index {i}"
-                )
+                shown = ", ".join(f"{c.numerator}/{c.denominator}" for c in g)
+                msg = f"generator ({shown}) has nonpositive form value at index {i}"
+                raise NotInPositiveOrthant(msg)
     Lf = periodicity_lattice(f)
     mults = [minimal_multiplier(g, Lf) for g in cone.generators]
     scaled = [tuple(a * c for c in g) for a, g in zip(mults, cone.generators)]

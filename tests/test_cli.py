@@ -194,6 +194,14 @@ def test_config_errors(tmp_path, capsys):
         assert key in captured.err
         assert captured.out == ""
 
+    # a well-formed cone off the positive orthant of its norm is a math
+    # refusal, exit 3, naming the generator the way records print rationals
+    cones = [{"weight": 1, "generators": [[1, 0], [1, 1]]}]
+    path.write_text(json.dumps(dict(base, norm="quadratic:2", cones=cones)))
+    code, rec = run_cli(capsys, ["zeta", "--config", str(path)])
+    message = "generator (1/1, 1/1) has nonpositive form value at index 1"
+    assert (code, rec["error"]) == (3, {"kind": "NotInPositiveOrthant", "message": message})
+
 
 # flags the subcommand does not read, and an abbreviation of --ell
 _UNREAD_FLAGS = [
@@ -460,22 +468,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert rec["values"]["values"] == ["-1/2"]
 
 
-def test_selftest_quick(capsys):
-    code, rec = run_cli(capsys, ["selftest", "--quick"])
+SELFTEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "selftest.json"
+
+
+def _selftest_matches_golden(level, capsys):
+    # every check's name, verdict and detail string, the counts and the
+    # certificates, byte for byte as canonical JSON: 12 checks quick, 17 full
+    golden = json.loads(SELFTEST_GOLDEN.read_text())[level]
+    code, rec = run_cli(capsys, ["selftest", f"--{level}"])
     assert code == 0
-    assert rec["certificates"]["all_ok"] is True
-    names = [c["name"] for c in rec["values"]["checks"]]
-    assert "bernoulli-constants" in names and "interpolation-quick" in names
-    assert rec["values"]["failed"] == 0
+    assert _canonical(rec["values"]) == _canonical(golden["values"])
+    assert _canonical(rec["certificates"]) == _canonical(golden["certificates"])
+
+
+def test_selftest_quick(capsys):
+    _selftest_matches_golden("quick", capsys)
 
 
 def test_selftest_full(capsys):
-    code, rec = run_cli(capsys, ["selftest", "--full"])
-    assert code == 0
-    assert rec["certificates"]["all_ok"] is True
-    assert len(rec["values"]["checks"]) == 17
-    assert all(c["ok"] for c in rec["values"]["checks"])
-    assert (rec["values"]["passed"], rec["values"]["failed"]) == (17, 0)
+    _selftest_matches_golden("full", capsys)
 
 
 def _cli_process(*argv):

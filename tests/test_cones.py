@@ -24,7 +24,6 @@ from shintani_kit.cones import (
     _eps_det,
     _functionals,
     _perturbed_columns,
-    cocycle_defect,
     gl_act_cone,
     hill_cone_function,
     hill_eval,
@@ -38,7 +37,9 @@ from shintani_kit.errors import (
     ZeroVector,
 )
 from shintani_kit.exact_core import TruncSeries
-from shintani_kit.selftest import _rand_gl, _rand_tuple
+from shintani_kit.selftest import (
+    _rand_gl, _rand_tuple, check_cocycle_condition, check_hill_pointwise,
+)
 
 from helpers import span_coordinates
 
@@ -137,54 +138,22 @@ def test_perturbation_caps_never_truncate(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cone_function_matches_eval(n):
-    rng = random.Random(100 + n)
-    for _ in range(4):
-        t = _rand_tuple(rng, n)
-        cf = hill_cone_function(t)
-        for _ in range(60):
-            v = [Fraction(rng.randrange(-10, 11), rng.randrange(1, 4)) for _ in range(n)]
-            if not any(v):
-                continue
-            assert cf.evaluate(v) == hill_eval(t, v)
+    # selftest's hill-pointwise: extraction against hill_eval at 60 points
+    # on each of 4 tuples, then the sandwich
+    ok, detail = check_hill_pointwise(random.Random(100 + n), 4, 60, (n,))
+    assert ok, detail
 
 
 def test_sandwich_property():
-    # strictly inside the unperturbed cone: always a member; outside the
-    # closure: never
-    rng = random.Random(31)
-    for n in (2, 3):
-        for _ in range(3):
-            t = _rand_tuple(rng, n)
-            w1 = [1] + [0] * (n - 1)
-            u = [mat_vec(m, w1) for m in t.matrices]
-            sigma = None
-            for _ in range(20):
-                coeffs = [Fraction(rng.randrange(1, 9)) for _ in range(n)]
-                v = [sum(c * ui[k] for c, ui in zip(coeffs, u)) for k in range(n)]
-                val = hill_eval(t, v)
-                assert val != 0
-                if sigma is None:
-                    sigma = val
-                assert val == sigma
+    # strictly inside the unperturbed cone: one unit value; outside the
+    # closure: 0 (hill-pointwise with no extraction points)
+    ok, detail = check_hill_pointwise(random.Random(31), 3, 0, (2, 3))
+    assert ok, detail
 
 
 def test_cocycle_defect_constant():
-    rng = random.Random(77)
-    for n in (2, 3):
-        for _ in range(6):
-            while True:
-                mats = [_rand_gl(rng, n) for _ in range(n + 1)]
-                try:
-                    samples = []
-                    for _ in range(25):
-                        v = [rng.randrange(-8, 9) for _ in range(n)]
-                        if any(v):
-                            samples.append(v)
-                    vals = cocycle_defect(mats, samples)
-                    break
-                except DegenerateTuple:
-                    continue
-            assert len(set(vals)) == 1
+    ok, detail = check_cocycle_condition(random.Random(77), 6, (2, 3), samples=25)
+    assert ok, detail
 
 
 def test_equivariance():

@@ -125,6 +125,7 @@ KEPT_API = {
     "full_level_set": "the level set Z_p^n, the m = 0 case of PLevelSet",
     "contains": "OpenCone membership of one point; ConeFunction.evaluate runs its integer form",
     "rational_kernel": "wrapped by perfbench/layers.TRACED, which tests/test_perfbench_names requires",
+    "check_moment_identity": "the acceptance gate's moment identity; no selftest row runs it",
 }
 
 

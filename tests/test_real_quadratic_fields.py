@@ -47,6 +47,7 @@ from shintani_kit.real_quadratic_fields import (
     wide_class_reps,
     x_level_set,
 )
+from shintani_kit.selftest import check_interpolation, check_siegel_values, interpolation_table
 
 import helpers
 from helpers import (
@@ -608,17 +609,15 @@ class TestExactZeta:
         assert vals == [0, Fraction(1, 30), 0, Fraction(1, 60)]
 
     def test_field_zeta_matches_siegel(self):
-        for D, F in FIELDS.items():
-            assert field_zeta_value(F, [1]) == [siegel_zeta_minus_one(D)]
-        # two narrow classes each, and totally positive units above 3000
-        for D in (43, 46, 58):
-            F = RealQuadraticField(D)
-            assert h_plus_count(F) == 2
-            assert field_zeta_value(F, [1]) == [siegel_zeta_minus_one(D)]
+        # 43, 46, 58: two narrow classes each, and totally positive units
+        # above 3000
+        assert all(h_plus_count(RealQuadraticField(D)) == 2 for D in (43, 46, 58))
+        ok, detail = check_siegel_values((*FIELDS, 43, 46, 58), [(1, siegel_zeta_minus_one)])
+        assert ok, detail
         # the heavier weight only on the two-class fields, where the sum
         # actually combines different cone data
-        for D in (3, 21):
-            assert field_zeta_value(FIELDS[D], [3]) == [siegel_zeta_minus_three(D)]
+        ok, detail = check_siegel_values((3, 21), [(3, siegel_zeta_minus_three)])
+        assert ok, detail
 
     def test_class_values_at_zero_match_meyer(self):
         # one narrow class at a time, where the Siegel check sees only the
@@ -683,13 +682,9 @@ class TestPadicInterpolation:
             assert got == want
 
     def test_sqrt5_p3_matches_exact_level_one(self):
-        O = o_ideal(F5)
-        c11 = prime_above(F5, 11)[0]
-        exact = exact_ray_class_zeta(F5, O, 3, range(3), smoothing=c11)
-        ser = smoothed_class_series(F5, O, c11, 3, 1, caps=(4, 4))
-        for k, ex in enumerate(exact):
-            pv = padic_partial_zeta(F5, O, ser, 3, k).exact
-            assert pv == ex
+        rows, _ = interpolation_table([(5, 3, 11, 1, range(3))], (4, 4))
+        ok, detail = check_interpolation(rows, "D = 5, p = 3, level 1, k <= 2")
+        assert ok and len(rows) == 3, detail
 
     def test_sqrt5_p3_matches_exact_level_zero(self):
         O = o_ideal(F5)

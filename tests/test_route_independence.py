@@ -14,7 +14,8 @@ fast path with, never the fast path's own steps, and from _linalg only
 the rational routines, so that its span_coordinates stays a second route
 to span_rows.  And the series route of shintani_zeta, the check of
 Shintani's closed form, reaches none of the closed form's code and reads
-no Bernoulli number."""
+no Bernoulli number.  And tests/oracles.py, whose values the acceptance gate
+hands to the package's own checks, imports nothing from the package."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shintani_kit"
 CONES = PACKAGE / "cones.py"
 PADIC = PACKAGE / "padic_measures.py"
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 SHINTANI = PACKAGE / "shintani_zeta.py"
 
 # entry points of the p-adic side, and the exact side it must not use
@@ -286,3 +288,27 @@ def test_guard_sees_closed_form_code():
     assert _reached_names(src, "_series") & CLOSED_FORM == {"_compositions"}
     assert _reached_names(src, "_reads_b") & CLOSED_FORM == {"bernoulli_number"}
     assert _reached_names(src, "_clean") & CLOSED_FORM == set()
+
+
+def _package_imports(source: str) -> set[str]:
+    """The modules of shintani_kit that source imports, at any depth."""
+    nodes = list(ast.walk(ast.parse(source)))
+    found = {node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)}
+    found |= {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+    return {name for name in found if name.split(".")[0] == "shintani_kit"}
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the acceptance gate hands these oracles to the package's own checks
+    assert _package_imports(ORACLES.read_text()) == set()
+
+
+def test_guard_sees_package_imports():
+    src = (
+        "import math, shintani_kit\n"
+        "from fractions import Fraction\n"
+        "\n"
+        "def f():\n"
+        "    from shintani_kit.cones import OpenCone\n"
+    )
+    assert _package_imports(src) == {"shintani_kit", "shintani_kit.cones"}

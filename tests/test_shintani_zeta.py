@@ -69,11 +69,9 @@ def test_riemann_values():
 
 
 def test_hurwitz_agreement():
-    for fmod in range(1, 5):
-        for a in range(1, fmod + 1):
-            f = lattice_indicator(((fmod,),), offset=(a,))
-            want = [hurwitz_special_value(a, fmod, k) for k in range(5)]
-            assert special_value(f, RAY, range(5)) == want
+    # selftest's hurwitz-sweep against the oracle, a <= f <= 5 and k <= 4
+    ok, detail = selftest.check_hurwitz_sweep(5, hurwitz_special_value)
+    assert ok, detail
 
 
 def test_ray_scaling():
