@@ -34,7 +34,7 @@ from .padic_measures import (
     pushforward_norm,
 )
 from .shintani_zeta import quadratic_norm, special_value
-from .test_functions import PLevelSet, TestFunction, tensor_at_p
+from .test_functions import PLevelSet, TestFunction, full_level_set, tensor_at_p
 
 # ray class enumeration guard; keeps a bad input from looking like a hang
 RAY_SEARCH_GUARD = 100_000
@@ -510,7 +510,8 @@ def exact_ray_class_zeta(
 
     The ray coset 1 + Q a^-1 is summed over the Shintani fan of the ray
     unit eps_plus^t mod (modulus), the fan the p-adic side uses.  aideal
-    must be prime to the modulus: a ray class holds no other ideal.
+    must be prime to the modulus: a ray class holds no other ideal.  The
+    star sums the values over the signed parts of `_level_parts` at level 0.
     """
     Q = modulus
     if math.gcd(aideal.norm, Q) > 1:
@@ -522,9 +523,10 @@ def exact_ray_class_zeta(
     else:
         c = 0
     f = smoothed_ray_function(field, aideal, smoothing, Q, c, star_at)
-    if star_at is not None:
-        f = tensor_at_p(f, x_level_set(field, eps, star_at, 0))
-    values = special_value(f, shintani_fan(field, eps), ks, quadratic_norm(field.D))
+    parts = [f] if star_at is None else [
+        tensor_at_p(f, U).scale(s) for s, U in _level_parts(field, eps, star_at, 0)]
+    fan, norm = shintani_fan(field, eps), quadratic_norm(field.D)
+    values = [sum(v) for v in zip(*(special_value(g, fan, ks, norm) for g in parts))]
     return [Fraction(aideal.norm) ** k * v for k, v in zip(ks, values)]
 
 
@@ -540,17 +542,16 @@ def field_zeta_value(field: RealQuadraticField, ks: Sequence[int]) -> list[Fract
 # partial zeta values, p-adic side
 
 
+def _norm_residues(field: RealQuadraticField, p: int, keep) -> tuple:
+    """The residues (x, y) mod p whose norm r mod p has keep(r) true."""
+    return tuple((x, y) for x in range(p) for y in range(p) if keep(field.norm((x, y)) % p))
+
+
 def x_level_set(field: RealQuadraticField, eps, p: int, m: int) -> PLevelSet:
     """Support of the level-m interpolation: norm-unit residues at level
     zero, the eps-orbit of 1 mod p^m above it."""
     if m == 0:
-        offs = [
-            (x, y)
-            for x in range(p)
-            for y in range(p)
-            if field.norm((x, y)) % p
-        ]
-        return PLevelSet(p, 1, 2, tuple(offs))
+        return PLevelSet(p, 1, 2, _norm_residues(field, p, bool))
     pm = p**m
     t = unit_order_mod(field, eps, pm)
     offs = []
@@ -559,6 +560,17 @@ def x_level_set(field: RealQuadraticField, eps, p: int, m: int) -> PLevelSet:
         offs.append((cur[0] % pm, cur[1] % pm))
         cur = tuple(c % pm for c in field.mul(cur, eps))
     return PLevelSet(p, m, 2, tuple(offs))
+
+
+def _level_parts(field: RealQuadraticField, eps, p: int, m: int):
+    """The level-m set as signed parts ((sign, level set), ...).  At level 0
+    that is all of Z_p^2 minus the non-unit residues mod p when they are the
+    fewer (p inert, or split with p >= 5); else x_level_set's one set.  Each
+    part keeps its own, coarser, periodicity lattice when evaluated."""
+    bad = _norm_residues(field, p, lambda r: r == 0) if m == 0 else ()
+    if bad and 2 * len(bad) < p * p:
+        return ((1, full_level_set(p, 2)), (-1, PLevelSet(p, 1, 2, bad)))
+    return ((1, x_level_set(field, eps, p, m)),)
 
 
 def _check_prime_setup(field, aideal, cprime, p, conductor):
@@ -610,13 +622,14 @@ def smoothed_class_series(
 
     The measure lives at the conductor level; only the translation offset
     of the smoothed branch is sharpened to 1 mod conductor * p^m, and the
-    level enters through the support restriction.
+    level enters through the support restriction: the signed parts of
+    `_level_parts`, one transform each.
     """
     eps_f, f, fan = _smoothed_class_function(
         field, aideal, cprime, p, conductor, conductor * p**m
     )
-    level = x_level_set(field, eps_f, p, m)
-    return amice_of_cone_function(f, fan, level, caps)
+    return sum((amice_of_cone_function(f, fan, U, caps).scale(s)
+                for s, U in _level_parts(field, eps_f, p, m)), TruncSeries(caps, {}))
 
 
 def padic_partial_zeta(
@@ -679,13 +692,7 @@ def field_padic_L(
     norm_int = {e: na * int(v) for e, v in field.norm_form().items()}
     comps: dict[int, TruncSeries] = {}
     for b in range(1, p):
-        offs = [
-            (x, y)
-            for x in range(p)
-            for y in range(p)
-            if (na * field.norm((x, y))) % p == b
-        ]
-        level = PLevelSet(p, 1, 2, tuple(offs))
+        level = PLevelSet(p, 1, 2, _norm_residues(field, p, lambda r: na * r % p == b))
         ser = amice_of_cone_function(f, fan, level, caps)
         comps[b] = pushforward_norm(ser, norm_int, count)
     return FieldPadicL(p, count, comps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -60,10 +61,17 @@ def check_bernoulli_constants():
     return ok, "B_12 = -691/2730, odd vanishing, difference equation"
 
 
+def _at(ks):
+    """The points -k of ks, as a..b for a run of three or more."""
+    ks = list(ks)
+    run = len(ks) > 2 and ks == list(range(ks[0], ks[-1] + 1))
+    return f"{-ks[0]}..{-ks[-1]}" if run else ", ".join(str(-k) for k in ks)
+
+
 def check_riemann_values(ks=range(4)):
     want = {0: Fraction(-1, 2), 1: Fraction(-1, 12), 2: Fraction(0), 3: Fraction(1, 120)}
     got = special_value(_ray_function(1, 1), _RAY, ks)
-    return got == [want[k] for k in ks], f"zeta(0..-3) = {[str(v) for v in got]}"
+    return got == [want[k] for k in ks], f"zeta({_at(ks)}) = {[str(v) for v in got]}"
 
 
 def check_hurwitz_sweep(top=4, oracle=hurwitz_value):
@@ -262,12 +270,8 @@ def check_kubota_leopoldt(kls, rng, pairs):
     return True, f"mass 1/2, moment 1/4, Euler factors, {kummer}"
 
 
-def check_integrality(pool=None):
+def check_integrality(pool):
     """Every coefficient of each (p, transform) in pool is p-integral."""
-    if pool is None:
-        F5 = RealQuadraticField(5)
-        ser = smoothed_class_series(F5, o_ideal(F5), prime_above(F5, 11)[0], 3, 1, caps=(4, 4))
-        pool = [(3, kubota_leopoldt(3, 2, caps=(8,)).series), (3, ser)]
     for i, (p, ser) in enumerate(pool):
         if any(not is_p_integral(c, p) for c in ser.coeffs.values()):
             return False, f"coefficients of transform {i} not {p}-integral"
@@ -286,14 +290,14 @@ def check_class_groups():
     return ok, "narrow class and ray class pins for D = 5, 3"
 
 
-def interpolation_table(cases, caps):
+def interpolation_table(cases, caps, series=smoothed_class_series):
     """Rows (D, k, p-adic side, exact side) for the points (D, p, ell, m, ks)
     of O smoothed above ell at level m, and the (p, transform) pairs."""
     rows, pool = [], []
     for D, p, ell, m, ks in cases:
         F = RealQuadraticField(D)
         O, c = o_ideal(F), prime_above(F, ell)[0]
-        ser = smoothed_class_series(F, O, c, p, m, caps=caps)
+        ser = series(F, O, c, p, m, caps=caps)
         pool.append((p, ser))
         exact = exact_ray_class_zeta(F, O, p**m, ks, smoothing=c, star_at=None if m else p)
         rows += [(D, k, padic_partial_zeta(F, O, ser, p, k), ex) for k, ex in zip(ks, exact)]
@@ -328,40 +332,49 @@ def check_siegel_values(fields=(5, 2, 13), oracles=((1, _siegel_minus_one),)):
         for k, oracle in oracles:
             if got[k] != oracle(D):
                 return False, f"D={D} k={k}: cone {got[k]} vs oracle {oracle(D)}"
-    return True, f"zeta_F(-1) matches the sigma sum for D = {', '.join(map(str, fields))}"
+    against = "the sigma sum" if len(oracles) == 1 else f"{len(oracles)} oracles"
+    return True, f"zeta_F({_at(ks)}) matches {against} for D = {', '.join(map(str, fields))}"
 
 
-QUICK = [
-    ("bernoulli-constants", check_bernoulli_constants),
-    ("riemann-values", check_riemann_values),
-    ("hurwitz-sweep", check_hurwitz_sweep),
-    ("zeta-two-route", check_zeta_two_route),
-    ("hill-pointwise", lambda: check_hill_pointwise(random.Random(4099), 3, 25)),
-    ("cocycle-condition", lambda: check_cocycle_condition(random.Random(6011), 2, (2,))),
-    ("unit-cone-domain", check_unit_cone_domain),
-    ("measure-routes", check_measure_routes),
-    ("kubota-leopoldt", lambda: check_kubota_leopoldt(
-        {3: kubota_leopoldt(3, 2, caps=(8,))}, random.Random(8009), 1)),
-    ("integrality", check_integrality),
-    ("class-groups", check_class_groups),
-    ("interpolation-quick", lambda: check_interpolation(interpolation_table(
-        [(5, 3, 11, 1, [0, 1])], (2, 2))[0], "D=5, p=3, ell=11, level 1, k = 0, 1")),
-]
+def _suites(keep=lambda build: build):
+    """The quick and the full tier as (name, check) pairs; run() has keep
+    cache the builders of what two checks share, so each builds once."""
+    kl3 = keep(lambda: kubota_leopoldt(3, 2, caps=(8,)))
+    series = keep(smoothed_class_series)
+    F5 = RealQuadraticField(5)
+    quick = [
+        ("bernoulli-constants", check_bernoulli_constants),
+        ("riemann-values", check_riemann_values),
+        ("hurwitz-sweep", check_hurwitz_sweep),
+        ("zeta-two-route", check_zeta_two_route),
+        ("hill-pointwise", lambda: check_hill_pointwise(random.Random(4099), 3, 25)),
+        ("cocycle-condition", lambda: check_cocycle_condition(random.Random(6011), 2, (2,))),
+        ("unit-cone-domain", check_unit_cone_domain),
+        ("measure-routes", check_measure_routes),
+        ("kubota-leopoldt", lambda: check_kubota_leopoldt({3: kl3()}, random.Random(8009), 1)),
+        ("integrality", lambda: check_integrality([(3, kl3().series), (3, series(
+            F5, o_ideal(F5), prime_above(F5, 11)[0], 3, 1, caps=(4, 4)))])),
+        ("class-groups", check_class_groups),
+        ("interpolation-quick", lambda: check_interpolation(interpolation_table(
+            [(5, 3, 11, 1, [0, 1])], (2, 2), series)[0], "D=5, p=3, ell=11, level 1, k = 0, 1")),
+    ]
+    return quick, quick + [
+        ("cocycle-condition-3d", lambda: check_cocycle_condition(random.Random(6011), 3, (2, 3))),
+        ("hill-pointwise-deep", lambda: check_hill_pointwise(random.Random(4099), 6, 50)),
+        ("random-measure-routes", lambda: check_random_measure_routes(
+            measure_instances(random.Random(9001), 12))),
+        ("siegel-values", check_siegel_values),
+        ("interpolation-full", lambda: check_interpolation(interpolation_table(
+            [(5, 3, 11, 1, range(3)), (2, 5, 7, 1, range(3)), (5, 3, 11, 0, [1])], (4, 4),
+            series)[0], "6 level-one points and one level-zero point")),
+    ]
 
-FULL = QUICK + [
-    ("cocycle-condition-3d", lambda: check_cocycle_condition(random.Random(6011), 3, (2, 3))),
-    ("hill-pointwise-deep", lambda: check_hill_pointwise(random.Random(4099), 6, 50)),
-    ("random-measure-routes", lambda: check_random_measure_routes(
-        measure_instances(random.Random(9001), 12))),
-    ("siegel-values", check_siegel_values),
-    ("interpolation-full", lambda: check_interpolation(interpolation_table(
-        [(5, 3, 11, 1, range(3)), (2, 5, 7, 1, range(3)), (5, 3, 11, 0, [1])], (4, 4))[0],
-        "6 level-one points and one level-zero point")),
-]
+
+QUICK, FULL = _suites()
 
 
 def run(level: str = "quick") -> list[dict]:
-    suite = QUICK if level == "quick" else FULL
+    suite = _suites(lru_cache(maxsize=None))[level != "quick"]
     results = []
     for name, fn in suite:
         try:

@@ -307,6 +307,18 @@ def test_padic_zeta_reaches_large_ray_units(D, p, ell, conductor, tmp_path, caps
     assert sorted((r["m"], r["k"]) for r in rec["values"]["table"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_padic_zeta_level_zero_at_a_split_prime(tmp_path, capsys):
+    # 5 splits in Q(sqrt 14), so both sides take level zero as the lattice
+    # minus its 9 non-unit cosets mod 5
+    cfg = {"D": 14, "p": 5, "ell": 13, "k": [0, 1], "caps": [2, 2], "m": 0}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = run_cli(capsys, ["padic-zeta", "--config", str(path)])
+    assert code == 0
+    assert rec["certificates"] == {"integral_coefficients": True, "interpolation_ok": True}
+    assert [(r["m"], r["k"]) for r in rec["values"]["table"]] == [(0, 0), (0, 1)]
+
+
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "rq_interpolation.json"
 
 

@@ -65,14 +65,16 @@ def _run(tmp_path, capsys, command, cfg):
 
 
 def test_golden_padic_zeta_builds_each_cone_once(counts, tmp_path, capsys):
-    # one exact call per level for the whole k-list, over the fan of the
-    # ray unit eps_plus^t: t translates of eps_plus's cone, each with its
-    # ray.  t = 1 at m = 0 (modulus 1) and t = 4 at m = 1 (the order of
-    # eps_plus mod 3), so 2 + 2 * 4 = 10 cones
+    # one exact call per level and per level-zero part for the whole
+    # k-list, over the fan of the ray unit eps_plus^t: t translates of
+    # eps_plus's cone, each with its ray.  t = 1 at m = 0 (modulus 1), where
+    # 3 is inert in Q(sqrt 5) and the star is two parts (the whole lattice
+    # minus 3O), and t = 4 at m = 1 (the order of eps_plus mod 3), so
+    # 2 * 2 + 2 * 4 = 12 cones
     for cfg in GOLDEN_CONFIGS:
         code, _ = _run(tmp_path, capsys, "padic-zeta", cfg)
         assert code == 0
-    assert counts["build_G"] == 10
+    assert counts["build_G"] == 12
 
 
 def test_accepted_measure_enumerates_once(counts, tmp_path, capsys):

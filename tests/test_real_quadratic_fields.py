@@ -3,7 +3,7 @@ partial zeta values on both the exact and the p-adic side.
 
 Pinned constants were produced by this package and cross-checked against
 independent oracles (Siegel sigma-sums for the field zetas, closed-form
-Euler factors for smoothed and starred values at inert primes).
+Euler factors for smoothed and starred values at inert and split primes).
 """
 
 import math
@@ -25,6 +25,7 @@ from shintani_kit.real_quadratic_fields import (
     _generator_of,
     _ideal_from_vectors,
     _ideals_of_norm,
+    _level_parts,
     _smoothed_class_function,
     eps_plus,
     euler_phi_quadratic,
@@ -48,6 +49,7 @@ from shintani_kit.real_quadratic_fields import (
     x_level_set,
 )
 from shintani_kit.selftest import check_interpolation, check_siegel_values, interpolation_table
+from shintani_kit.test_functions import tensor_at_p, zn_indicator
 
 import helpers
 from helpers import (
@@ -588,6 +590,22 @@ class TestLevelSets:
         units = set(x_level_set(F5, e, 3, 0).offsets)
         assert o1 | o2 == units and not (o1 & o2)
 
+    # (D, p) with p inert: (5, 3), (13, 5), (5, 7); split: (13, 3), (14, 5), (2, 7)
+    @pytest.mark.parametrize("D, p", [(5, 3), (13, 3), (13, 5), (14, 5), (5, 7), (2, 7)])
+    def test_level_zero_parts_sum_to_the_unit_indicator(self, D, p):
+        # each part as the test function the exact side evaluates, at every
+        # residue mod p^2: the signed sum is 1 on norm units and 0 elsewhere
+        F = RealQuadraticField(D)
+        split = len(prime_above(F, p)) == 2
+        parts = _level_parts(F, eps_plus(F), p, 0)
+        # the complement only where its 2p - 1 or 1 cosets beat the units
+        assert len(parts) == (1 if split and p == 3 else 2)
+        funcs = [(s, tensor_at_p(zn_indicator(2, away_from=p), U)) for s, U in parts]
+        for x in range(p * p):
+            for y in range(p * p):
+                got = sum(s * g.evaluate((x, y)) for s, g in funcs)
+                assert got == (F.norm((x, y)) % p != 0), (D, p, x, y)
+
     @given(st.sampled_from([(5, 3), (2, 5), (3, 5), (5, 7)]))
     @settings(max_examples=8, deadline=None)
     def test_level_one_offsets_are_norm_units(self, pair):
@@ -653,6 +671,21 @@ class TestExactZeta:
         assert got == [0, 32, 0]
         for k, (v, plain) in enumerate(zip(got, field_zeta_value(F5, range(3)))):
             assert v == (1 - 3 ** (2 * k)) * (1 - 11 ** (1 + k)) * plain
+
+    # D, p, ell, split p: h+ = 1 for D = 5 and 13, so the starred smoothed
+    # class value is E_p(k) (1 - ell^(1+k)) zeta_F(-k); at p = 3 split the
+    # level-zero set stays the unit list, at p = 11 split and 7 inert it is
+    # the lattice minus the non-unit cosets
+    @pytest.mark.parametrize("D, p, ell, split", [(13, 3, 17, True), (5, 11, 19, True),
+                                                  (5, 7, 11, False)])
+    def test_starred_values_match_the_euler_factor(self, D, p, ell, split):
+        F = RealQuadraticField(D)
+        assert (len(prime_above(F, p)) == 2) == split and h_plus_count(F) == 1
+        got = exact_ray_class_zeta(F, o_ideal(F), 1, [1, 3], smoothing=prime_above(F, ell)[0],
+                                   star_at=p)
+        for k, v, zeta in zip((1, 3), got, (siegel_zeta_minus_one(D), siegel_zeta_minus_three(D))):
+            euler = (1 - p**k) ** 2 if split else 1 - p ** (2 * k)
+            assert v == euler * (1 - ell ** (1 + k)) * zeta, (D, p, k)
 
     def test_smoothing_validation(self):
         O = o_ideal(F5)

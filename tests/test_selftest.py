@@ -3,7 +3,9 @@ from selftest's check functions, so each check must fail when what it
 checks is wrong, or when it is handed a wrong oracle."""
 
 import random
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -56,3 +58,28 @@ def test_each_shared_check_fails_on_a_wrong_value(name, monkeypatch):
         monkeypatch.setattr(selftest, target, lambda *a, **kw: wrong(real(*a, **kw)))
     ok, detail = check()
     assert ok is False, detail
+
+
+def test_details_name_the_points_and_oracles_checked():
+    ok, detail = selftest.check_riemann_values([0, 1, 3])
+    assert ok and detail.startswith("zeta(0, -1, -3) = ")
+    assert selftest.check_riemann_values()[1].startswith("zeta(0..-3) = ")
+    oracles = [(1, lambda D: Fraction(1, 30)), (3, lambda D: Fraction(1, 60))]
+    ok, detail = check_siegel_values((5,), oracles)
+    assert ok and detail == "zeta_F(-1, -3) matches 2 oracles for D = 5"
+
+
+def test_full_run_builds_each_shared_artifact_once(monkeypatch):
+    # kubota-leopoldt and integrality share one Kubota-Leopoldt measure;
+    # integrality and interpolation-full share the D = 5 level-one series
+    calls = Counter()
+    for name in ("kubota_leopoldt", "smoothed_class_series"):
+        real = getattr(selftest, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name, repr(args[-3:]), repr(kwargs)] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(selftest, name, counted)
+    assert all(r["ok"] for r in selftest.run("full"))
+    assert set(calls.values()) == {1} and len(calls) == 5
