@@ -336,11 +336,11 @@ def check_siegel_values(fields=(5, 2, 13), oracles=((1, _siegel_minus_one),)):
     return True, f"zeta_F({_at(ks)}) matches {against} for D = {', '.join(map(str, fields))}"
 
 
-def _suites(keep=lambda build: build):
-    """The quick and the full tier as (name, check) pairs; run() has keep
-    cache the builders of what two checks share, so each builds once."""
-    kl3 = keep(lambda: kubota_leopoldt(3, 2, caps=(8,)))
-    series = keep(smoothed_class_series)
+def _suites():
+    """The quick and the full tier as (name, check) pairs.  The builders of
+    what two checks share are cached per call, so one run builds each once."""
+    kl3 = lru_cache(maxsize=None)(lambda: kubota_leopoldt(3, 2, caps=(8,)))
+    series = lru_cache(maxsize=None)(smoothed_class_series)
     F5 = RealQuadraticField(5)
     quick = [
         ("bernoulli-constants", check_bernoulli_constants),
@@ -370,11 +370,8 @@ def _suites(keep=lambda build: build):
     ]
 
 
-QUICK, FULL = _suites()
-
-
 def run(level: str = "quick") -> list[dict]:
-    suite = _suites(lru_cache(maxsize=None))[level != "quick"]
+    suite = _suites()[level != "quick"]
     results = []
     for name, fn in suite:
         try:
