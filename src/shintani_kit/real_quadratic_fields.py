@@ -566,7 +566,7 @@ def _level_parts(field: RealQuadraticField, eps, p: int, m: int):
     """The level-m set as signed parts ((sign, level set), ...).  At level 0
     that is all of Z_p^2 minus the non-unit residues mod p when they are the
     fewer (p inert, or split with p >= 5); else x_level_set's one set (at
-    split p = 3 its 4 unit cosets take about 0.6x the time of the lattice
+    split p = 3 its 4 unit cosets take about 2/3 of the time of the lattice
     and 5 cosets).  Each part keeps its own, coarser, periodicity lattice."""
     bad = _norm_residues(field, p, lambda r: r == 0) if m == 0 else ()
     if bad and 2 * len(bad) < p * p:
