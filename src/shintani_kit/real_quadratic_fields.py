@@ -2,8 +2,8 @@
 
 Everything an interpolation run needs in one place: fundamental and ray
 units, integral ideals in Hermite form, narrow ray class enumeration,
-the Shintani fan of a ray unit eps_plus^t, and the exact and p-adic
-sides of smoothed partial zeta values, both summed over that one fan.
+the Shintani fan of eps_plus, and the exact and p-adic sides of smoothed
+partial zeta values, both summed over that one fan by `_fold`.
 Principal-ideal tests and the fundamental unit come from the rho-cycle of
 reduced ideals (Cohen, GTM 138, 5.7-5.8; Buchmann-Vollmer, Binary
 Quadratic Forms, ch. 6); ray class equivalence from the image of the
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._linalg import columns, from_columns, hnf_with_transform, vec
+from ._linalg import columns, from_columns, hnf_with_transform, mat_vec, solve, vec
 from ._rational_padics import is_prime, is_squarefree, prime_factors, residue, vp_int
 from .cones import ConeFunction, OpenCone
 from .errors import BadSmoothingData, ClassSearchExhausted, ShintaniKitError
@@ -34,7 +34,7 @@ from .padic_measures import (
     pushforward_norm,
 )
 from .shintani_zeta import quadratic_norm, special_value
-from .test_functions import PLevelSet, TestFunction, full_level_set, tensor_at_p
+from .test_functions import LatticeTerm, PLevelSet, TestFunction, full_level_set, tensor_at_p
 
 # ray class enumeration guard; keeps a bad input from looking like a hang
 RAY_SEARCH_GUARD = 100_000
@@ -93,9 +93,6 @@ class RealQuadraticField:
     def sign_pair(self, u) -> tuple[int, int]:
         q = self.to_quad(u)
         return (quad_sign(q), quad_sign(q.conjugate()))
-
-    def is_totally_positive(self, u) -> bool:
-        return self.sign_pair(u) == (1, 1)
 
     def pow(self, u, k: int):
         """u^k; negative exponents are allowed for units only."""
@@ -188,8 +185,6 @@ def eps_plus(field: RealQuadraticField) -> tuple[int, int]:
 def unit_order_mod(field: RealQuadraticField, u, modulus: int) -> int:
     """Multiplicative order of the unit u in (O / modulus O)^*: the group
     order, divided by each prime q while u to the quotient stays 1."""
-    if modulus <= 1:
-        return 1
     order = euler_phi_quadratic(field, modulus)
     for q in prime_factors(order):
         while order % q == 0 and _pow_mod(field, u, order // q, modulus) == (1, 0):
@@ -436,34 +431,45 @@ def narrow_ray_class_reps(
 # Shintani fans
 
 
-def shintani_fan(field: RealQuadraticField, eps) -> ConeFunction:
-    """Fundamental domain of the action of eps = eps_plus^t (t >= 1) on the
-    totally positive quadrant: for each u = eps_plus^j with j < t, the open
-    cone on (u, u*eps_plus) and the ray through u.  Together these are the
-    open cone on (1, eps) plus the ray through 1, cut into t translates of
-    eps_plus's own cone, so no parallelepiped grows with t."""
-    if field.norm(eps) != 1 or not field.is_totally_positive(eps):
-        raise ValueError("eps must be a totally positive unit")
-    # the omega-coordinate of eps_plus^j grows with j >= 1 and is <= 0 below
-    base, eps, u, terms = eps_plus(field), tuple(eps), (1, 0), []
-    while not terms or u != eps:
-        if u[1] > eps[1]:
-            raise ValueError("eps must be a power eps_plus^t with t >= 1")
-        nxt = field.mul(u, base)
-        terms += [(Fraction(1), OpenCone((u, nxt))), (Fraction(1), OpenCone((u,)))]
-        u = nxt
-    return ConeFunction(terms)
+def shintani_fan(field: RealQuadraticField) -> ConeFunction:
+    """Fundamental domain of the totally positive units on the totally
+    positive quadrant: the open cone on (1, eps_plus) plus the ray through 1."""
+    e1 = (1, 0)
+    return ConeFunction([(Fraction(1), OpenCone((e1, eps_plus(field)))), (Fraction(1), OpenCone((e1,)))])
+
+
+def _pull_back(field: RealQuadraticField, f: TestFunction, u) -> TestFunction:
+    """x -> f(u x) for a unit u and term lattices that are O-modules: each
+    term keeps its coefficient and lattice, and its offset o becomes u^-1 o
+    reduced mod that lattice."""
+    inv, terms = field.pow(u, -1), []
+    for t in f.terms:
+        x = solve(t.lattice, field.mul(inv, t.offset))
+        terms.append(LatticeTerm(t.coeff, mat_vec(t.lattice, [c - math.floor(c) for c in x]), t.lattice))
+    return TestFunction(f.n, tuple(terms), f.away_from)
+
+
+def _fold(field: RealQuadraticField, f: TestFunction, t: int, level: PLevelSet | None = None):
+    """f times the indicator of level over the fan of eps_plus^t, moved
+    onto `shintani_fan`: that fan is the t translates u*C of its cone and
+    ray, u = eps_plus^j for j < t, and (f 1_level)(u x) = f(u x) times
+    1_{u^-1 level}(x).  Returns {u^-1 level: the sum of those f(u .)}, with
+    None for no level (Shintani 1976, passage to a finite-index subgroup
+    of the units)."""
+    if t == 1:
+        return {level: f}
+    base, groups = eps_plus(field), {}
+    inv = field.pow(base, -1)
+    for j in range(t):
+        if j:
+            f = _pull_back(field, f, base)
+            level = level and PLevelSet(level.p, level.m, 2, [field.mul(inv, a) for a in level.offsets])
+        groups.setdefault(level, []).extend(f.terms)
+    return {U: TestFunction(f.n, tuple(terms), f.away_from) for U, terms in groups.items()}
 
 
 # ---------------------------------------------------------------------------
 # partial zeta values, exact side
-
-
-def _crt_offset(ell: int, Q: int) -> int:
-    # c = 0 mod ell and c = 1 mod Q; needs gcd(ell, Q) = 1
-    if Q == 1:
-        return 0
-    return ell * pow(ell, -1, Q)
 
 
 def _check_smoothing(field, aideal: IdealHNF, cprime: IdealHNF, modulus: int):
@@ -479,11 +485,12 @@ def smoothed_ray_function(
     aideal: IdealHNF,
     cprime: IdealHNF | None,
     lattice_modulus: int,
-    c: int,
+    offset_modulus: int,
     away: int | None = None,
 ) -> TestFunction:
     """Indicator of the ray coset 1 + Q a^-1 minus ell times the branch
-    shifted by c into the smoothing prime (Q = lattice_modulus)."""
+    shifted by c into the smoothing prime (Q = lattice_modulus), with
+    c = 0 mod ell and c = 1 mod offset_modulus."""
     Q = lattice_modulus
     ainv = columns(aideal.inverse_basis_matrix())
     terms = [(Fraction(1), (1, 0), from_columns([tuple(Q * x for x in col) for col in ainv]))]
@@ -492,7 +499,8 @@ def smoothed_ray_function(
         lat2 = from_columns(
             [tuple(Fraction(Q, aideal.norm) * x for x in vec(v)) for v in prod.basis()]
         )
-        terms.append((Fraction(-cprime.norm), (c, 0), lat2))
+        ell = cprime.norm
+        terms.append((Fraction(-ell), (ell * pow(ell, -1, offset_modulus), 0), lat2))
     return TestFunction(2, tuple(terms), away)
 
 
@@ -508,24 +516,21 @@ def exact_ray_class_zeta(
     ray class of aideal mod (modulus), optionally smoothed by a degree-one
     prime and with the p-divisible part of the sum removed (star_at = p).
 
-    The ray coset 1 + Q a^-1 is summed over the Shintani fan of the ray
-    unit eps_plus^t mod (modulus), the fan the p-adic side uses.  aideal
+    The ray coset 1 + Q a^-1 is summed over the fan of the ray unit
+    eps_plus^t mod (modulus), by `_fold` on eps_plus's one cone.  aideal
     must be prime to the modulus: a ray class holds no other ideal.  The
     star sums the values over the signed parts of `_level_parts` at level 0.
     """
     Q = modulus
     if math.gcd(aideal.norm, Q) > 1:
         raise ValueError(f"class ideal must be prime to the modulus {Q}")
-    eps, _ = ray_unit(field, Q)
+    eps, t = ray_unit(field, Q)
     if smoothing is not None:
         _check_smoothing(field, aideal, smoothing, Q * (star_at or 1))
-        c = _crt_offset(smoothing.norm, Q)
-    else:
-        c = 0
-    f = smoothed_ray_function(field, aideal, smoothing, Q, c, star_at)
+    f = _fold(field, smoothed_ray_function(field, aideal, smoothing, Q, Q, star_at), t)[None]
     parts = [f] if star_at is None else [
         tensor_at_p(f, U).scale(s) for s, U in _level_parts(field, eps, star_at, 0)]
-    fan, norm = shintani_fan(field, eps), quadratic_norm(field.D)
+    fan, norm = shintani_fan(field), quadratic_norm(field.D)
     values = [sum(v) for v in zip(*(special_value(g, fan, ks, norm) for g in parts))]
     return [Fraction(aideal.norm) ** k * v for k, v in zip(ks, values)]
 
@@ -552,14 +557,10 @@ def x_level_set(field: RealQuadraticField, eps, p: int, m: int) -> PLevelSet:
     zero, the eps-orbit of 1 mod p^m above it."""
     if m == 0:
         return PLevelSet(p, 1, 2, _norm_residues(field, p, bool))
-    pm = p**m
-    t = unit_order_mod(field, eps, pm)
-    offs = []
-    cur = (1, 0)
-    for _ in range(t):
-        offs.append((cur[0] % pm, cur[1] % pm))
-        cur = tuple(c % pm for c in field.mul(cur, eps))
-    return PLevelSet(p, m, 2, tuple(offs))
+    pm, offs = p**m, [(1, 0)]
+    for _ in range(unit_order_mod(field, eps, pm) - 1):
+        offs.append(tuple(c % pm for c in field.mul(offs[-1], eps)))
+    return PLevelSet(p, m, 2, offs)
 
 
 def _level_parts(field: RealQuadraticField, eps, p: int, m: int):
@@ -594,19 +595,15 @@ class PartialZetaValue:
 
 def _smoothed_class_function(field, aideal, cprime, p, conductor, offset_modulus):
     """Shared setup of the smoothed class measure, after the prime data are
-    checked: the ray unit eps mod the conductor, the smoothed test function
-    (certified away from p) whose smoothed branch sits at 1 mod
-    offset_modulus, and the Shintani fan of eps, the one the exact side
-    uses.  Hill's cocycle at (1, eps) gives one open cone on (1, eps) and
-    its ray through eps, where the fan cuts that cone into eps_plus
-    translates and puts its ray through 1; the norm is eps-invariant, so
+    checked: the ray unit eps = eps_plus^t mod the conductor, t, and the
+    smoothed test function (certified away from p) whose smoothed branch
+    sits at 1 mod offset_modulus.  Hill's cocycle at (1, eps) gives the
+    open cone on (1, eps) and its ray through eps, where `_fold` sums over
+    eps_plus's cone and its ray through 1; the norm is eps-invariant, so
     no moment depends on which edge carries the ray."""
     _check_prime_setup(field, aideal, cprime, p, conductor)
-    eps_f, _ = ray_unit(field, conductor)
-    fan = shintani_fan(field, eps_f)
-    c = _crt_offset(cprime.norm, offset_modulus)
-    f = smoothed_ray_function(field, aideal, cprime, conductor, c, away=p)
-    return eps_f, f, fan
+    eps_f, t = ray_unit(field, conductor)
+    return eps_f, t, smoothed_ray_function(field, aideal, cprime, conductor, offset_modulus, p)
 
 
 def smoothed_class_series(
@@ -624,13 +621,13 @@ def smoothed_class_series(
     The measure lives at the conductor level; only the translation offset
     of the smoothed branch is sharpened to 1 mod conductor * p^m, and the
     level enters through the support restriction: the signed parts of
-    `_level_parts`, one transform each.
+    `_level_parts`, one transform per set `_fold` pulls each back to.
     """
-    eps_f, f, fan = _smoothed_class_function(
-        field, aideal, cprime, p, conductor, conductor * p**m
-    )
-    return sum((amice_of_cone_function(f, fan, U, caps).scale(s)
-                for s, U in _level_parts(field, eps_f, p, m)), TruncSeries(caps, {}))
+    eps_f, t, f = _smoothed_class_function(field, aideal, cprime, p, conductor, conductor * p**m)
+    fan = shintani_fan(field)
+    return sum((amice_of_cone_function(g, fan, V, caps).scale(s)
+                for s, U in _level_parts(field, eps_f, p, m)
+                for V, g in _fold(field, f, t, U).items()), TruncSeries(caps, {}))
 
 
 def padic_partial_zeta(
@@ -685,9 +682,9 @@ def field_padic_L(
     Scaling by norm(a) (a p-adic unit) folds the class normalization into
     the measure, so value_at(-k, twist=k) matches the level-zero moment of
     padic_partial_zeta for k below `count`."""
-    _, f, fan = _smoothed_class_function(
-        field, aideal, cprime, p, conductor, conductor
-    )
+    _, t, f = _smoothed_class_function(field, aideal, cprime, p, conductor, conductor)
+    # the norm residue sets are unit-stable, so only f is pulled back
+    f, fan = _fold(field, f, t)[None], shintani_fan(field)
     caps = (2 * (count - 1), 2 * (count - 1))
     na = aideal.norm
     norm_int = {e: na * int(v) for e, v in field.norm_form().items()}

@@ -169,7 +169,7 @@ def check_unit_cone_domain():
         e = eps_plus(F)
         m = F.mult_matrix(e)
         kappa = hill_cone_function(GLTuple((identity(2), m)))
-        geo = shintani_fan(F, e)
+        geo = shintani_fan(F)
         cone, (w, ray) = geo.terms
         moved = (w, OpenCone((mat_vec(m, ray.generators[0]),)))
         if sorted(kappa.terms, key=lambda t: t[1].dim) != [moved, cone]:

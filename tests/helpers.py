@@ -39,7 +39,10 @@ once per component, with its own Teichmuller lift and Stirling rows.
 ``domain_from_cocycle`` reads the Shintani domain off Hill's cocycle at
 (1, eps), the paper's construction, and checks it on sample points; it is
 the reference for the ``shintani_fan`` that both sides of
-``real_quadratic_fields`` use.
+``real_quadratic_fields`` use.  ``translate_fan`` is the fan of a ray unit
+eps_plus^t as the t translates of that cone, each with its ray: the
+reference for ``real_quadratic_fields._fold``, which sums t unit
+pullbacks of the test function over the one cone instead.
 ``PairQuadScalar`` and ``pair_quad_sign`` are the quadratic scalar as a
 pair of ``Fraction`` coordinates, the reference for the integer
 (A + B*sqrt(D))/q representation of ``exact_core.QuadScalar``.
@@ -53,7 +56,7 @@ from typing import Sequence
 
 from shintani_kit._linalg import Matrix, Vector, _rref, identity, inverse, mat_vec, vec
 from shintani_kit._rational_padics import is_p_integral, residue
-from shintani_kit.cones import ConeFunction, GLTuple, hill_cone_function
+from shintani_kit.cones import ConeFunction, GLTuple, OpenCone, hill_cone_function
 from shintani_kit.errors import (
     ClassSearchExhausted,
     GuardTripped,
@@ -749,7 +752,7 @@ def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
     one-dimensional ray may lawfully sit on either edge of the cone, which
     changes nothing downstream because eps has norm one.
     """
-    if field.norm(eps) != 1 or not field.is_totally_positive(eps):
+    if field.norm(eps) != 1 or field.sign_pair(eps) != (1, 1):
         raise ValueError("eps must be a totally positive unit")
     kappa = hill_cone_function(GLTuple((identity(2), field.mult_matrix(eps))))
     two = [t for t in kappa.terms if t[1].dim == 2]
@@ -771,6 +774,18 @@ def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
         if fan.evaluate(mat_vec(meps, v)) != 0:
             raise AssertionError("cocycle domain meets its eps-translate")
     return fan
+
+
+def translate_fan(field: RealQuadraticField, t: int) -> ConeFunction:
+    """The open cone on (1, eps_plus^t) plus the ray through 1, cut into
+    t translates: for each u = eps_plus^j, j < t, the open cone on
+    (u, u*eps_plus) and the ray through u."""
+    base, u, terms = eps_plus(field), (1, 0), []
+    for _ in range(t):
+        nxt = field.mul(u, base)
+        terms += [(Fraction(1), OpenCone((u, nxt))), (Fraction(1), OpenCone((u,)))]
+        u = nxt
+    return ConeFunction(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani_kit import cli
+from shintani_kit.exact_core import TruncSeries
+from shintani_kit.padic_measures import amice_of_cone_function
+from shintani_kit.real_quadratic_fields import (
+    RealQuadraticField,
+    _level_parts,
+    _smoothed_class_function,
+    exact_ray_class_zeta,
+    o_ideal,
+    padic_partial_zeta,
+    prime_above,
+    ray_unit,
+    smoothed_ray_function,
+    smoothed_class_series,
+)
+from shintani_kit.shintani_zeta import quadratic_norm, special_value
+from shintani_kit.test_functions import tensor_at_p
+
+from helpers import translate_fan
 
 
 def run_cli(capsys, argv):
@@ -291,7 +309,8 @@ def test_padic_zeta_interpolation(capsys):
 
 # conductors whose ray unit eps_plus^t has a cone too large to enumerate
 # whole (D = 5 at conductor 5 used to refuse with UnboundedEnumeration, the
-# others took over 14 s); the fan sums t translates of eps_plus's cone instead
+# others took over 14 s); both sides sum t unit pullbacks of the test
+# function over eps_plus's one cone instead
 REACH_CASES = [(5, 3, 11, 5), (5, 3, 11, 7), (13, 3, 17, 2), (2, 5, 7, 3)]
 
 
@@ -305,6 +324,30 @@ def test_padic_zeta_reaches_large_ray_units(D, p, ell, conductor, tmp_path, caps
     assert code == 0
     assert rec["certificates"] == {"integral_coefficients": True, "interpolation_ok": True}
     assert sorted((r["m"], r["k"]) for r in rec["values"]["table"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("D, p, ell, conductor", REACH_CASES)
+def test_fold_matches_the_translate_fan(D, p, ell, conductor):
+    # the folded exact values and norm moments equal the unfolded function
+    # summed over the t translates of eps_plus's cone, at m = 0 and 1
+    F = RealQuadraticField(D)
+    O, c, ks = o_ideal(F), prime_above(F, ell)[0], [0, 1]
+    for m in (0, 1):
+        Q, star = conductor * p**m, None if m else p
+        eps, t = ray_unit(F, Q)
+        f = smoothed_ray_function(F, O, c, Q, Q, star)
+        parts = [(1, f)] if m else [(s, tensor_at_p(f, U)) for s, U in _level_parts(F, eps, p, 0)]
+        values = [special_value(g, translate_fan(F, t), ks, quadratic_norm(D)) for _, g in parts]
+        want = [sum(s * v[i] for (s, _), v in zip(parts, values)) for i in range(len(ks))]
+        assert exact_ray_class_zeta(F, O, Q, ks, smoothing=c, star_at=star) == want
+        eps, t, f = _smoothed_class_function(F, O, c, p, conductor, Q)
+        fan, caps = translate_fan(F, t), (2, 2)
+        reference = sum((amice_of_cone_function(f, fan, U, caps).scale(s)
+                         for s, U in _level_parts(F, eps, p, m)), TruncSeries(caps, {}))
+        folded = smoothed_class_series(F, O, c, p, m, conductor, caps)
+        for k in ks:
+            assert (padic_partial_zeta(F, O, folded, p, k).exact
+                    == padic_partial_zeta(F, O, reference, p, k).exact), (m, k)
 
 
 def test_padic_zeta_level_zero_at_a_split_prime(tmp_path, capsys):
@@ -614,9 +657,9 @@ _FUZZ_BASES = [
 ]
 # Valid large values of these padic-zeta keys are legitimate but slow (the
 # level m costs p^m residues, caps the square of the Amice expansion), so
-# their integers stay small.  The conductor draws at full size: the fan of
-# the ray unit eps_plus^t is t translates of eps_plus's cone, each as cheap
-# as the cone itself.
+# their integers stay small.  The conductor draws at full size: the ray
+# unit eps_plus^t costs t unit pullbacks of the test function on
+# eps_plus's one cone, not a cone per translate.
 _SLOW_PADIC_KEYS = {"m", "caps"}
 
 

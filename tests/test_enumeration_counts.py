@@ -17,6 +17,13 @@ import pytest
 
 from shintani_kit import cli, padic_measures, shintani_zeta
 from shintani_kit.padic_measures import kubota_leopoldt
+from shintani_kit.real_quadratic_fields import (
+    RealQuadraticField,
+    exact_ray_class_zeta,
+    o_ideal,
+    prime_above,
+    ray_unit,
+)
 
 # the two padic-zeta configs of the golden interpolation record
 GOLDEN_CONFIGS = [
@@ -66,15 +73,24 @@ def _run(tmp_path, capsys, command, cfg):
 
 def test_golden_padic_zeta_builds_each_cone_once(counts, tmp_path, capsys):
     # one exact call per level and per level-zero part for the whole
-    # k-list, over the fan of the ray unit eps_plus^t: t translates of
-    # eps_plus's cone, each with its ray.  t = 1 at m = 0 (modulus 1), where
-    # 3 is inert in Q(sqrt 5) and the star is two parts (the whole lattice
-    # minus 3O), and t = 4 at m = 1 (the order of eps_plus mod 3), so
-    # 2 * 2 + 2 * 4 = 12 cones
+    # k-list, over eps_plus's one cone and its ray: the ray unit eps_plus^t
+    # enters as t unit pullbacks of the test function, not as t cones.
+    # At m = 0 (modulus 1) 3 is inert in Q(sqrt 5) and the star is two
+    # parts (the whole lattice minus 3O); at m = 1 (t = 4, the order of
+    # eps_plus mod 3) one part, so 2 * 2 + 2 = 6 cones
     for cfg in GOLDEN_CONFIGS:
         code, _ = _run(tmp_path, capsys, "padic-zeta", cfg)
         assert code == 0
-    assert counts["build_G"] == 12
+    assert counts["build_G"] == 6
+
+
+def test_exact_side_builds_each_cone_once_whatever_t(counts):
+    # eps_plus has order t = 12 mod 9 at D = 5; the t pullbacks share the
+    # one cone and its ray, so build_G runs twice (24 times over t translates)
+    F5 = RealQuadraticField(5)
+    assert ray_unit(F5, 9)[1] == 12
+    exact_ray_class_zeta(F5, o_ideal(F5), 9, [0, 1], smoothing=prime_above(F5, 11)[0])
+    assert counts["build_G"] == 2
 
 
 def test_accepted_measure_enumerates_once(counts, tmp_path, capsys):

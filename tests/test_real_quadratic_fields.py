@@ -61,6 +61,7 @@ from helpers import (
     is_equivalent_by_scan,
     pell_unit_by_scan,
     pushforward_by_newton_box,
+    translate_fan,
     unit_order_by_walk,
 )
 from oracles import meyer_zeta_zero, siegel_zeta_minus_one, siegel_zeta_minus_three
@@ -139,8 +140,7 @@ class TestFieldArithmetic:
     def test_sign_pair(self):
         # omega > 0 > conj(omega) for D = 5
         assert F5.sign_pair((0, 1)) == (1, -1)
-        assert F5.is_totally_positive((2, 1))
-        assert not F5.is_totally_positive((0, 1))
+        assert F5.sign_pair((2, 1)) == (1, 1)
 
     def test_unit_power_negative_exponent(self):
         for F in FIELDS.values():
@@ -206,7 +206,7 @@ class TestUnits:
         for F in FIELDS.values():
             e = eps_plus(F)
             assert F.norm(e) == 1
-            assert F.is_totally_positive(e)
+            assert F.sign_pair(e) == (1, 1)
 
     def test_unit_order_pins(self):
         assert unit_order_mod(F5, eps_plus(F5), 3) == 4
@@ -461,7 +461,7 @@ class TestClasses:
 
 class TestFans:
     def test_geometric_fan_shape(self):
-        fan = shintani_fan(F5, eps_plus(F5))
+        fan = shintani_fan(F5)
         assert fan.terms == [
             (Fraction(1), OpenCone(((1, 0), (1, 1)))),
             (Fraction(1), OpenCone(((1, 0),))),
@@ -471,7 +471,7 @@ class TestFans:
         # eps_plus = 1 + omega at D = 5, with powers w, w2, w3
         w, w2, w3 = (1, 1), (2, 3), (5, 8)
         assert [F5.pow(w, j) for j in (2, 3)] == [w2, w3]
-        assert shintani_fan(F5, w3).terms == [
+        assert translate_fan(F5, 3).terms == [
             (Fraction(1), OpenCone(((1, 0), w))),
             (Fraction(1), OpenCone(((1, 0),))),
             (Fraction(1), OpenCone((w, w2))),
@@ -479,16 +479,25 @@ class TestFans:
             (Fraction(1), OpenCone((w2, w3))),
             (Fraction(1), OpenCone((w2,))),
         ]
-
-    def test_geometric_fan_rejects_bad_unit(self):
-        with pytest.raises(ValueError):
-            shintani_fan(F5, fundamental_unit(F5))  # norm -1
-        with pytest.raises(ValueError):
-            shintani_fan(F5, tuple(-c for c in eps_plus(F5)))
-        for D, F in FIELDS.items():
-            for j in (-2, -1, 0):  # eps_plus^t needs t >= 1
-                with pytest.raises(ValueError, match="t >= 1"):
-                    shintani_fan(F, F.pow(eps_plus(F), j))
+        # the translates tile the open cone on (1, eps_plus^t) plus the ray
+        # through 1, the fan of eps_plus^t; at t = 1 that is shintani_fan
+        rng = Random(4127)
+        for F in FIELDS.values():
+            assert translate_fan(F, 1).terms == shintani_fan(F).terms
+            for t in (2, 3, 5):
+                eps = F.pow(eps_plus(F), t)
+                whole = ConeFunction([
+                    (Fraction(1), OpenCone(((1, 0), eps))),
+                    (Fraction(1), OpenCone(((1, 0),))),
+                ])
+                points = [F.pow(eps_plus(F), j) for j in range(-1, t + 2)]
+                for _ in range(40):
+                    x = Fraction(rng.randrange(-50, 400), rng.randrange(1, 60))
+                    y = Fraction(rng.randrange(-20, 300), rng.randrange(1, 60))
+                    points += [(x, y), (x + y * eps[0], y * eps[1])]
+                fan = translate_fan(F, t)
+                for v in points:
+                    assert fan.evaluate(v) == whole.evaluate(v), (F.D, t, v)
 
     def test_cocycle_domain_all_fields(self):
         for F in FIELDS.values():
@@ -749,36 +758,35 @@ class TestPadicInterpolation:
             assert [pv] == exact_ray_class_zeta(F5, O, 6, [k], smoothing=c11)
 
     def test_explicit_fan_agrees_with_cocycle_fan(self):
-        # the p-adic side sums over shintani_fan; the fan read off the
-        # cocycle gives the same moments, since the norm is eps-invariant
+        # translate_fan, the reference for the fold, gives the moments of
+        # the fan read off the cocycle, since the norm is eps-invariant
         O = o_ideal(F5)
         c11 = prime_above(F5, 11)[0]
-        eps, f, fan = _smoothed_class_function(F5, O, c11, 3, 1, 3)
+        eps, t, f = _smoothed_class_function(F5, O, c11, 3, 1, 3)
         level = x_level_set(F5, eps, 3, 1)
         series = [
             amice_of_cone_function(f, kappa, level, (2, 2))
-            for kappa in (fan, domain_from_cocycle(F5, eps))
+            for kappa in (translate_fan(F5, t), domain_from_cocycle(F5, eps))
         ]
         a, b = (padic_partial_zeta(F5, O, s, 3, 1).exact for s in series)
         assert a == b == 16
-        # elsewhere the fan cuts the cocycle's open cone on (1, eps) into the
-        # t translates of eps_plus's cone, eps = eps_plus^t, and the two put
-        # their ray through 1 or through eps.  Without those rays they agree
-        # pointwise, checked on seeded rational points and on the powers of
-        # eps_plus; the transform is a sum over the terms, so comparing the
-        # ray moments then compares the fans without evaluating the
-        # cocycle's cone, whose parallelepiped grows with eps (eps =
-        # 469 + 360w at D = 13 and conductor 2)
+        # elsewhere translate_fan cuts the cocycle's open cone on (1, eps)
+        # into the t translates of eps_plus's cone, eps = eps_plus^t, and the
+        # two put their ray through 1 or through eps.  Without those rays
+        # they agree pointwise, checked on seeded rational points and on the
+        # powers of eps_plus; the transform is a sum over the terms, so
+        # comparing the ray moments then compares the fans without
+        # evaluating the cocycle's cone, whose parallelepiped grows with eps
+        # (eps = 469 + 360w at D = 13 and conductor 2)
         rng = Random(8071)
         for D, p, ell in ((5, 3, 11), (2, 5, 7), (13, 3, 17)):
             F, O = FIELDS[D], o_ideal(FIELDS[D])
             c = prime_above(F, ell)[0]
             for conductor, m in ((1, 0), (1, 1), (2, 0), (2, 1)):
                 Q = conductor * p**m
-                eps, f, fan = _smoothed_class_function(F, O, c, p, conductor, Q)
-                _, t = ray_unit(F, conductor)
-                reference = domain_from_cocycle(F, eps)
-                assert fan.terms == shintani_fan(F, eps).terms
+                eps, t, f = _smoothed_class_function(F, O, c, p, conductor, Q)
+                assert (eps, t) == ray_unit(F, conductor)
+                fan, reference = translate_fan(F, t), domain_from_cocycle(F, eps)
                 one, through_eps = OpenCone(((1, 0),)), OpenCone((eps,))
                 (ray,) = [term for term in fan.terms if term[1] == one]
                 (ref_ray,) = [term for term in reference.terms if term[1] == through_eps]
