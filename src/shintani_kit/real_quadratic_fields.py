@@ -463,7 +463,8 @@ def _fold(field: RealQuadraticField, f: TestFunction, t: int, level: PLevelSet |
     for j in range(t):
         if j:
             f = _pull_back(field, f, base)
-            level = level and PLevelSet(level.p, level.m, 2, [field.mul(inv, a) for a in level.offsets])
+        if j and level is not None:
+            level = PLevelSet(level.p, level.m, 2, [field.mul(inv, a) for a in level.offsets])
         groups.setdefault(level, []).extend(f.terms)
     return {U: TestFunction(f.n, tuple(terms), f.away_from) for U, terms in groups.items()}
 
