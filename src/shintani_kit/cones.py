@@ -14,8 +14,12 @@ Two routes compute the cocycle and share no perturbation code:
 * hill_eval uses that the determinant is multilinear in its columns: the
   coefficient of prod_j eps_j^(e_j) is det[alpha_1 w_(e_1+1), ...,
   alpha_n w_(e_n+1)].  Scaling each alpha_j w_i, and v, by a positive
-  integer keeps every sign, so these are integer (Bareiss) determinants,
-  taken lazily in significance order until one is nonzero.
+  integer keeps every sign, so the columns are primitive integer vectors.
+  With column i replaced by v that coefficient is linear in v: it is the
+  face row r_(i,e), row i of the adjugate of [alpha_j w_(e_j+1)], dotted
+  with v.  Each tuple builds its face rows once, lazily in significance
+  order, so a point costs one integer dot product per face and exponent
+  until one is nonzero.
 * hill_cone_function holds the perturbed columns as TruncSeries in the
   eps variables and splits the fan along the linear functionals their
   cofactors carry; hill_eval checks the result pointwise.
@@ -131,12 +135,9 @@ class OpenCone:
         any positive multiple of it: only signs are read."""
         if len(v) != self.ambient:
             raise ValueError("point dimension mismatch")
-
-        def dot(row):
-            return sum(a * b for a, b in zip(row, v))
-
         ann, P = self._span
-        return all(dot(r) == 0 for r in ann) and all(dot(r) > 0 for r in P)
+        return not any(sum(map(mul, r, v)) for r in ann) and all(
+            sum(map(mul, r, v)) > 0 for r in P)
 
 
 @dataclass
@@ -204,21 +205,39 @@ class GLTuple:
         return len(self.matrices[0])
 
     @cached_property
-    def _columns(self) -> list[list[Vector]]:
-        """alpha_j w_i at [j][i]: the vectors the perturbation combines."""
-        w_cols = columns(self.basis)
-        return [[mat_vec(alpha, w) for w in w_cols] for alpha in self.matrices]
-
-    @cached_property
     def _integer_columns(self) -> list[list[tuple[int, ...]]]:
-        """Each alpha_j w_i scaled to a primitive integer vector; the
-        positive factors leave every determinant sign as it was."""
-        return [[primitive_direction(u) for u in col] for col in self._columns]
+        """Each alpha_j w_i as a primitive integer vector, from the integer
+        numerators of alpha_j and of the basis; the positive factors leave
+        every determinant sign as it was."""
+        w_cols = list(zip(*common_denominator(self.basis)[1]))
+        out = []
+        for alpha in self.matrices:
+            rows = common_denominator(alpha)[1]
+            col = []
+            for w in w_cols:
+                u = [sum(map(mul, row, w)) for row in rows]
+                g = gcd(*u)
+                col.append(tuple(x // g for x in u))
+            out.append(col)
+        return out
 
     @cached_property
     def _sign(self) -> int:
-        """Sign of the perturbed determinant (0 if it vanishes identically)."""
-        return _leading_det_sign(self._integer_columns)
+        """Sign of the perturbed determinant (0 if it vanishes identically).
+        The coefficient of eps^e is det[alpha_j w_(e_j+1)]; determinants are
+        taken in significance order and the first nonzero one decides."""
+        cols = self._integer_columns
+        for e in _exponents(len(cols), None):
+            d = integer_det([col[k] for col, k in zip(cols, e)])
+            if d:
+                return 1 if d > 0 else -1
+        return 0
+
+    @cached_property
+    def _face_rows(self) -> list[list[tuple[int, ...]]]:
+        """For each column i, the face rows r_(i,e) built so far, in the
+        order of _exponents(n, i)."""
+        return [[] for _ in self.matrices]
 
 
 @cache
@@ -231,17 +250,15 @@ def _exponents(n: int, i: int | None) -> tuple[tuple[int, ...], ...]:
     ))
 
 
-def _leading_det_sign(cols, i: int | None = None, v=None) -> int:
-    """Sign of the leading coefficient of the perturbed determinant, with
-    column i replaced by the integer vector v when i is given.  The
-    coefficient of eps^e is det[alpha_j w_(e_j+1)]; determinants are taken
-    in significance order and the first nonzero one decides."""
-    n = len(cols)
-    for e in _exponents(n, i):
-        d = integer_det([v if j == i else cols[j][e[j]] for j in range(n)])
-        if d:
-            return 1 if d > 0 else -1
-    return 0
+def _face_row(cols, i: int, e: tuple[int, ...]) -> tuple[int, ...]:
+    """Row i of the adjugate of the matrix with columns cols[j][e_j]: its
+    dot product with an integer v is the determinant with column i
+    replaced by v."""
+    rest = [col[k] for j, (col, k) in enumerate(zip(cols, e)) if j != i]
+    return tuple(
+        (-1) ** (r + i) * integer_det([u[:r] + u[r + 1:] for u in rest])
+        for r in range(len(cols))
+    )
 
 
 def _first_columns(t: GLTuple, message: str) -> list[Vector]:
@@ -249,34 +266,34 @@ def _first_columns(t: GLTuple, message: str) -> list[Vector]:
     linearly dependent."""
     if integer_det([col[0] for col in t._integer_columns]) == 0:
         raise DegenerateTuple(message)
-    return [col[0] for col in t._columns]
+    w1 = columns(t.basis)[0]
+    return [mat_vec(alpha, w1) for alpha in t.matrices]
+
+
+def _int_if_integral(x: Fraction) -> int | Fraction:
+    return x.numerator if x.denominator == 1 else x
 
 
 def _perturbed_columns(t: GLTuple) -> list[list[TruncSeries]]:
-    """Columns alpha_j * b_j with b_j = w_1 + eps_j w_2 + ... + eps_j^(n-1) w_n."""
+    """Columns alpha_j * b_j with b_j = w_1 + eps_j w_2 + ... + eps_j^(n-1) w_n:
+    the eps_j^i coefficient of row r is (alpha_j w_(i+1))_r, an int where
+    the entries that make it are integers."""
     n = t.ambient
     # Caps (n-1,)*n never truncate: every entry of column j is a polynomial
     # in eps_j alone of degree below n, and a determinant or minor takes one
     # entry per column, so no product raises any eps_j past n-1.
     caps = (n - 1,) * n
-    w_cols = columns(t.basis)
+    w_cols = [[_int_if_integral(x) for x in w] for w in columns(t.basis)]
     cols = []
     for j, alpha in enumerate(t.matrices):
-        b = [
+        rows = [[_int_if_integral(a) for a in row] for row in alpha]
+        cols.append([
             TruncSeries(caps, {
-                tuple(i if k == j else 0 for k in range(n)): w[coord]
+                tuple(i if k == j else 0 for k in range(n)): sum(map(mul, row, w))
                 for i, w in enumerate(w_cols)
             })
-            for coord in range(n)
-        ]
-        moved = []
-        for row in range(n):
-            acc = TruncSeries(caps)
-            for k in range(n):
-                if alpha[row][k]:
-                    acc = acc + b[k].scale(alpha[row][k])
-            moved.append(acc)
-        cols.append(moved)
+            for row in rows
+        ])
     return cols
 
 
@@ -288,8 +305,8 @@ def _eps_det(cols: list[list[TruncSeries]]) -> TruncSeries:
         inv = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        term = TruncSeries.constant(caps, Fraction(-1 if inv % 2 else 1))
-        for j in range(n):
+        term = cols[0][perm[0]].scale(-1 if inv % 2 else 1)
+        for j in range(1, n):
             term = term * cols[j][perm[j]]
         acc = acc + term
     return acc
@@ -301,10 +318,9 @@ def hill_eval(t: GLTuple, v) -> int:
     Returns sigma = sign(det M) if v lies in the perturbed open cone, else
     0: v is inside when, for each i, the determinant with column i replaced
     by v has sign sigma.  Each sign is the first nonzero coefficient of the
-    multilinear expansion (see the module docstring), an integer
-    determinant of scaled columns alpha_j w_(e_j+1); a point off every
-    face stops at the first one.  The columns and sigma are computed once
-    per tuple.
+    multilinear expansion (see the module docstring), the face row r_(i,e)
+    dotted with the integers of v; a point off every face stops at e = 0.
+    The columns, sigma and the face rows are computed once per tuple.
     """
     v = vec(v)
     if all(x == 0 for x in v):
@@ -316,10 +332,17 @@ def hill_eval(t: GLTuple, v) -> int:
     sigma = t._sign
     if sigma == 0:
         raise GuardTripped("perturbed determinant vanished")
-    cols = t._integer_columns
-    v = primitive_direction(v)
-    for i in range(t.ambient):
-        if _leading_det_sign(cols, i, v) != sigma:
+    _, (v,) = common_denominator([v])
+    n, cols = t.ambient, t._integer_columns
+    for i, rows in enumerate(t._face_rows):
+        for k, e in enumerate(_exponents(n, i)):
+            if k == len(rows):
+                rows.append(_face_row(cols, i, e))
+            d = sum(map(mul, rows[k], v))
+            if d:
+                break
+        # d = 0 when every coefficient vanishes
+        if d * sigma <= 0:
             return 0
     return sigma
 

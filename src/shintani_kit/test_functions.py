@@ -155,12 +155,17 @@ def _certify_term(t: LatticeTerm, p: int) -> None:
 
 def periodicity_lattice(f: TestFunction) -> Matrix:
     """Largest lattice under whose translations f is invariant (the
-    intersection of all term lattices).  Identity for the empty function."""
+    intersection of all term lattices, each distinct one taken once).
+    Identity for the empty function."""
     if not f.terms:
         return identity(f.n)
-    cur = f.terms[0].lattice
-    for t in f.terms[1:]:
-        cur = lattice_intersection(cur, t.lattice)
+    cur, *rest = dict.fromkeys(t.lattice for t in f.terms)
+    if not rest and len(f.terms) > 1:
+        # one repeated lattice still comes back in lattice_intersection's
+        # canonical basis, which the coset representatives are read in
+        rest = [cur]
+    for lat in rest:
+        cur = lattice_intersection(cur, lat)
     return cur
 
 

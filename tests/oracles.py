@@ -3,8 +3,10 @@
 Everything here is implemented from closed formulas, deliberately not
 sharing code paths with the package: Bernoulli numbers come from the
 worpitzky double sum rather than the package recurrence, the field
-zeta values at -1 and -3 come from sigma-divisor sums, and the partial
-zeta of one narrow class at 0 from Meyer's continued-fraction formula.
+zeta values at -1 and -3 come from sigma-divisor sums, the partial
+zeta of one narrow class at 0 from Meyer's continued-fraction formula,
+and the Euler factor of a rational prime from the Kronecker symbol of
+the field discriminant.
 """
 
 from fractions import Fraction
@@ -68,6 +70,26 @@ def siegel_zeta_minus_three(D: int) -> Fraction:
         if (disc - t * t) % 4 == 0 and disc - t * t > 0:
             total += sigma((disc - t * t) // 4, 3)
     return Fraction(total, 120)
+
+
+def kronecker_symbol(d: int, q: int) -> int:
+    """(d/q) for a prime q: Euler's criterion for odd q, and for q = 2 by
+    d mod 8."""
+    if d % q == 0:
+        return 0
+    if q == 2:
+        return 1 if d % 8 in (1, 7) else -1
+    return 1 if pow(d, (q - 1) // 2, q) == 1 else -1
+
+
+def euler_factor(D: int, q: int, k: int) -> int:
+    """E_q(k), the product of 1 - N(P)^k over the primes P of Q(sqrt(D))
+    above the rational prime q: (1 - q^k)^2 when q splits, 1 - q^(2k)
+    when it is inert and 1 - q^k when it ramifies."""
+    chi = kronecker_symbol(field_discriminant(D), q)
+    if chi == 1:
+        return (1 - q**k) ** 2
+    return 1 - q ** (2 * k) if chi == -1 else 1 - q**k
 
 
 def meyer_zeta_zero(disc: int, a: int, b: int, t: int) -> Fraction:

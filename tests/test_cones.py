@@ -6,11 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shintani_kit import cones
 from shintani_kit._linalg import (
     columns,
+    common_denominator,
     det,
     from_columns,
     identity,
+    integer_det,
     inverse,
     mat,
     mat_vec,
@@ -22,6 +25,8 @@ from shintani_kit.cones import (
     GLTuple,
     OpenCone,
     _eps_det,
+    _exponents,
+    _face_row,
     _functionals,
     _perturbed_columns,
     gl_act_cone,
@@ -278,6 +283,71 @@ def test_hill_eval_refusals():
     for route in (hill_eval, _reference_hill_eval):
         with pytest.raises(GuardTripped, match="perturbed determinant vanished"):
             route(flat, [1, 2])
+
+
+# --- hill_eval's face rows -------------------------------------------------------
+
+
+@given(tuples_and_points())
+@settings(max_examples=120, deadline=None)
+def test_face_rows_are_adjugate_rows(data):
+    # r_(i,e) . v is the determinant of the integer columns cols[j][e_j]
+    # with column i replaced by v, at the point's integers and at each unit
+    # vector (which pins every entry of the row)
+    t, v = data
+    hill_eval(t, v)
+    n, cols = t.ambient, t._integer_columns
+    points = [common_denominator([vec(v)])[1][0]]
+    points += [[int(r == k) for k in range(n)] for r in range(n)]
+    for i, rows in enumerate(t._face_rows):
+        for row, e in zip(rows, _exponents(n, i)):
+            for w in points:
+                replaced = [w if j == i else col[k] for j, (col, k) in enumerate(zip(cols, e))]
+                assert sum(a * b for a, b in zip(row, w)) == integer_det(replaced)
+
+
+def test_face_rows_are_built_once_and_lazily(monkeypatch):
+    built = []
+
+    def counted(cols, i, e):
+        built.append((i, e))
+        return _face_row(cols, i, e)
+
+    monkeypatch.setattr(cones, "_face_row", counted)
+    rng = random.Random(41)
+    for n in (2, 3):
+        t = _rand_tuple(rng, n)
+        u = [mat_vec(alpha, [1] + [0] * (n - 1)) for alpha in t.matrices]
+        # a point strictly inside the cone on the alpha_j w_1 is off every
+        # face: it needs the e = 0 row of each column and nothing more
+        hill_eval(t, [sum(x) for x in zip(*u)])
+        assert built == [(i, (0,) * n) for i in range(n)]
+        # then 100 points, half of them on faces and subspans of that cone
+        for k in range(100):
+            if k % 2:
+                c = [rng.choice([-1, 0, 1, 2]) for _ in range(n)]
+                v = [sum(cj * uj[r] for cj, uj in zip(c, u)) for r in range(n)]
+            else:
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+            if any(v):
+                hill_eval(t, v)
+        assert len(built) == len(set(built)) > n
+        for i, rows in enumerate(t._face_rows):
+            order = _exponents(n, i)[:len(rows)]
+            assert rows == [_face_row(t._integer_columns, i, e) for e in order]
+        built.clear()
+
+
+def test_perturbed_columns_hold_ints_where_integral():
+    # w_1 = (1, 0) is integral and w_2 = (1/2, 1) is not: every eps_j^0
+    # coefficient is an int, and every coefficient is (alpha_j w_(i+1))_r
+    t = GLTuple((ROT, ((2, 1), (1, 1))), ((1, Fraction(1, 2)), (0, 1)))
+    w = columns(t.basis)
+    for j, col in enumerate(_perturbed_columns(t)):
+        for r, entry in enumerate(col):
+            for e, c in entry.coeffs.items():
+                assert c == mat_vec(t.matrices[j], w[e[j]])[r]
+                assert type(c) is int or e[j] == 1
 
 
 # --- OpenCone.contains against span coordinates -------------------------------

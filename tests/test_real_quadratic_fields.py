@@ -64,7 +64,13 @@ from helpers import (
     translate_fan,
     unit_order_by_walk,
 )
-from oracles import meyer_zeta_zero, siegel_zeta_minus_one, siegel_zeta_minus_three
+from oracles import (
+    euler_factor,
+    kronecker_symbol,
+    meyer_zeta_zero,
+    siegel_zeta_minus_one,
+    siegel_zeta_minus_three,
+)
 
 FIELDS = {D: RealQuadraticField(D) for D in (2, 3, 5, 13, 21)}
 SQUAREFREE = [D for D in range(2, 200) if is_squarefree(D)]
@@ -695,6 +701,33 @@ class TestExactZeta:
         for k, v, zeta in zip((1, 3), got, (siegel_zeta_minus_one(D), siegel_zeta_minus_three(D))):
             euler = (1 - p**k) ** 2 if split else 1 - p ** (2 * k)
             assert v == euler * (1 - ell ** (1 + k)) * zeta, (D, p, k)
+
+    # the narrow ray classes mod Q partition the ideals prime to Q, so their
+    # values sum to zeta_F(-k) times E_q(k) for each prime q | Q; every
+    # class is folded onto eps_plus's cone, with t > 1 translates at most Q
+    @pytest.mark.parametrize("D", [2, 5, 13, 21])
+    def test_ray_class_values_sum_to_the_euler_factors(self, D):
+        F = RealQuadraticField(D)
+        zetas = (siegel_zeta_minus_one(D), siegel_zeta_minus_three(D))
+        folded = 0
+        for Q in range(2, 10):
+            totals = [Fraction(0)] * 2
+            for rep in narrow_ray_class_reps(F, Q):
+                got = exact_ray_class_zeta(F, rep, Q, [1, 3])
+                totals = [a + b for a, b in zip(totals, got)]
+            for k, total, zeta in zip((1, 3), totals, zetas):
+                euler = 1
+                for q in (q for q in (2, 3, 5, 7) if Q % q == 0):
+                    euler *= euler_factor(D, q, k)
+                assert total == euler * zeta, (D, Q, k)
+            folded += ray_unit(F, Q)[1] > 1
+        assert folded >= 4
+
+    def test_euler_factor_oracle(self):
+        # discriminant 5: 2 and 3 are inert, 5 ramifies, 11 splits
+        assert [kronecker_symbol(5, q) for q in (2, 3, 5, 11)] == [-1, -1, 0, 1]
+        assert kronecker_symbol(8, 2) == 0 and kronecker_symbol(17, 2) == 1
+        assert [euler_factor(5, q, 1) for q in (2, 5, 11)] == [1 - 4, 1 - 5, (1 - 11) ** 2]
 
     def test_smoothing_validation(self):
         O = o_ideal(F5)

@@ -1,7 +1,8 @@
 """Four checks that their routes stay apart.
 
 hill_eval is the second route that checks hill_cone_function's
-extraction, so it must not run the extraction's perturbation code.  The
+extraction, so it must not run the extraction's perturbation code, and
+the extraction's expansion must not run hill_eval's face rows.  The
 p-adic moments are checked against the exact special values of
 shintani_zeta and the Bernoulli closed forms, so the p-adic side must not
 compute anything from them.  The guard follows, inside one module, every
@@ -54,6 +55,12 @@ EXTRACTION_ONLY = {
     "OpenCone._contains_integers",
 }
 
+# the face rows of hill_eval: each tuple's row cache and the row builder
+HILL_EVAL_ONLY = {"GLTuple._face_rows", "_face_row"}
+
+# the extraction's expansion, which must reach none of HILL_EVAL_ONLY
+EXPANSION = ("_functionals", "_eps_det", "_perturbed_columns", "leading_sign")
+
 
 def _definitions(tree: ast.Module) -> tuple[dict[str, ast.AST], dict[str, list[str]]]:
     defs: dict[str, ast.AST] = {}
@@ -104,6 +111,42 @@ def test_hill_eval_reaches_no_extraction_code():
 def test_guard_sees_the_extraction_code():
     reached = _reached(CONES.read_text(), "hill_cone_function")
     assert EXTRACTION_ONLY <= reached
+
+
+def _face_rows_reached(source: str) -> set[str]:
+    return set().union(*(_reached(source, start) for start in EXPANSION)) & HILL_EVAL_ONLY
+
+
+def test_expansion_reaches_no_face_row_code():
+    source = CONES.read_text()
+    assert HILL_EVAL_ONLY <= _reached(source, "hill_eval")
+    assert _face_rows_reached(source) == set()
+
+
+def test_guard_sees_face_rows_reached_from_the_expansion():
+    src = (
+        "class GLTuple:\n"
+        "    @property\n"
+        "    def _face_rows(self):\n"
+        "        return [_face_row()]\n"
+        "\n"
+        "def _face_row():\n"
+        "    return ()\n"
+        "\n"
+        "def _functionals(t):\n"
+        "    return _eps_det(t)\n"
+        "\n"
+        "def _eps_det(t):\n"
+        "    return t._face_rows\n"
+        "\n"
+        "def _perturbed_columns(t):\n"
+        "    return t\n"
+        "\n"
+        "def leading_sign(p):\n"
+        "    return p\n"
+    )
+    assert _face_rows_reached(src) == HILL_EVAL_ONLY
+    assert _reached(src, "leading_sign") & HILL_EVAL_ONLY == set()
 
 
 def test_guard_follows_properties_and_constructors():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shintani_kit._linalg import det, from_columns, mat, mat_vec, rank
+from shintani_kit import test_functions
+from shintani_kit._linalg import det, from_columns, lattice_intersection, mat, mat_vec, rank
 from shintani_kit.errors import NotAwayFromP, SingularMatrix, ZeroDirection
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -76,6 +77,30 @@ def test_haar_overlapping_terms():
     assert haar(f) == F(5, 6)
     reps = support_class_representatives(f)
     assert len(reps) == 4  # classes 0,2,3,4 mod 6
+
+
+@pytest.mark.parametrize("lattices", [
+    [((2, 1), (0, 3))],
+    [((2, 1), (0, 3))] * 5,
+    [((2, 1), (0, 3)), ((1, 0), (1, 4)), ((2, 1), (0, 3)), ((1, 0), (1, 4))],
+    [((F(1, 2), 0), (0, 2)), ((2, 1), (0, 3)), ((1, 0), (1, 4)), ((F(1, 2), 0), (0, 2))],
+])
+def test_periodicity_lattice_takes_each_distinct_lattice_once(monkeypatch, lattices):
+    # the term-by-term intersection is the reference, basis and all
+    f = sum((lattice_indicator(L, (k, 0)) for k, L in enumerate(lattices)), TestFunction(2))
+    want = mat(lattices[0])
+    for L in lattices[1:]:
+        want = lattice_intersection(want, L)
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return lattice_intersection(a, b)
+
+    monkeypatch.setattr(test_functions, "lattice_intersection", counted)
+    assert periodicity_lattice(f) == want
+    distinct = len(set(map(mat, lattices)))
+    assert len(calls) == (distinct - 1 or len(lattices) > 1)
 
 
 def test_haar_translation_invariance():
