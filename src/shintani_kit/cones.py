@@ -92,16 +92,21 @@ def primitive_direction(g) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OpenCone:
-    """Open simplicial cone: strictly positive combinations of the
-    generators, which must be linearly independent."""
+    """Simplicial cone: positive combinations of the generators, which
+    must be linearly independent, the coefficients of those whose index is
+    in `closed` (not all of them) also zero, as in Shintani's domains."""
 
     generators: tuple[Vector, ...]
+    closed: tuple[int, ...] = ()
 
     def __post_init__(self):
         gens = tuple(vec(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ShintaniKitError("cone needs at least one generator")
+        object.__setattr__(self, "closed", tuple(sorted(set(self.closed))))
+        if not set(self.closed) < set(range(len(gens))):
+            raise ShintaniKitError("closed generators must be some, not all, of the cone's")
         # independence of the integer generator columns W by det W, or by
         # det(W^T W) when r < n; the membership rows wait for contains
         W = common_denominator(from_columns(gens))[1]
@@ -112,10 +117,11 @@ class OpenCone:
         object.__setattr__(self, "_integer_gens", W)
 
     @cached_property
-    def _span(self) -> tuple[list, list]:
-        """(ann, P) of `span_rows`: ann vanishes exactly on the span, and
-        P v is a positive multiple of v's coordinates in the generators."""
-        return span_rows(self._integer_gens)[:2]
+    def _span(self) -> tuple[list, list, list]:
+        """ann of `span_rows`, vanishing exactly on the span, and its P v, a
+        positive multiple of v's coordinates, split into open and closed rows."""
+        (ann, P, _), c = span_rows(self._integer_gens), self.closed
+        return ann, [p for j, p in enumerate(P) if j not in c], [P[j] for j in c]
 
     @property
     def dim(self) -> int:
@@ -126,7 +132,8 @@ class OpenCone:
         return len(self.generators[0])
 
     def contains(self, v) -> bool:
-        """Whether v is a strictly positive combination of the generators."""
+        """Whether v is a combination of the generators, strictly positive
+        in the open ones and nonnegative in the closed ones."""
         _, (v,) = common_denominator([vec(v)])
         return self._contains_integers(v)
 
@@ -135,14 +142,15 @@ class OpenCone:
         any positive multiple of it: only signs are read."""
         if len(v) != self.ambient:
             raise ValueError("point dimension mismatch")
-        ann, P = self._span
+        ann, P, closed = self._span
         return not any(sum(map(mul, r, v)) for r in ann) and all(
-            sum(map(mul, r, v)) > 0 for r in P)
+            sum(map(mul, r, v)) > 0 for r in P) and (
+            not closed or all(sum(map(mul, r, v)) >= 0 for r in closed))
 
 
 @dataclass
 class ConeFunction:
-    """Finite integer combination of open-cone indicators plus a constant.
+    """Finite integer combination of cone indicators plus a constant.
 
     evaluate(v) = constant + sum(weight * [v in cone]) for v != 0.
     """
@@ -543,5 +551,5 @@ def gl_act_cone(gamma, kappa: ConeFunction) -> ConeFunction:
     terms = []
     for w, cone in kappa.terms:
         gens = tuple(mat_vec(gamma, g) for g in cone.generators)
-        terms.append((sign * w, OpenCone(gens)))
+        terms.append((sign * w, OpenCone(gens, cone.closed)))
     return ConeFunction(terms, sign * kappa.constant)

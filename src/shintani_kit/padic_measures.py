@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -129,19 +130,22 @@ class PseudoMeasure:
     d_i are integer direction vectors already carrying the level p^m; the
     multipliers a_i must be p-units, otherwise the denominator cannot be
     regularized and construction is refused.  numerator holds (v, c)
-    pairs of Fractions, strictly sorted by v, and is stored as given.
+    pairs of Fractions, sorted by v, and is stored as given; tiles gives
+    each its tile k (by default (1, ..., 1)), and a term on tile k stands
+    for its replicas v + sum_i s_i (a_i / k_i) d_i, s_i < k_i.
 
     Computed once, on first use, in integers: the numerator's coordinates
     in the completed direction basis D, over one denominator Q; their
-    p-fractional pieces, keyed by residue tuples; and the divisibility
-    verdict on them.  is_measure reads the verdict as route B;
-    amice_expand refuses by it and expands the same pieces."""
+    p-fractional pieces, keyed by residue tuples, then by tile; and the
+    divisibility verdict on their replicas.  is_measure reads the verdict
+    as route B; amice_expand refuses by it and expands the same pieces."""
 
     p: int
     m: int
     n: int
     numerator: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     denoms: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    tiles: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         den = []
@@ -153,6 +157,10 @@ class PseudoMeasure:
                 raise NonUnitScaling(f"multiplier {a} is not a {self.p}-unit")
             den.append((a, tuple(int(x) for x in d)))
         object.__setattr__(self, "denoms", tuple(den))
+        tiles = tuple(map(tuple, self.tiles)) or ((1,) * len(den),) * len(self.numerator)
+        object.__setattr__(self, "tiles", tiles)
+        if any(x % self.p == 0 for k in self.tiles for x in k):
+            raise NonUnitScaling(f"a tile is divisible by {self.p}")
 
     @property
     def r(self) -> int:
@@ -177,8 +185,8 @@ class PseudoMeasure:
     @cached_property
     def _pieces(self) -> dict:
         """Numerator terms (c, mu) by the residue tuple r = N Q'^-1 mod p^J,
-        Q = p^J Q' with Q' prime to p: r/p^J is the p-fractional part w of
-        N/Q and mu/Q = N/Q - w.  None, and no basis, if empty."""
+        Q = p^J Q' with Q' prime to p, then by tile (whose replicas share the
+        piece): r/p^J is the p-fractional part w of N/Q and mu/Q = N/Q - w."""
         if not self.numerator:
             return {}
         _, Q, _, terms = self._coordinates
@@ -186,21 +194,32 @@ class PseudoMeasure:
         unit = Q // pj
         inv = pow(unit, -1, pj)
         pieces: dict = {}
-        for c, N in terms:
+        for (c, N), k in zip(terms, self.tiles):
             r = tuple(x * inv % pj for x in N)
-            pieces.setdefault(r, []).append((c, tuple(x - y * unit for x, y in zip(N, r))))
+            mu = tuple(x - y * unit for x, y in zip(N, r))
+            pieces.setdefault(r, {}).setdefault(k, []).append((c, mu))
         return pieces
 
     @cached_property
     def _divisible(self) -> bool:
-        """Whether each piece sum c * (1+T)^(mu/Q) is divisible by every
-        T_i, i < r: at T_i = 0 the terms with equal mu off axis i cancel."""
-        for terms in self._pieces.values():
-            for i in range(self.r):
+        """Whether each piece sum c * (1+T)^(mu/Q), over every replica
+        mu + sum_j s_j (a_j Q / k_j) e_j, is divisible by every T_i, i < r:
+        at T_i = 0 the replicas with equal mu off axis i cancel.  The k_i
+        replicas along axis i meet there, so only the others are written out."""
+        r, Q = self.r, self._coordinates[1] if self.numerator else 1
+        for classes in self._pieces.values():
+            for i in range(r):
                 rest: dict = {}
-                for c, mu in terms:
-                    key = mu[:i] + mu[i + 1 :]
-                    rest[key] = rest.get(key, 0) + c
+                for k, terms in classes.items():
+                    # replicas off axis i, mu_j + s_j a_j Q / k_j (ints and Fractions mix)
+                    shifts = [o[:i] + o[i + 1:] + (0,) * (self.n - r) for o in itertools.product(*(
+                        [s * a * Q / kj for s in range(kj)] if kj > 1 and j != i else (0,)
+                        for j, ((a, _), kj) in enumerate(zip(self.denoms, k))))]
+                    for c, mu in terms:
+                        key = mu[:i] + mu[i + 1:]
+                        for o in shifts:
+                            at = tuple(map(operator.add, key, o)) if any(o) else key
+                            rest[at] = rest.get(at, 0) + c * k[i]
                 if any(rest.values()):
                     return False
         return True
@@ -226,13 +245,14 @@ def pseudo_from_cone(f: TestFunction, cone: OpenCone, U: PLevelSet) -> PseudoMea
         a = minimal_multiplier(vec(d), L)
         denoms.append((a, d))
         scaled.append(tuple(a * Fraction(x) for x in d))
-    pts = parallelepiped_support(ft, scaled)
+    pts = parallelepiped_support(ft, scaled, cone.closed)
     return PseudoMeasure(
         p=U.p,
         m=U.m,
         n=f.n,
-        numerator=tuple((tuple(Fraction(v, x[0]) for v in x[1:]), val) for x, _, val in pts),
+        numerator=tuple((tuple(Fraction(v, x[0]) for v in x[1:]), val) for x, _, _, val in pts),
         denoms=tuple(denoms),
+        tiles=tuple(k for _, _, k, _ in pts),
     )
 
 
@@ -295,19 +315,20 @@ def is_measure(f: TestFunction, cone: OpenCone, pm: PseudoMeasure) -> bool:
 # Amice expansion
 
 
-def _piece_numerator(terms: list, den: int, cden: int, caps: tuple[int, ...], budget: int) -> dict:
+def _piece_numerator(terms: list, den: int, cden: int, caps: tuple[int, ...], budget: int):
     """Sum of c/cden * prod_j (1+T_j)^(a_j/den) over integer terms (c, a),
-    truncated per variable to caps and by total degree to budget.
-
-    Since C(a/den, k) = prod_{i<k} (a - i*den) / (den^k * k!), every
-    exponent k collects one integer and is divided once, by
-    cden * prod_j den^(k_j) * k_j!."""
-    scale = [den ** k * math.factorial(k) for k in range(max(caps) + 1)]
-    return {
-        e: Fraction(v, cden * math.prod(scale[k] for k in e))
-        for e, v in _falling_sums(terms, caps, budget, den).items()
-        if v
-    }
+    truncated per variable to caps and by total degree to budget.  Since
+    C(a/den, k) = prod_{i<k} (a - i*den) / (den^k * k!), every exponent k
+    collects one integer, lifted to cden * prod_j den^caps_j caps_j!: the
+    result is that denominator and the numerators, reduced by one gcd."""
+    # lift[j][k] = prod_{k < i <= caps_j} den * i, so lift[j][0] = den^caps_j caps_j!
+    lift = [list(itertools.accumulate((den * i for i in range(c, 0, -1)), operator.mul,
+                                      initial=1))[::-1] for c in caps]
+    sums = _falling_sums(terms, caps, budget, den).items()
+    out = {e: v * math.prod(row[k] for row, k in zip(lift, e)) for e, v in sums if v}
+    common = cden * math.prod(row[0] for row in lift)
+    g = math.gcd(common, *out.values())
+    return common // g, {e: v // g for e, v in out.items()}
 
 
 def _falling_sums(terms: list, caps: tuple[int, ...], budget: int, den: int) -> dict:
@@ -330,11 +351,6 @@ def _falling_sums(terms: list, caps: tuple[int, ...], budget: int, den: int) -> 
             for k, y in enumerate(row[: budget - sum(e) + 1]):
                 out[(k,) + e] = out.get((k,) + e, 0) + y * v
     return out
-
-
-def _divide_by_t(coeffs: dict, r: int) -> dict:
-    """Divide by T_1 * ... * T_r; the caller has checked divisibility."""
-    return {tuple(x - 1 if i < r else x for i, x in enumerate(e)): c for e, c in coeffs.items()}
 
 
 @lru_cache(maxsize=256)
@@ -382,10 +398,13 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     caps: the verdict is the one is_measure reads, taken on the numerator
     terms of the pieces, not on the truncation, which at small caps can
     miss the obstruction.  Each p-fractional piece w is expanded in
-    T_i = prod_j (1+S_j)^(D_ji) - 1 and divided by each unit factor along
-    its own axis, all cut at total degree tcap = sum(caps) since T^e has
-    S-degree >= |e|; rewritten in powers of 1 + T, the piece times
-    (1+S)^(D w) is a numerator sum with exponents D (f + w)."""
+    T_i = prod_j (1+S_j)^(D_ji) - 1 one tile class k at a time, times the
+    inverse of its unit factors 1 - (1+T_i)^(a_i/k_i) = T_i * unit (-1 at
+    a_i = k_i) along their axes; the sum of the classes is divided by
+    T_1...T_r.  All is cut at total degree tcap = sum(caps), tcap + r before
+    the division, since T^e has S-degree >= |e|.  Rewritten in powers of
+    1 + T, the piece times (1+S)^(D w) is a numerator sum with exponents
+    D (f + w)."""
     if len(caps) != pm.n:
         raise ValueError("caps dimension mismatch")
     if not pm.numerator:
@@ -395,19 +414,31 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     D, Q, cden, _ = pm._coordinates
     r, n = pm.r, pm.n
     tcap = sum(caps)
-    build_caps = tuple(tcap + 1 if i < r else tcap for i in range(n))
+    top = tcap + r
+    build_caps = tuple(top if i < r else tcap for i in range(n))
+    ones = (1,) * r + (0,) * (n - r)
     pj = pm.p ** vp_int(Q, pm.p)
 
-    inverse_rows = [_unit_inverse_row(a, tcap) for a, _ in pm.denoms]
     Dint = [[int(x) for x in row] for row in D]
-    total: dict = {}
-    for res, piece in sorted(pm._pieces.items()):
-        G = _divide_by_t(_piece_numerator(piece, Q, cden, build_caps, tcap + r), r)
-        den, (nums,) = common_denominator([list(G.values())])
-        G = dict(zip(G, nums))
-        for i, (h, row) in enumerate(inverse_rows):
-            G = _convolve_axis(G, i, row, tcap)
-            den *= h
+    total, fact = {}, [math.factorial(j) for j in range(max(caps) + 1)]
+    for res, classes in sorted(pm._pieces.items()):
+        h, G = 1, {}
+        for k, piece in classes.items():
+            hk, Gk = _piece_numerator(piece, Q, cden, build_caps, top)
+            for i, ((a, _), kj) in enumerate(zip(pm.denoms, k)):
+                hb, row = (-1, None) if a == kj else _unit_inverse_row(a / kj, top)
+                if row:
+                    Gk = _convolve_axis(Gk, i, row, top)
+                hk *= hb
+            lcm = math.lcm(h, hk)  # positive; a negative hk carries the sign
+            u, v, h = lcm // h, lcm // hk, lcm
+            G = {e: c * u for e, c in G.items()}
+            for e, c in Gk.items():
+                G[e] = G.get(e, 0) + c * v
+        # divided by T_1...T_r, which the verdict says leaves no remainder
+        G = {tuple(map(operator.sub, e, ones)): c for e, c in G.items() if c}
+        if any(min(e) < 0 for e in G):
+            raise ArithmeticError("numerator is not divisible by its denominator support")
         dw, off = zip(*(divmod(sum(d * x for d, x in zip(dr, res)), pj) for dr in Dint))
         if any(off):  # the offset D w = D r / p^J
             raise ArithmeticError("piece offset is not p-integral")
@@ -415,8 +446,8 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
             (c, [x + sum(d * k for d, k in zip(dr, f)) for x, dr in zip(dw, Dint)])
             for f, c in _in_powers_of_one_plus_t(G, n).items()
         ]
-        for e, c in _piece_numerator(terms, 1, den, caps, tcap).items():
-            total[e] = total.get(e, 0) + c
+        for e, v in _falling_sums(terms, caps, tcap, 1).items():
+            total[e] = total.get(e, 0) + Fraction(v, h * math.prod(fact[j] for j in e))
     return TruncSeries(caps, total)
 
 

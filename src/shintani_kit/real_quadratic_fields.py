@@ -433,9 +433,10 @@ def narrow_ray_class_reps(
 
 def shintani_fan(field: RealQuadraticField) -> ConeFunction:
     """Fundamental domain of the totally positive units on the totally
-    positive quadrant: the open cone on (1, eps_plus) plus the ray through 1."""
-    e1 = (1, 0)
-    return ConeFunction([(Fraction(1), OpenCone((e1, eps_plus(field)))), (Fraction(1), OpenCone((e1,)))])
+    positive quadrant: the cone {a + b eps_plus : a > 0, b >= 0}, open along
+    1 and closed along eps_plus (Shintani 1976), one cone for the open cone
+    on (1, eps_plus) plus the ray through 1."""
+    return ConeFunction([(Fraction(1), OpenCone(((1, 0), eps_plus(field)), closed=(1,)))])
 
 
 def _pull_back(field: RealQuadraticField, f: TestFunction, u) -> TestFunction:
@@ -451,8 +452,8 @@ def _pull_back(field: RealQuadraticField, f: TestFunction, u) -> TestFunction:
 
 def _fold(field: RealQuadraticField, f: TestFunction, t: int, level: PLevelSet | None = None):
     """f times the indicator of level over the fan of eps_plus^t, moved
-    onto `shintani_fan`: that fan is the t translates u*C of its cone and
-    ray, u = eps_plus^j for j < t, and (f 1_level)(u x) = f(u x) times
+    onto `shintani_fan`: that fan is the t translates u*C of its half-open
+    cone, u = eps_plus^j for j < t, and (f 1_level)(u x) = f(u x) times
     1_{u^-1 level}(x).  Returns {u^-1 level: the sum of those f(u .)}, with
     None for no level (Shintani 1976, passage to a finite-index subgroup
     of the units)."""
@@ -599,9 +600,9 @@ def _smoothed_class_function(field, aideal, cprime, p, conductor, offset_modulus
     checked: the ray unit eps = eps_plus^t mod the conductor, t, and the
     smoothed test function (certified away from p) whose smoothed branch
     sits at 1 mod offset_modulus.  Hill's cocycle at (1, eps) gives the
-    open cone on (1, eps) and its ray through eps, where `_fold` sums over
-    eps_plus's cone and its ray through 1; the norm is eps-invariant, so
-    no moment depends on which edge carries the ray."""
+    cone on (1, eps) closed along 1, where `_fold` sums over eps_plus's
+    cone closed along eps_plus; the norm is eps-invariant, so no moment
+    depends on which edge is closed."""
     _check_prime_setup(field, aideal, cprime, p, conductor)
     eps_f, t = ray_unit(field, conductor)
     return eps_f, t, smoothed_ray_function(field, aideal, cprime, conductor, offset_modulus, p)

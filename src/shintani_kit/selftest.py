@@ -162,20 +162,21 @@ def check_cocycle_condition(rng, tuples, dims, samples=12):
 
 
 def check_unit_cone_domain():
-    # Hill's cocycle at (1, eps) is the Shintani fan of eps with its ray
-    # moved from 1 to eps; each covers one point of every eps-orbit
+    # Hill's cocycle at (1, eps) is the Shintani cone of eps with its closed
+    # face, the ray through 1, moved to eps; each covers one point of every
+    # eps-orbit, inside the cone and on both edges
     for D in (5, 3):
         F = RealQuadraticField(D)
         e = eps_plus(F)
         m = F.mult_matrix(e)
         kappa = hill_cone_function(GLTuple((identity(2), m)))
-        geo = shintani_fan(F)
-        cone, (w, ray) = geo.terms
-        moved = (w, OpenCone((mat_vec(m, ray.generators[0]),)))
-        if sorted(kappa.terms, key=lambda t: t[1].dim) != [moved, cone]:
+        ((w, cone),) = shintani_fan(F).terms
+        moved = (w, OpenCone((mat_vec(m, cone.generators[0]),)))
+        parts = sorted(kappa.terms, key=lambda t: t[1].dim)
+        if cone.closed != (1,) or parts != [moved, (w, OpenCone(cone.generators))]:
             return False, f"cocycle is not the eps-moved Shintani fan for D={D}"
-        for v in ((Fraction(7, 2), Fraction(1, 3)), (Fraction(9), Fraction(4))):
-            for fan in (kappa, geo):
+        for v in ((Fraction(7, 2), Fraction(1, 3)), (Fraction(9), Fraction(4)), (Fraction(5), 0)):
+            for fan in (kappa, shintani_fan(F)):
                 if sum(fan.evaluate(u) for u in (v, tuple(mat_vec(m, v)))) != 1:
                     return False, f"domain does not tile at {v} for D={D}"
     return True, "cocycle domain tiles one orbit point for D = 5, 3"

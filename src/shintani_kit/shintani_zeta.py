@@ -1,11 +1,12 @@
 """Special values of cone zeta functions at nonpositive integers.
 
-For a test function f and an open simplicial cone C the series
+For a test function f and a simplicial cone C the series
 sum over v in C of f(v) * N(v)^(-s), with N = L_1 ... L_n a product of n
 linear forms, continues to s = -k.  Scale the generators of C into the
 periodicity lattice of f (w_1..w_r) and write the support points of the
-half-open parallelepiped as x = sum t_j w_j with t in (0,1]^r.  With the
-slice forms lambda_j(y) = L_i(w_j) + sum_{m != i} L_m(w_j) y_m,
+half-open parallelepiped as x = sum t_j w_j with t_j in (0,1], or in [0,1)
+where C is closed along w_j.  With the slice forms
+lambda_j(y) = L_i(w_j) + sum_{m != i} L_m(w_j) y_m,
 
     zeta(C, f, -k) = (-1)^r (k!)^n / n * sum_i C_i(k),
 
@@ -21,12 +22,15 @@ one denominator; the y-coefficients come from the binomial theorem (also
 for the exponent -1) as integer pairs A + B sqrt D over one denominator per
 generator, tabled once per cone for the largest k.  So the cost scales with
 k and not with the number of points, and each value is reduced once.
+Each term is enumerated only on its tile, the parallelepiped of w_j / k_j,
+and Raabe's theorem brings the replicas in as one weight per tile class.
 
 `_special_value_series` is the independent check.  It expands the same
 generating function as a truncated multivariate series, inverts the
 denominator with `TruncSeries.invert` and reads off the coefficient; it
-reads no Bernoulli numbers and shares only the enumeration (`build_G`) and
-the final normalization with the closed form.  All arithmetic is exact.
+reads no Bernoulli numbers or Raabe weights (`_replicas` writes the tiles
+out) and shares only the enumeration (`build_G`) and the final
+normalization with the closed form.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -99,15 +103,14 @@ def quadratic_norm(D: int) -> NormStructure:
 class GeneratingFunction:
     """Parallelepiped points and scaled generator forms for one cone.
 
-    points holds the integer triples (x, t, f(x)) of
-    `parallelepiped_support`: x = sum t_j * scaled_gens[j] as (den, *nums)
-    and t in (0,1]^r as (q, *T); gen_forms[j] are the n form values of
-    scaled_gens[j]."""
+    points holds the quadruples (x, t, k, c) of `parallelepiped_support`:
+    base points x = sum t_j * scaled_gens[j] / k_j of tile k as (den, *nums)
+    and t as (q, *T); gen_forms[j] are the n form values of scaled_gens[j]."""
 
     ns: NormStructure
     r: int
     gen_forms: tuple[tuple, ...]
-    points: tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
+    points: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], Fraction], ...]
     scaled_gens: tuple[Vector, ...]
 
 
@@ -134,7 +137,7 @@ def build_G(f: TestFunction, cone: OpenCone, ns: NormStructure) -> GeneratingFun
         ns=ns,
         r=len(scaled),
         gen_forms=tuple(tuple(a * x for x in values) for a, values in zip(mults, forms)),
-        points=tuple(parallelepiped_support(f, scaled)),
+        points=tuple(parallelepiped_support(f, scaled, cone.closed)),
         scaled_gens=tuple(scaled),
     )
 
@@ -153,19 +156,31 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
+def _raabe_weights(tiles, N: int) -> tuple[int, dict]:
+    """prod_j k_j^(1 - m_j), m_j <= N, for every tile k: one denominator
+    prod_j K_j^(N-1) over the lcms K_j of the k_j, and per tile and axis the
+    numerators k_j^(N-m) (K_j/k_j)^(N-1).  By Raabe's multiplication theorem
+    sum_{s<k} B_m((t+s)/k) = k^(1-m) B_m(t), it folds a tile's replicas in."""
+    K = [math.lcm(*col) for col in zip(*tiles)]
+    rows = {k: [[(b // a) ** (N - 1) * a ** (N - m) for m in range(N + 1)] for a, b in zip(k, K)]
+            for k in tiles}
+    return math.prod(b ** (N - 1) for b in K), rows
+
+
 def _bernoulli_sums(points, r: int, Ns) -> tuple[int, dict[tuple, int]]:
-    """sum_x f(x) * prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns, as
-    one denominator and the integer numerator of each mu over it.
+    """sum_x f(x) * prod_j B_{mu_j}(t_j) over every replica x, for every mu
+    with |mu| in Ns, as one denominator and the integer numerator of each mu.
 
     Expanding B_m(t) = sum_a C(m, a) B_{m-a} t^a reduces the point loop
-    to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N = max(Ns), in
-    integers over the lcm d of the points' t denominators q and the common
-    denominator dv of the values; one pass over the points serves every N
-    in Ns.  Each moment is lifted to dv * d^N and the Bernoulli numbers to
-    one denominator bd, so every mu is an integer over dv * d^N * bd^r."""
+    to the power sums sum_x f(x) (d t)^alpha, |alpha| <= N = max(Ns), per
+    tile class, in integers over the lcm d of the points' t denominators q
+    and the common denominator dv of the values; one pass over the base
+    points serves every N in Ns.  Each moment is lifted to dv * d^N and the
+    Bernoulli numbers to one denominator bd, so every mu of a class is an
+    integer over dv * d^N * bd^r, times the class's `_raabe_weights`."""
     N = max(Ns)
-    d = math.lcm(*(t[0] for _, t, _ in points))
-    dv, (values,) = common_denominator([[val for _, _, val in points]])
+    d = math.lcm(*(t[0] for _, t, _, _ in points))
+    dv, (values,) = common_denominator([[val for *_, val in points]])
     # every alpha with |alpha| <= N, each one multiplication away from its
     # parent: alpha = parent + e_j with j at or after parent's last nonzero
     exps = [(0,) * r]
@@ -179,30 +194,32 @@ def _bernoulli_sums(points, r: int, Ns) -> tuple[int, dict[tuple, int]]:
                 exps.append(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
                 steps.append((pos, j))
         pos += 1
-    sums = [0] * len(exps)
-    for (_, (q, *T), _), v in zip(points, values):
+    by_tile: dict[tuple, list] = {}
+    for (_, (q, *T), k, _), v in zip(points, values):
         T = [tj * (d // q) for tj in T]
         mono = [v]
         for parent, j in steps:
             mono.append(mono[parent] * T[j])
-        sums = list(map(operator.add, sums, mono))
-    moment = {alpha: s * d ** (N - sum(alpha)) for alpha, s in zip(exps, sums)}
+        by_tile[k] = list(map(operator.add, by_tile.get(k, [0] * len(exps)), mono))
     # row[m][a] = C(m, a) * B_{m-a}, the coefficients of B_m(t), over bd
     bd, (B,) = common_denominator([[bernoulli_number(m) for m in range(N + 1)]])
     row = [[math.comb(m, a) * B[m - a] for a in range(m + 1)] for m in range(N + 1)]
-    den = dv * d ** N * bd ** r
-    out = {}
-    for mu in (mu for total in set(Ns) for mu in _compositions(total, r)):
-        acc = 0
-        for alpha in itertools.product(*(range(m + 1) for m in mu)):
-            c = moment[alpha]
-            for m, a in zip(mu, alpha):
-                if not c:
-                    break
-                c *= row[m][a]
-            acc += c
-        out[mu] = acc
-    return den, out
+    kden, weights = _raabe_weights(list(by_tile), N)
+    mus = [mu for total in set(Ns) for mu in _compositions(total, r)]
+    out = dict.fromkeys(mus, 0)
+    for k, sums in by_tile.items():
+        moment = {alpha: s * d ** (N - sum(alpha)) for alpha, s in zip(exps, sums)}
+        for mu in mus:
+            acc = 0
+            for alpha in itertools.product(*(range(m + 1) for m in mu)):
+                c = moment[alpha]
+                for m, a in zip(mu, alpha):
+                    if not c:
+                        break
+                    c *= row[m][a]
+                acc += c
+            out[mu] += acc * math.prod(w[m] for w, m in zip(weights[k], mu))
+    return dv * d ** N * bd ** r * kden, out
 
 
 def _closed_form_coefficient(G: GeneratingFunction, i: int, ks, S) -> list:
@@ -282,6 +299,15 @@ def _closed_form_coefficient(G: GeneratingFunction, i: int, ks, S) -> list:
 # generating-function series (the independent second route)
 
 
+def _replicas(G: GeneratingFunction):
+    """(x, f-part) for every point of the whole parallelepiped: each base
+    point of tile k moved by sum_j s_j * scaled_gens[j] / k_j, s_j < k_j."""
+    for (den, *nums), _, k, val in G.points:
+        for s in itertools.product(*map(range, k)):
+            yield tuple(Fraction(x, den) + sum(Fraction(a, b) * g for a, b, g in zip(s, k, col))
+                        for x, col in zip(nums, zip(*G.scaled_gens))), val
+
+
 def _slice_series(G: GeneratingFunction, i: int, k: int) -> TruncSeries:
     """The regularized one-variable slice of the generating function at
     x_i = 1, to u^(nk+r+2) and x_m^(k+2) for m != i.  Truncated products
@@ -296,8 +322,8 @@ def _slice_series(G: GeneratingFunction, i: int, k: int) -> TruncSeries:
 
     # numerator: sum over points of exp(u * (c0 + sum c_m x_m))
     num: dict = {}
-    for (den, *nums), _, val in G.points:
-        forms = G.ns.form_values(tuple(Fraction(x, den) for x in nums))
+    for x, val in _replicas(G):
+        forms = G.ns.form_values(x)
         c0 = forms[i]
         cs = [forms[m] for m in others]
         c0_pow = list(itertools.accumulate([c0] * ucap, operator.mul, initial=Fraction(1)))

@@ -370,18 +370,20 @@ def gl_act_test(f: TestFunction, gamma) -> TestFunction:
 
 
 def parallelepiped_support(
-    f: TestFunction, gens: Sequence[Sequence]
-) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-    """Points of supp(f) inside {sum t_j g_j : 0 < t_j <= 1}, for
-    generators g_j lying in the periodicity lattice of f, as triples
-    (x, t, f(x)) with x = sum t_j g_j, both in integers: x as its
-    lowest-terms (den, *nums), x = nums / den, and t as (q, *T), t = T / q
-    with T in [1, q]^r over the denominator q of the first term reaching x.
+    f: TestFunction, gens: Sequence[Sequence], closed: Sequence[int] = ()
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], Fraction]]:
+    """Points of supp(f) inside {sum t_j g_j : 0 < t_j <= 1, or 0 <= t_j < 1
+    for j in closed}, for generators g_j in the periodicity lattice of f,
+    each term visited only on its tile: the parallelepiped of g_j / k_j, k_j
+    the largest integer with g_j / k_j in the term's direction lattice.  A
+    point x there stands for its replicas x + sum_j s_j g_j / k_j, s_j < k_j.
 
-    Each term's coset meets the parallelepiped in exactly one point per
-    coset of its direction lattice modulo the generators, so the value at
-    x is the sum of the coefficients of the terms whose enumeration
-    reaches x.  Returned sorted by x, zero values dropped."""
+    Each point comes as (x, t, k, c): x = sum t_j g_j / k_j as lowest-terms
+    integers (den, *nums), x = nums / den, t as (q, *T), t = T / q over the
+    denominator q of the first term reaching (x, k), and c the sum of the
+    coefficients of the terms on tile k that reach x, one per coset of
+    their direction lattice modulo the tile's.  Sorted by x, then k, zero
+    values dropped."""
     r = len(gens)
     if r == 0:
         raise ValueError("no generators")
@@ -392,10 +394,10 @@ def parallelepiped_support(
     # P W = delta I; dependent generators are refused before any term
     dw, W = common_denominator(from_columns(gens))
     ann, P, delta = span_rows(W)
+    low = [0 if j in closed else 1 for j in range(r)]  # T_j in (0, q] or [0, q)
 
-    # each point x is keyed by its lowest-terms integers (den, *nums),
-    # x = nums / den, and holds [(q, *T), its value]
-    points: dict[tuple[int, ...], list] = {}
+    # keyed by x's lowest-terms integers (den, *nums) and the tile k
+    points: dict[tuple, list] = {}
     for t in f.terms:
         sols = _term_line_solutions(t, ann)
         if sols is None:
@@ -408,31 +410,41 @@ def parallelepiped_support(
         q = delta * e // red
         Q0 = [row[0] // red for row in rows]
         A = [[y // red for y in row[1:]] for row in rows]
-        # the generators' coordinates in the directions, the integer
-        # matrix (A / q)^-1 = q adj(A) / det(A), span the cosets to visit
-        dA = integer_det(A)
-        h, _ = hnf_with_transform([[q * a // dA for a in row] for row in integer_adjugate(A)])
+        # the generators' coordinates in the directions, the columns of
+        # (A / q)^-1 = q adj(A) / det(A); column j over its gcd k_j is g_j / k_j
+        dA, adj = integer_det(A), integer_adjugate(A)
+        if any(q * a % dA for row in adj for a in row):
+            raise ValueError("generators must lie in the periodicity lattice")
+        M = [[q * a // dA for a in row] for row in adj]
+        k = tuple(math.gcd(*col) for col in zip(*M))
+        h, _ = hnf_with_transform([[a // kj for a, kj in zip(row, k)] for row in M])
         if len(points) + math.prod(h[i][i] for i in range(r)) > ENUMERATION_GUARD:
             raise UnboundedEnumeration("too many parallelepiped points")
-        # q * tau0 + A z reduced into (0, q]^r is T, and dw * q * x = W T
-        wq = dw * q
+        # t = k tau: k_j (q * tau0 + A z) over q (reduced) taken into the
+        # tile's range is T, and with K = lcm(k), dw * q * K * x = W (K / k) T
+        K, Wk = math.lcm(*k), W
+        if K > 1:
+            Q0 = [kj * c for kj, c in zip(k, Q0)]
+            A = [[kj * a for a in row] for kj, row in zip(k, A)]
+            red = math.gcd(q, *Q0, *(a for row in A for a in row))
+            q, Q0, A = q // red, [c // red for c in Q0], [[a // red for a in row] for row in A]
+            Wk = [[w * (K // kj) for w, kj in zip(row, k)] for row in W]
+        wq = dw * q * K
         for z in coset_representatives(h):
-            T = [(c + sum(map(mul, row, z)) - 1) % q + 1 for c, row in zip(Q0, A)]
-            X = [sum(map(mul, row, T)) for row in W]
+            T = [(c + sum(map(mul, row, z)) - lo) % q + lo for c, row, lo in zip(Q0, A, low)]
+            X = [sum(map(mul, row, T)) for row in Wk]
             g = math.gcd(wq, *X)
-            key = (wq // g, *(x // g for x in X))
+            key = ((wq // g, *(x // g for x in X)), k)
             entry = points.get(key)
             if entry is None:
                 points[key] = [(q, *T), t.coeff]
             else:
                 entry[1] += t.coeff
-    # sort on integer numerators over one denominator: the order of x
-    den = math.lcm(1, *(key[0] for key in points))
-    return [
-        (key, *points[key])
-        for key in sorted(points, key=lambda k: [x * (den // k[0]) for x in k[1:]])
-        if points[key][1] != 0
-    ]
+    # sort on integer numerators over one denominator (the order of x), then k
+    den = math.lcm(1, *(x[0] for x, _ in points))
+    order = sorted((([v * (den // x[0]) for v in x[1:]], k), x, t, val)
+                   for (x, k), (t, val) in points.items())
+    return [(x, t, k, val) for (_, k), x, t, val in order if val != 0]
 
 
 def _term_line_solutions(t: LatticeTerm, ann: list[tuple[int, ...]]):

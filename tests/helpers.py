@@ -8,17 +8,20 @@ own rational reduction of [G | v], independently of the integer HNF of
 points (tests/test_route_independence.py keeps its ``_linalg`` imports
 rational); ``support_by_box`` finds the support points of a half-open
 parallelepiped by scanning a grid with it, the brute-force count behind
-``test_functions.parallelepiped_support``.
+``test_functions.parallelepiped_support``, whose tiled base points
+``replicate_support`` writes out replica by replica; ``replicated`` does
+the same for the numerator of a tiled ``PseudoMeasure``.
 ``bernoulli_sums_reference`` is the ``Fraction`` loop over the
 Bernoulli-polynomial moments that ``shintani_zeta._bernoulli_sums`` runs
-in integers over one denominator.  ``closed_form_reference`` is Shintani's
+in integers over one denominator; it writes out each tile's replicas
+where the closed form folds them in by Raabe's theorem.  ``closed_form_reference`` is Shintani's
 closed form for one slice and one k on reduced ``QuadScalar``s and
 ``Fraction``s, with power tables rebuilt for every k, against the integer
 tables that ``shintani_zeta._closed_form_coefficient`` builds once per
 cone for every k.  ``theta_moment`` takes moments by
 the theta operator, independently of the Stirling-number sum in
-``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure
-by full-box series products: the numerator in ``Fraction`` binomial rows,
+``padic_measures.moment``.  ``amice_reference`` expands a pseudo-measure,
+replicated, by full-box series products: the numerator in ``Fraction`` binomial rows,
 one product by the inverse of all unit factors over the whole (tcap+1)^n
 box, and a table of substituted monomials, with its numerator points
 mapped through a ``Fraction`` D^-1 by ``_numerator_coordinates`` and
@@ -39,10 +42,12 @@ once per component, with its own Teichmuller lift and Stirling rows.
 ``domain_from_cocycle`` reads the Shintani domain off Hill's cocycle at
 (1, eps), the paper's construction, and checks it on sample points; it is
 the reference for the ``shintani_fan`` that both sides of
-``real_quadratic_fields`` use.  ``translate_fan`` is the fan of a ray unit
-eps_plus^t as the t translates of that cone, each with its ray: the
-reference for ``real_quadratic_fields._fold``, which sums t unit
-pullbacks of the test function over the one cone instead.
+``real_quadratic_fields`` use.  ``open_fan`` is that fan as an open cone
+plus the ray through 1, the reference for its one half-open cone.
+``translate_fan`` is the fan of a ray unit eps_plus^t as the t
+translates of the open cone, each with its ray: the reference for
+``real_quadratic_fields._fold``, which sums t unit pullbacks of the test
+function over the one cone instead.
 ``PairQuadScalar`` and ``pair_quad_sign`` are the quadratic scalar as a
 pair of ``Fraction`` coordinates, the reference for the integer
 (A + B*sqrt(D))/q representation of ``exact_core.QuadScalar``.
@@ -97,11 +102,12 @@ def span_coordinates(gens, v) -> Vector | None:
     return tuple(row[r] for row in aug[:r])
 
 
-def support_by_box(f: TestFunction, gens, limit: int = 1500) -> dict | None:
+def support_by_box(f: TestFunction, gens, limit: int = 1500, closed=()) -> dict | None:
     """{x: f(x)} for the support points of f in {sum t_j g_j : 0 < t_j <= 1},
-    by scanning the grid of the common denominator of f's offsets and
-    lattices over the parallelepiped's bounding box; None when the grid
-    holds more than `limit` points."""
+    with 0 <= t_j < 1 instead for j in closed, by scanning the grid of the
+    common denominator of f's offsets and lattices over the
+    parallelepiped's bounding box; None when the grid holds more than
+    `limit` points."""
     n = f.n
     den = math.lcm(
         *(x.denominator for t in f.terms for row in t.lattice for x in row),
@@ -118,7 +124,7 @@ def support_by_box(f: TestFunction, gens, limit: int = 1500) -> dict | None:
     found = {}
     for x in itertools.product(*axes):
         t = span_coordinates(gens, x)
-        if t is None or not all(0 < c <= 1 for c in t):
+        if t is None or not all(0 <= c < 1 if j in closed else 0 < c <= 1 for j, c in enumerate(t)):
             continue
         val = f.evaluate(x)
         if val:
@@ -126,14 +132,50 @@ def support_by_box(f: TestFunction, gens, limit: int = 1500) -> dict | None:
     return found
 
 
+def replicate_support(points, gens) -> dict:
+    """{x: f(x)} over the whole parallelepiped from the tiled quadruples
+    (x, t, k, c) of parallelepiped_support: every base point x of tile k
+    moved by sum_j s_j g_j / k_j for each s_j < k_j, the values of equal
+    points summed and zeros dropped."""
+    found: dict = {}
+    for (den, *nums), _, k, val in points:
+        for s in itertools.product(*(range(kj) for kj in k)):
+            x = tuple(
+                Fraction(v, den) + sum(Fraction(sj, kj) * g[i] for sj, kj, g in zip(s, k, gens))
+                for i, v in enumerate(nums)
+            )
+            found[x] = found.get(x, 0) + val
+    return {x: v for x, v in found.items() if v}
+
+
+def replicated(pm: PseudoMeasure) -> PseudoMeasure:
+    """The untiled pseudo-measure of pm: each numerator term on tile k
+    written out as its replicas v + sum_j s_j (a_j / k_j) d_j, s_j < k_j,
+    equal exponents summed, zeros dropped."""
+    found: dict = {}
+    for (v, c), k in zip(pm.numerator, pm.tiles):
+        for s in itertools.product(*(range(kj) for kj in k)):
+            e = tuple(
+                x + sum(Fraction(sj, kj) * a * d[i] for sj, kj, (a, d) in zip(s, k, pm.denoms))
+                for i, x in enumerate(v)
+            )
+            found[e] = found.get(e, 0) + c
+    numerator = tuple((e, c) for e, c in sorted(found.items()) if c)
+    return PseudoMeasure(pm.p, pm.m, pm.n, numerator, pm.denoms)
+
+
 def bernoulli_sums_reference(points, r: int, Ns) -> dict:
     """sum_x f(x) prod_j B_{mu_j}(t_j) for every mu with |mu| in Ns, from
-    the integer triples (x, (q, *T), f(x)) of parallelepiped_support: the
-    expansion B_m(t) = sum_a C(m, a) B_{m-a} t^a with every moment, row
-    entry and product a Fraction."""
+    the tiled quadruples (x, (q, *T), k, f-part) of parallelepiped_support:
+    each base point's t written out as its replicas (t + s) / k, s_j < k_j,
+    and the expansion B_m(t) = sum_a C(m, a) B_{m-a} t^a with every moment,
+    row entry and product a Fraction."""
     N = max(Ns)
-    ts = [tuple(Fraction(T, t[0]) for T in t[1:]) for _, t, _ in points]
-    vals = [val for _, _, val in points]
+    ts, vals = [], []
+    for _, (q, *T), k, val in points:
+        for s in itertools.product(*(range(kj) for kj in k)):
+            ts.append(tuple((Fraction(Tj, q) + sj) / kj for Tj, sj, kj in zip(T, s, k)))
+            vals.append(val)
     moment = {
         alpha: sum(
             (v * math.prod(tj ** a for tj, a in zip(t, alpha)) for t, v in zip(ts, vals)),
@@ -445,12 +487,14 @@ def amice_reference(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     """Power-series transform of a pseudo-measure satisfying the measure
     criterion, with exact rational (p-integral) coefficients.
 
-    caps are per-variable degree bounds in the standard coordinates; a
+    caps are per-variable degree bounds in the standard coordinates; the
+    numerator is first written out replica by replica (``replicated``); a
     piece not divisible by every T_i raises PoleDetected at any caps (see
     ``_piece_vanishes_on_axes``), and the visible truncation is checked
     again before dividing."""
     if len(caps) != pm.n:
         raise ValueError("caps dimension mismatch")
+    pm = replicated(pm)
     if not pm.numerator:
         return TruncSeries(caps, {})
     D, monos = _numerator_coordinates(pm)
@@ -774,6 +818,14 @@ def domain_from_cocycle(field: RealQuadraticField, eps) -> ConeFunction:
         if fan.evaluate(mat_vec(meps, v)) != 0:
             raise AssertionError("cocycle domain meets its eps-translate")
     return fan
+
+
+def open_fan(field: RealQuadraticField) -> ConeFunction:
+    """The Shintani domain as two open cones: the open cone on
+    (1, eps_plus) plus the ray through 1, the reference for the one
+    half-open cone of ``shintani_fan``."""
+    e1, eps = (1, 0), eps_plus(field)
+    return ConeFunction([(Fraction(1), OpenCone((e1, eps))), (Fraction(1), OpenCone((e1,)))])
 
 
 def translate_fan(field: RealQuadraticField, t: int) -> ConeFunction:

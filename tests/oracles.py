@@ -5,12 +5,13 @@ sharing code paths with the package: Bernoulli numbers come from the
 worpitzky double sum rather than the package recurrence, the field
 zeta values at -1 and -3 come from sigma-divisor sums, the partial
 zeta of one narrow class at 0 from Meyer's continued-fraction formula,
-and the Euler factor of a rational prime from the Kronecker symbol of
-the field discriminant.
+the Euler factor of a rational prime from the Kronecker symbol of the
+field discriminant, and the genus-character sums of the class values
+from Dirichlet L-values, B_(n, chi) built on the Bernoulli polynomials.
 """
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -114,3 +115,64 @@ def meyer_zeta_zero(disc: int, a: int, b: int, t: int) -> Fraction:
         Q = (P * P - disc) // Q
     period = digits[seen[P, Q]:]
     return Fraction(sum(bi - 3 for bi in period), 12)
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """{q: e} with n = prod q^e, by trial division."""
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def kronecker(d: int, a: int) -> int:
+    """The Kronecker symbol (d/a) for a >= 1, multiplicative in a."""
+    value = 1
+    for q, e in _prime_factors(a).items():
+        value *= kronecker_symbol(d, q) ** e
+    return value
+
+
+def genus_characters(D: int) -> list[tuple[int, int]]:
+    """The factorizations disc = d1 * d2 into fundamental discriminants,
+    one (d1, d2) per genus character of Q(sqrt(D)), d1 = 1 first: d1 runs
+    over the products of the prime discriminants of disc (-4, 8 or -8, and
+    (-1)^((q-1)/2) q for odd q) that leave out the last one."""
+    disc = field_discriminant(D)
+    odd = disc
+    while odd % 2 == 0:
+        odd //= 2
+    primes = [(-1) ** ((q - 1) // 2) * q for q in _prime_factors(odd)]
+    if disc % 2 == 0:
+        primes.append(disc // prod(primes))
+    pairs = []
+    for mask in range(2 ** (len(primes) - 1)):
+        d1 = prod(pd for i, pd in enumerate(primes) if mask >> i & 1)
+        pairs.append((d1, disc // d1))
+    return pairs
+
+
+def genus_value(d1: int, d2: int, norm: int) -> int:
+    """chi(a) for the genus character of disc = d1 * d2 on an integral
+    ideal a of norm `norm`: multiplicative over the primes q of the norm,
+    each giving (d1/q) when q does not divide d1 and (d2/q) when it does."""
+    value = 1
+    for q, e in _prime_factors(norm).items():
+        value *= kronecker_symbol(d2 if d1 % q == 0 else d1, q) ** e
+    return value
+
+
+def dirichlet_l_value(d: int, k: int) -> Fraction:
+    """L(chi_d, -k) = -B_(k+1, chi)/(k+1) for the Kronecker character of
+    the fundamental discriminant d (zeta(-k) at d = 1), with
+    B_(n, chi) = f^(n-1) sum_(a=1..f) chi(a) B_n(a/f) and f = |d|
+    (Washington, Introduction to Cyclotomic Fields, Thm 4.2)."""
+    f, n = abs(d), k + 1
+    total = sum(kronecker(d, a) * bernoulli_poly_oracle(n, Fraction(a, f)) for a in range(1, f + 1))
+    return -Fraction(f) ** (n - 1) * total / n

@@ -43,6 +43,7 @@ from shintani_kit.real_quadratic_fields import (
     o_ideal,
     prime_above,
 )
+from shintani_kit.selftest import check_kubota_leopoldt
 from shintani_kit.shintani_zeta import special_value
 from shintani_kit.test_functions import (
     PLevelSet,
@@ -54,7 +55,7 @@ from shintani_kit.test_functions import (
 
 from helpers import _numerator_coordinates as numerator_coordinates_by_inverse
 from helpers import _pfrac, _piece_vanishes_on_axes
-from helpers import amice_reference, congruent_to, evaluate_at_s_reference
+from helpers import amice_reference, congruent_to, evaluate_at_s_reference, replicated
 from helpers import pushforward_by_newton_box, theta_moment
 from oracles import hurwitz_special_value
 
@@ -82,12 +83,16 @@ def cone_of(*gens):
 
 
 def test_kl_pseudo_data():
+    # Z on the tile 1 = 2/2 and 2Z at 2; written out, Z's replicas are 1
+    # and 2, so the numerator is q - q^2 over 1 - q^2
     kl = kubota_leopoldt(3, 2)
     assert kl.pseudo.numerator == (
         ((F(1),), F(1)),
-        ((F(2),), F(-1)),
+        ((F(2),), F(-2)),
     )
+    assert kl.pseudo.tiles == ((2,), (1,))
     assert kl.pseudo.denoms == ((F(2), (1,)),)
+    assert replicated(kl.pseudo).numerator == (((F(1),), F(1)), ((F(2),), F(-1)))
 
 
 def test_kl_mass_and_first_moment():
@@ -127,25 +132,48 @@ def test_kl_rejects_bad_smoothing():
         kubota_leopoldt(3, 1)
 
 
+class _Replay:
+    """The random source of selftest.check_kubota_leopoldt, replaying
+    scripted draws and checking each lies where the check draws from."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def choice(self, seq):
+        x = self.draws.pop(0)
+        assert x in seq
+        return x
+
+    def randrange(self, start, stop):
+        x = self.draws.pop(0)
+        assert start <= x < stop
+        return x
+
+
 def test_kummer_congruences_on_unit_moments():
     # for k1 = k2 mod (p-1)p^j with k1, k2 not divisible by p-1, the unit
-    # moments agree mod p^(j+1)
+    # moments agree mod p^(j+1): each case replayed through the shared check
+    # as its draws p, k1, j and r, k2 = k1 + (p-1) p^j r
     cases = [
         (3, 2, 1, 3), (3, 2, 1, 5), (3, 2, 3, 5), (3, 2, 5, 7), (3, 2, 3, 9),
         (3, 2, 1, 7), (3, 2, 5, 11), (5, 2, 1, 5), (5, 2, 3, 7), (7, 2, 1, 7),
     ]
     assert len(cases) >= 10
+    draws = []
     for p, ell, k1, k2 in cases:
-        assert k1 % (p - 1) == k2 % (p - 1) and k1 % (p - 1) != 0
+        assert ell == 2 and k1 % (p - 1) == k2 % (p - 1) and k1 % (p - 1) != 0
         step = (k2 - k1) // (p - 1)
         j = 0
         while step % p == 0:
             step //= p
             j += 1
-        kl = kubota_leopoldt(p, ell, caps=(12,))
-        d = kl.unit_moment(k1) - kl.unit_moment(k2)
-        assert d.denominator % p != 0
-        assert d.numerator % p ** (j + 1) == 0
+        draws += [p, k1, j, step]
+    # caps 12, and 13 at p = 3: the shared check keeps k2 <= caps - 2
+    kls = {p: kubota_leopoldt(p, 2, caps=(13 if p == 3 else 12,)) for p in (3, 5, 7)}
+    rng = _Replay(draws)
+    ok, detail = check_kubota_leopoldt(kls, rng, len(cases))
+    assert ok, detail
+    assert not rng.draws  # no case skipped
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +362,12 @@ def cone_pseudo_measures(draw):
 @settings(max_examples=40, deadline=None)
 def test_pseudo_from_cone_numerator_is_sorted_fractions(case):
     # PseudoMeasure stores its numerator as given: pseudo_from_cone hands
-    # it the (x, f(x)) pairs strictly sorted by x, every entry a Fraction
+    # it the (x, f-part) pairs strictly sorted by (x, tile), every entry a
+    # Fraction, and one tile per pair
     pm, _ = case
-    xs = [e for e, _ in pm.numerator]
-    assert all(a < b for a, b in zip(xs, xs[1:]))
+    keys = [(e, k) for (e, _), k in zip(pm.numerator, pm.tiles)]
+    assert len(keys) == len(pm.numerator)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert all(type(v) is F for e, c in pm.numerator for v in (*e, c))
 
 
@@ -385,11 +415,12 @@ def test_integer_adjugate_coordinates_match_inverse(U):
 
 
 def _reference_pieces(pm):
-    """The pieces by the Fraction p-fractional part w of D^-1 v, mu = D^-1 v - w."""
+    """The pieces by the Fraction p-fractional part w of D^-1 v, mu = D^-1 v - w,
+    each term with its tile."""
     pieces: dict = {}
-    for c, coords in numerator_coordinates_by_inverse(pm)[1]:
+    for (c, coords), k in zip(numerator_coordinates_by_inverse(pm)[1], pm.tiles):
         w = tuple(_pfrac(x, pm.p) for x in coords)
-        pieces.setdefault(w, []).append((c, tuple(x - wx for x, wx in zip(coords, w))))
+        pieces.setdefault(w, []).append((c, tuple(x - wx for x, wx in zip(coords, w)), k))
     return pieces
 
 
@@ -397,13 +428,18 @@ def _check_integer_pieces(pm):
     _, Q, cden, _ = pm._coordinates
     pj = pm.p ** next(j for j in itertools.count() if Q % pm.p ** (j + 1))
     read = {
-        tuple(F(x, pj) for x in res): [(F(c, cden), tuple(F(x, Q) for x in mu)) for c, mu in terms]
-        for res, terms in pm._pieces.items()
+        tuple(F(x, pj) for x in res): sorted(
+            (F(c, cden), tuple(F(x, Q) for x in mu), k)
+            for k, terms in classes.items() for c, mu in terms)
+        for res, classes in pm._pieces.items()
     }
     want = _reference_pieces(pm)
-    assert read == want
+    assert read == {w: sorted(terms) for w, terms in want.items()}
     assert [tuple(F(x, pj) for x in r) for r in sorted(pm._pieces)] == sorted(want)
-    assert pm._divisible == all(_piece_vanishes_on_axes(t, pm.r) for t in want.values())
+    # the verdict on the tiles is the reference's on the replicas
+    flat = _reference_pieces(replicated(pm)).values()
+    assert pm._divisible == all(
+        _piece_vanishes_on_axes([(c, mu) for c, mu, _ in t], pm.r) for t in flat)
 
 
 @st.composite
@@ -451,6 +487,44 @@ def test_integer_pieces_with_negative_determinant_and_fractional_exponents():
     assert {x.denominator for e, _ in pm.numerator for x in e} == {2, 3}
     assert len(pm._pieces) > 1 and pm._divisible
     _check_integer_pieces(pm)
+
+
+@st.composite
+def nested_pseudo_measures(draw):
+    """pseudo_from_cone of two smoothings [L] - [L : L'][L'] on the chain
+    Z^n > L_l1 > L_l1l2, L_a = {x : x_n = 0 mod a}, on a cone whose
+    generators have last coordinate 1, so that the three terms sit on three
+    tiles, a_j / k_j = 1, l1 and l1 l2 along each generator; a weight off by
+    one makes it a non-measure."""
+    n = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((3, 5, 7)))
+    l1, l2 = (draw(st.sampled_from([x for x in (2, 3, 4) if x % p])) for _ in range(2))
+
+    def lattice(a):
+        diag = (1,) * (n - 1) + (a,)
+        return tuple(tuple(d if i == j else 0 for j in range(n)) for i, d in enumerate(diag))
+
+    f = zn_indicator(n, away_from=p) + lattice_indicator(lattice(l1), away_from=p).scale(
+        1 - l1) - lattice_indicator(lattice(l1 * l2), away_from=p).scale(
+        l2 + draw(st.sampled_from((0, 0, 1))))
+    gens = [(1,)] if n == 1 else [(1, 1), (draw(st.sampled_from((0, 2))), 1)]
+    m = draw(st.sampled_from((0, 1)))
+    U = PLevelSet(p, m, n, (tuple(draw(st.integers(0, p**m - 1)) for _ in range(n)),))
+    return pseudo_from_cone(f, cone_of(*gens), U)
+
+
+@given(st.one_of(cone_pseudo_measures().map(lambda case: case[0]), fractional_pseudo_measures(),
+                 nested_pseudo_measures()),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_tiled_measure_matches_its_replicated_numerator(pm, data):
+    # a tile class stands for its replicas: the same verdict and the same
+    # expansion as the untiled numerator written out replica by replica
+    caps = data.draw(st.tuples(*[st.integers(0, 6)] * pm.n), label="caps")
+    flat = replicated(pm)
+    assert pm._divisible == flat._divisible
+    assert _expansion_or_refusal(amice_expand, pm, caps) == _expansion_or_refusal(
+        amice_expand, flat, caps)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

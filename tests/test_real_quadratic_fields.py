@@ -49,7 +49,8 @@ from shintani_kit.real_quadratic_fields import (
     x_level_set,
 )
 from shintani_kit.selftest import check_interpolation, check_siegel_values, interpolation_table
-from shintani_kit.test_functions import tensor_at_p, zn_indicator
+from shintani_kit.shintani_zeta import quadratic_norm, special_value
+from shintani_kit.test_functions import lattice_indicator, tensor_at_p, zn_indicator
 
 import helpers
 from helpers import (
@@ -59,13 +60,17 @@ from helpers import (
     generator_by_box,
     ideal_contains,
     is_equivalent_by_scan,
+    open_fan,
     pell_unit_by_scan,
     pushforward_by_newton_box,
     translate_fan,
     unit_order_by_walk,
 )
 from oracles import (
+    dirichlet_l_value,
     euler_factor,
+    genus_characters,
+    genus_value,
     kronecker_symbol,
     meyer_zeta_zero,
     siegel_zeta_minus_one,
@@ -467,8 +472,10 @@ class TestClasses:
 
 class TestFans:
     def test_geometric_fan_shape(self):
+        # one cone on (1, eps_plus), open along 1 and closed along eps_plus
         fan = shintani_fan(F5)
-        assert fan.terms == [
+        assert fan.terms == [(Fraction(1), OpenCone(((1, 0), (1, 1)), closed=(1,)))]
+        assert open_fan(F5).terms == [
             (Fraction(1), OpenCone(((1, 0), (1, 1)))),
             (Fraction(1), OpenCone(((1, 0),))),
         ]
@@ -486,16 +493,14 @@ class TestFans:
             (Fraction(1), OpenCone((w2,))),
         ]
         # the translates tile the open cone on (1, eps_plus^t) plus the ray
-        # through 1, the fan of eps_plus^t; at t = 1 that is shintani_fan
+        # through 1, the fan of eps_plus^t: its cone closed along eps_plus^t;
+        # at t = 1 that is open_fan
         rng = Random(4127)
         for F in FIELDS.values():
-            assert translate_fan(F, 1).terms == shintani_fan(F).terms
+            assert translate_fan(F, 1).terms == open_fan(F).terms
             for t in (2, 3, 5):
                 eps = F.pow(eps_plus(F), t)
-                whole = ConeFunction([
-                    (Fraction(1), OpenCone(((1, 0), eps))),
-                    (Fraction(1), OpenCone(((1, 0),))),
-                ])
+                whole = ConeFunction([(Fraction(1), OpenCone(((1, 0), eps), closed=(1,)))])
                 points = [F.pow(eps_plus(F), j) for j in range(-1, t + 2)]
                 for _ in range(40):
                     x = Fraction(rng.randrange(-50, 400), rng.randrange(1, 60))
@@ -504,6 +509,32 @@ class TestFans:
                 fan = translate_fan(F, t)
                 for v in points:
                     assert fan.evaluate(v) == whole.evaluate(v), (F.D, t, v)
+
+    @given(
+        D=st.sampled_from(sorted(FIELDS)),
+        coords=st.lists(
+            st.tuples(*[st.sampled_from([0, 1, 3, Fraction(1, 2), Fraction(7, 3), -1])] * 2),
+            min_size=1, max_size=6,
+        ),
+        diag=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        below=st.integers(0, 2),
+        offset=st.tuples(*[st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 3)])] * 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_half_open_fan_is_the_open_fan(self, D, coords, diag, below, offset):
+        # the one cone closed along eps_plus is the open cone plus the ray
+        # through 1: equal at points a + b eps_plus on both edges, inside and
+        # outside, and equal cone zeta values of a lattice coset at k = 0-3
+        F = FIELDS[D]
+        eps = eps_plus(F)
+        fan, ref = shintani_fan(F), open_fan(F)
+        for a, b in coords:
+            v = (a + b * eps[0], b * eps[1])
+            if any(v):
+                assert fan.evaluate(v) == ref.evaluate(v), (D, a, b)
+        f = lattice_indicator(((diag[0], 0), (below, diag[1])), offset)
+        ks, norm = range(4), quadratic_norm(D)
+        assert special_value(f, fan, ks, norm) == special_value(f, ref, ks, norm)
 
     def test_cocycle_domain_all_fields(self):
         for F in FIELDS.values():
@@ -722,6 +753,35 @@ class TestExactZeta:
                 assert total == euler * zeta, (D, Q, k)
             folded += ray_unit(F, Q)[1] > 1
         assert folded >= 4
+
+    # each genus character chi of disc = d1 * d2 weights the narrow class
+    # values into L(chi_d1, -k) L(chi_d2, -k) (Kronecker's factorization),
+    # an oracle that reads no fan: on the fields whose genus characters
+    # span the class functions it pins every class value at every k
+    def test_genus_character_sums_are_l_value_products(self):
+        checked = 0
+        for D in (D for D in SQUAREFREE if D < 60):
+            F = RealQuadraticField(D)
+            reps = narrow_ray_class_reps(F, 1)
+            values = [exact_ray_class_zeta(F, rep, 1, [1, 2, 3]) for rep in reps]
+            for d1, d2 in genus_characters(D):
+                chi = [genus_value(d1, d2, rep.norm) for rep in reps]
+                for j, k in enumerate((1, 2, 3)):
+                    total = sum(c * v[j] for c, v in zip(chi, values))
+                    assert total == dirichlet_l_value(d1, k) * dirichlet_l_value(d2, k), (D, d1, k)
+                    checked += 1
+        assert checked == 234
+
+    def test_genus_character_oracle(self):
+        # Q(sqrt 15), disc 60: four characters; chi_(-3, -20) is (-3/2) = -1
+        # on the prime above 2 and, as 3 divides -3, (-20/3) = +1 on the
+        # prime above 3
+        assert genus_characters(15) == [(1, 60), (-3, -20), (5, 12), (-15, -4)]
+        assert [genus_value(-3, -20, n) for n in (2, 3, 6)] == [-1, 1, -1]
+        assert dirichlet_l_value(1, 1) == Fraction(-1, 12)
+        assert dirichlet_l_value(-4, 0) == Fraction(1, 2)
+        # zeta_F(-1) = zeta(-1) L(chi_5, -1) = 1/30 at D = 5
+        assert dirichlet_l_value(1, 1) * dirichlet_l_value(5, 1) == siegel_zeta_minus_one(5)
 
     def test_euler_factor_oracle(self):
         # discriminant 5: 2 and 3 are inert, 5 ramifies, 11 splits

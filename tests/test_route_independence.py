@@ -15,7 +15,8 @@ fast path with, never the fast path's own steps, and from _linalg only
 the rational routines, so that its span_coordinates stays a second route
 to span_rows.  And the series route of shintani_zeta, the check of
 Shintani's closed form, reaches none of the closed form's code and reads
-no Bernoulli number.  And tests/oracles.py, whose values the acceptance gate
+no Bernoulli number or Raabe weight, while the closed form reaches none of
+the series route's replica expansion.  And tests/oracles.py, whose values the acceptance gate
 hands to the package's own checks, imports nothing from the package."""
 
 import ast
@@ -35,11 +36,16 @@ PADIC_ENTRIES = (
 )
 EXACT_SIDE = {"bernoulli_number", "bernoulli_polynomial", "hurwitz_value"}
 
-# the closed form's own code, which the series route must not reach
+# the closed form's own code, which the series route must not reach: the
+# Raabe weights fold each tile's replicas into its base points
 CLOSED_FORM = {
     "_bernoulli_sums", "_closed_form_coefficient", "_closed_form_slices", "_compositions",
-    "bernoulli_number",
+    "_raabe_weights", "bernoulli_number",
 }
+
+# the series route's own expansion of each base point into its replicas,
+# which the closed form must not reach
+SERIES_ONLY = {"_replicas", "_slice_series", "_series_slices"}
 
 # what helpers.py may import from padic_measures
 HELPERS_MAY_IMPORT = {"PadicScalar", "PseudoMeasure", "_complete_directions", "binomial_row"}
@@ -305,8 +311,16 @@ def _reached_names(source: str, start: str) -> set[str]:
 
 def test_series_route_reaches_no_closed_form_code():
     names = _reached_names(SHINTANI.read_text(), "_special_value_series")
-    assert {"_series_slices", "_slice_series", "_cone_value", "build_G"} <= names
+    assert SERIES_ONLY | {"_cone_value", "build_G"} <= names
     assert names & CLOSED_FORM == set()
+
+
+def test_closed_form_reaches_no_replica_expansion():
+    # the two routes share the enumeration of base points, and each brings
+    # the replicas in its own way: Raabe's weights or one point at a time
+    names = _reached_names(SHINTANI.read_text(), "special_value")
+    assert CLOSED_FORM | {"_cone_value", "build_G"} <= names
+    assert names & SERIES_ONLY == set()
 
 
 def test_guard_sees_closed_form_code():

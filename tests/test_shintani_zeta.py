@@ -240,8 +240,9 @@ def test_build_g_point_collection():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     G = build_G(f, OpenCone(((F(1),),)), std_norm(1))
     assert G.scaled_gens == ((F(2),),)
-    # x as (den, *nums) and t as (q, *T): x = 1, t = 1/2 and x = 2, t = 2/2
-    assert G.points == (((1, 1), (2, 1), F(1)), ((1, 2), (2, 2), F(-1)))
+    # x as (den, *nums), t as (q, *T) and the tile: Z on the tile 1 = 2/2
+    # at t = 1 stands for x = 1 and 2, and 2Z has x = 2 at t = 1
+    assert G.points == (((1, 1), (1, 1), (2,), F(1)), ((1, 2), (1, 1), (1,), F(-2)))
 
 
 def _random_cone(rng, ns, r):
@@ -389,15 +390,19 @@ def test_empty_k_list_gives_no_values(route, cone, monkeypatch):
 
 @st.composite
 def bernoulli_sums_cases(draw):
-    """Integer triples (x, (q, *T), f(x)) with mixed denominators q, values
-    of both signs, r = 1-3, and a list of |mu| with repeats."""
+    """Integer quadruples (x, (q, *T), k, f-part) with mixed denominators
+    q, t_j in [0, 1] (open and closed ranges), tiles k_j = 1-3 (1-2 at
+    r = 3) on one or two classes, values of both signs, r = 1-3, and a
+    list of |mu| with repeats."""
     r = draw(st.integers(1, 3))
+    tile = st.tuples(*[st.integers(1, 3 if r < 3 else 2)] * r)
+    tiles = draw(st.lists(tile, min_size=1, max_size=2))
     points = []
     for i in range(draw(st.integers(1, 6))):
         q = draw(st.sampled_from([1, 2, 3, 4, 6]))
-        T = tuple(draw(st.integers(1, q)) for _ in range(r))
+        T = tuple(draw(st.integers(0, q)) for _ in range(r))
         val = F(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
-        points.append(((1, i + 1), (q, *T), val))
+        points.append(((1, i + 1), (q, *T), draw(st.sampled_from(tiles)), val))
     Ns = draw(st.lists(st.integers(r, r + 6), min_size=1, max_size=4))
     return points, r, Ns
 
@@ -405,6 +410,7 @@ def bernoulli_sums_cases(draw):
 @given(bernoulli_sums_cases())
 @settings(max_examples=60, deadline=None)
 def test_bernoulli_sums_match_fraction_reference(case):
+    # the Raabe weights of each tile class against its replicas written out
     points, r, Ns = case
     den, sums = _bernoulli_sums(points, r, Ns)
     assert {mu: F(s, den) for mu, s in sums.items()} == bernoulli_sums_reference(points, r, Ns)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from shintani_kit.test_functions import (
     zn_indicator,
 )
 
-from helpers import level_set_contains, support_by_box, translate
+from helpers import level_set_contains, replicate_support, support_by_box, translate
 
 F = Fraction
 
@@ -275,37 +276,46 @@ def _over_den(v):
 
 
 def test_parallelepiped_support_basic():
-    # x as (den, *nums) and t as (q, *T), both integers
+    # x as (den, *nums), t as (q, *T) and the tile k, all integers
     f = zn_indicator(1)
-    assert parallelepiped_support(f, [(1,)]) == [((1, 1), (1, 1), F(1))]
+    assert parallelepiped_support(f, [(1,)]) == [((1, 1), (1, 1), (1,), F(1))]
     f2 = zn_indicator(2)
-    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [((1, 1, 1), (1, 1, 1), F(1))]
+    assert parallelepiped_support(f2, [(1, 0), (0, 1)]) == [((1, 1, 1), (1, 1, 1), (1, 1), F(1))]
     pts = parallelepiped_support(f2, [(1, 0), (1, 2)])
     assert pts == [
-        ((1, 1, 1), (2, 1, 1), F(1)),
-        ((1, 2, 2), (2, 2, 2), F(1)),
+        ((1, 1, 1), (2, 1, 1), (1, 1), F(1)),
+        ((1, 2, 2), (2, 2, 2), (1, 1), F(1)),
+    ]
+    # generators 2 e_1 and 3 e_2 of Z^2: one base point on the tile (2, 3),
+    # at t = (1, 1) open and at t = (1, 0) closed along the second
+    assert parallelepiped_support(f2, [(2, 0), (0, 3)]) == [((1, 1, 1), (1, 1, 1), (2, 3), F(1))]
+    assert parallelepiped_support(f2, [(2, 0), (0, 3)], closed=(1,)) == [
+        ((1, 1, 0), (1, 1, 0), (2, 3), F(1))
     ]
 
 
 def test_parallelepiped_support_weighted():
     f = zn_indicator(1) - lattice_indicator(((2,),)).scale(2)
     pts = parallelepiped_support(f, [(2,)])
-    # t = 1 at x = 2 keeps the denominator q = 2 of the first term
-    assert pts == [((1, 1), (2, 1), F(1)), ((1, 2), (2, 2), F(-1))]
+    # Z on the tile 1 = 2/2 stands for x = 1 and 2; 2Z has its own point
+    assert pts == [((1, 1), (1, 1), (2,), F(1)), ((1, 2), (1, 1), (1,), F(-2))]
+    assert replicate_support(pts, [(2,)]) == {(F(1),): F(1), (F(2),): F(-1)}
+    # closed along the generator, both sit at 0
+    assert parallelepiped_support(f, [(2,)], closed=(0,)) == [
+        ((1, 0), (1, 0), (1,), F(-2)), ((1, 0), (1, 0), (2,), F(1))
+    ]
 
 
 def test_parallelepiped_support_lower_rank():
     f = zn_indicator(2)
-    assert parallelepiped_support(f, [(1, 1)]) == [((1, 1, 1), (1, 1), F(1))]
+    assert parallelepiped_support(f, [(1, 1)]) == [((1, 1, 1), (1, 1), (1,), F(1))]
     shifted = translate(f, (F(1, 2), 0))
     assert parallelepiped_support(shifted, [(1, 1)]) == []
-    # a diagonal line through a finer lattice picks up interior points
+    # a diagonal line through a finer lattice: one point on the tile (1, 1)/2
     fine = lattice_indicator(((F(1, 2), 0), (0, F(1, 2))))
     pts = parallelepiped_support(fine, [(1, 1)])
-    assert pts == [
-        ((2, 1, 1), (2, 1), F(1)),
-        ((1, 1, 1), (2, 2), F(1)),
-    ]
+    assert pts == [((2, 1, 1), (1, 1), (2,), F(1))]
+    assert replicate_support(pts, [(1, 1)]) == {(F(1, 2), F(1, 2)): 1, (F(1), F(1)): 1}
 
 
 def test_parallelepiped_support_refuses_dependent_generators():
@@ -317,6 +327,13 @@ def test_parallelepiped_support_refuses_dependent_generators():
         parallelepiped_support(zn_indicator(2), [(1, 1, 0)])
 
 
+def test_parallelepiped_support_refuses_generators_off_the_lattice():
+    # (2, 3) is not in the lattice of columns (2, 0) and (1, 3)
+    f = lattice_indicator(((2, 1), (0, 3)), offset=(F(1, 2), 0))
+    with pytest.raises(ValueError, match="periodicity lattice"):
+        parallelepiped_support(f, [(2, 0), (2, 3)])
+
+
 def test_parallelepiped_support_counts():
     rng = random.Random(108)
     for _ in range(10):
@@ -326,16 +343,18 @@ def test_parallelepiped_support_counts():
         M = random_lattice(rng, 2)
         gens = [mat_vec(mat(L), col) for col in zip(*M)]
         pts = parallelepiped_support(f, gens)
-        assert len(pts) == abs(det(mat(M)))
-        for x, _, val in pts:
+        # one lattice term: as many base points as cosets modulo the tile
+        assert len(pts) * math.prod(pts[0][2]) == abs(det(mat(M)))
+        for x, _, _, val in pts:
             assert val == 1 and f.evaluate(_over_den(x)) == 1
+        assert len(replicate_support(pts, gens)) == abs(det(mat(M)))
 
 
 # (lattice matrix with the basis as its columns, offset, generators in the
 # lattice): r = n and r < n, in dims 2 and 3
 BOX_CASES = [
     (((1, 0), (0, 1)), (0, 0), [(2, 0), (0, 3)]),
-    (((2, 1), (0, 3)), (F(1, 2), 0), [(2, 0), (2, 3)]),
+    (((2, 1), (0, 3)), (F(1, 2), 0), [(2, 0), (3, 3)]),
     (((F(1, 2), 0), (0, F(1, 3))), (0, 0), [(1, 1)]),
     (((2, 0), (1, 1)), (1, 0), [(4, 4)]),
     (((1, 0, 0), (0, 2, 0), (0, 0, 1)), (0, 0, 0), [(1, 2, 1), (0, 2, 2)]),
@@ -345,14 +364,19 @@ BOX_CASES = [
 
 @pytest.mark.parametrize("case", range(len(BOX_CASES)), ids=lambda i: f"case{i}")
 def test_parallelepiped_support_length_matches_box_count(case):
-    # perfbench reads len(parallelepiped_support(...)) as its point count
+    # perfbench reads len(parallelepiped_support(...)) as its point count:
+    # the base points, each standing for prod(k) points of the box, open
+    # or closed along the first generator
     L, o, gens = BOX_CASES[case]
     f = lattice_indicator(L, offset=o).scale(F(1, 2))
     g = f + lattice_indicator(L).scale(3)
     for h in (f, g):
-        brute = support_by_box(h, gens)
-        assert brute
-        assert len(parallelepiped_support(h, gens)) == len(brute)
+        for closed in ((), (0,)):
+            brute = support_by_box(h, gens, closed=closed)
+            assert brute
+            pts = parallelepiped_support(h, gens, closed)
+            assert sum(math.prod(k) for _, _, k, _ in pts) == len(brute)
+            assert replicate_support(pts, gens) == brute
 
 
 @st.composite
@@ -386,17 +410,23 @@ def functions_and_generators(draw):
     return f, gens
 
 
-@given(functions_and_generators())
+@given(functions_and_generators(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_parallelepiped_support_matches_evaluate(case):
+def test_parallelepiped_support_matches_evaluate(case, data):
     f, gens = case
+    closed = tuple(j for j in range(len(gens)) if data.draw(st.booleans(), label=f"closed {j}"))
     W = from_columns([tuple(F(c) for c in g) for g in gens])
-    triples = parallelepiped_support(f, gens)
-    for x, t, val in triples:
+    points = parallelepiped_support(f, gens, closed)
+    keys = [(_over_den(x), k) for x, _, k, _ in points]
+    assert keys == sorted(set(keys))
+    for x, t, k, val in points:
         x, t = _over_den(x), _over_den(t)
-        assert val != 0 and val == f.evaluate(x)
-        assert mat_vec(W, t) == x
-        assert all(0 < c <= 1 for c in t)
-    brute = support_by_box(f, gens)
+        # t in the tile's coordinates g_j / k_j, in its half-open range
+        assert val != 0
+        assert mat_vec(W, tuple(c / kj for c, kj in zip(t, k))) == x
+        assert all(0 <= c < 1 if j in closed else 0 < c <= 1 for j, c in enumerate(t))
+    replicas = replicate_support(points, gens)
+    assert all(f.evaluate(x) == val for x, val in replicas.items())
+    brute = support_by_box(f, gens, closed=closed)
     if brute is not None:
-        assert {_over_den(x): val for x, _, val in triples} == brute
+        assert replicas == brute
