@@ -202,22 +202,24 @@ class PseudoMeasure:
 
     @cached_property
     def _divisible(self) -> bool:
-        """Whether each piece sum c * (1+T)^(mu/Q), over every replica
-        mu + sum_j s_j (a_j Q / k_j) e_j, is divisible by every T_i, i < r:
-        at T_i = 0 the replicas with equal mu off axis i cancel.  The k_i
-        replicas along axis i meet there, so only the others are written out."""
-        r, Q = self.r, self._coordinates[1] if self.numerator else 1
+        """Whether each piece sum c (1+T)^(mu/Q) over every replica is divisible
+        by every T_i, i < r: at T_i = 0 the replicas with equal mu off axis i
+        cancel; the k_i replicas along axis i meet there, so count k_i times."""
+        r, Q, tiles = self.r, self._coordinates[1] if self.numerator else 1, list(set(self.tiles))
+        # replicas of tile k off axis i, mu_j + s_j a_j Q / k_j, integers once mu is scaled
+        scale, rows = common_denominator(
+            [[a * Q / kj if kj > 1 else 0 for (a, _), kj in zip(self.denoms, k)] for k in tiles])
+        shifts = {(k, i): [o[:i] + o[i + 1:] + (0,) * (self.n - r) for o in itertools.product(
+            *([s * d for s in range(kj)] if j != i else (0,) for j, (kj, d) in enumerate(zip(k, ds))))]
+            for k, ds in zip(tiles, rows) for i in range(r)}
         for classes in self._pieces.values():
             for i in range(r):
                 rest: dict = {}
                 for k, terms in classes.items():
-                    # replicas off axis i, mu_j + s_j a_j Q / k_j (ints and Fractions mix)
-                    shifts = [o[:i] + o[i + 1:] + (0,) * (self.n - r) for o in itertools.product(*(
-                        [s * a * Q / kj for s in range(kj)] if kj > 1 and j != i else (0,)
-                        for j, ((a, _), kj) in enumerate(zip(self.denoms, k))))]
                     for c, mu in terms:
                         key = mu[:i] + mu[i + 1:]
-                        for o in shifts:
+                        key = tuple(scale * x for x in key) if scale > 1 else key
+                        for o in shifts[k, i]:
                             at = tuple(map(operator.add, key, o)) if any(o) else key
                             rest[at] = rest.get(at, 0) + c * k[i]
                 if any(rest.values()):
