@@ -13,14 +13,14 @@ through the Stirling numbers of the first kind.
 
 The measure criterion has two independent routes: line masses away from
 p (`test_functions.vanishing_check`), and each PseudoMeasure's verdict on
-the divisibility of its numerator, which amice_expand also enforces.
+the divisibility of its numerator, which amice_expand also enforces.  A
+numerator term may stand for a tile of replicas (`parallelepiped_support`).
 
-The expansion multiplies no full boxes: each unit factor is inverted in
-its own variable and applied along that axis, every intermediate is cut
-at total degree tcap, and binomial sums are integer numerators over one
-denominator (the layout of FLINT's fmpq_poly, built by
-`_linalg.common_denominator`), as are the coordinates and pieces they
-start from, so no Fraction is built or hashed before the sums divide.
+The expansion multiplies no full boxes: each tile class's unit factors
+are inverted in their own variables and applied along those axes, each
+intermediate is cut at total degree, and binomial sums, like the pieces,
+are integer numerators over one denominator (FLINT's fmpq_poly layout),
+so no Fraction is built or hashed before the sums divide.
 """
 
 from __future__ import annotations
